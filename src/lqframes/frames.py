@@ -4,6 +4,7 @@ All operations are pure functions of their inputs plus explicit seeds, so
 they are safe to call concurrently.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,6 +204,13 @@ def cosparse_signal(frame: Frame, s: int, seed, max_retries: int = 50):
     Returns ``(f, coeffs)`` with ``coeffs = D.T f``.  Retries with a fresh
     cosupport when the null space is trivial and raises
     GenerationFailedError once the retry budget is exhausted.
+
+    Feasibility: for a frame in general position (every n columns linearly
+    independent) d - s analysis rows annihilate a nonzero f only when
+    d - s < n, so exact s-sparse coefficients need ``s > d - n``; below
+    that every draw fails.  The rule is not enforced up front, because
+    frames not in general position (duplicated atoms, for instance) can
+    still succeed with ``s <= d - n``.
     """
     d = frame.num_atoms
     n = frame.ambient_dim
@@ -228,12 +236,13 @@ def cosparse_signal(frame: Frame, s: int, seed, max_retries: int = 50):
         f /= norm
         return f, frame.matrix.T @ f
     raise GenerationFailedError(
-        f"no cosupport of size {d - s} with nontrivial null space after {max_retries} tries"
+        f"no cosupport of size {d - s} with nontrivial null space after {max_retries} tries "
+        f"(n={n}, d={d}, s={s}; a frame in general position needs s > d - n = {d - n})"
     )
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a dense matrix from headerless CSV; rejects ragged rows."""
+    """Read a dense matrix from headerless CSV; rejects ragged rows and nan/inf."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -244,6 +253,8 @@ def load_matrix(path) -> np.ndarray:
                 row = [float(tok) for tok in line.split(",")]
             except ValueError as exc:
                 raise InvalidDimensionsError(f"{path}:{lineno}: non-numeric entry") from exc
+            if not all(math.isfinite(v) for v in row):
+                raise InvalidDimensionsError(f"{path}:{lineno}: non-finite entry (nan or inf)")
             if rows and len(row) != len(rows[0]):
                 raise InvalidDimensionsError(
                     f"{path}:{lineno}: ragged row of length {len(row)}, expected {len(rows[0])}"

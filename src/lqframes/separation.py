@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidDimensionsError, InvalidParametersError
 from .frames import Frame
 from .rip import _bound_from_t, _ceil_exact, _check_q
-from .solvers import LqProblem, SolverConfig, irls_analysis
+from .solvers import LqProblem, SolverConfig, _require_finite, irls_analysis
 
 __all__ = [
     "SeparationProblem",
@@ -64,7 +64,9 @@ class SeparationProblem:
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
+        _require_finite(A=self.A, y=self.y)
         n = _require_unit_tight(self.dicts)
+        _require_finite(**{f"dictionary {i}": fr.matrix for i, fr in enumerate(self.dicts)})
         if self.A.shape[1] != n:
             raise InvalidDimensionsError(
                 f"A has {self.A.shape[1]} columns but dictionaries live in dimension {n}"

@@ -6,10 +6,13 @@ Both solvers attack
 
 by solving a sequence of convex surrogates: weighted least squares (IRLS)
 or weighted l1 (IRL1), with weights refreshed from the current iterate and
-a smoothing level that decays geometrically to a floor.  The eps = 0 path
-enforces A f = y exactly through the stationarity system of each surrogate;
-the noisy path replaces the constraint by a quadratic penalty whose weight
-is swept upward until the residual target is met.
+a smoothing level that decays geometrically to a floor.  On the eps = 0
+path IRLS works over the null space of A: with f0 the least-norm solution
+of A f = y and N an orthonormal basis of ker A, every iterate is
+f = f0 + N z, so it satisfies A f = y by construction, and each step is one
+(n - m) x (n - m) symmetric positive definite solve for z.  The noisy path
+replaces the constraint by a quadratic penalty whose weight is swept upward
+until the residual target is met.
 
 Solvers are single-threaded per problem instance and hold no shared state,
 so independent instances may run concurrently.
@@ -19,10 +22,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from ._kernels import lq_powsum
-from .errors import InfeasibleOrDegenerateError, InvalidDimensionsError, InvalidParametersError
+from .errors import (
+    IllConditionedError,
+    InfeasibleOrDegenerateError,
+    InvalidDimensionsError,
+    InvalidParametersError,
+)
 from .frames import Frame
 
 __all__ = [
@@ -39,6 +47,13 @@ def objective(f, D, q: float) -> float:
     """Analysis objective |D^T f|_q^q (the q-th power, not the quasinorm)."""
     mat = D.matrix if isinstance(D, Frame) else np.asarray(D, dtype=float)
     return lq_powsum(mat.T @ f, q)
+
+
+def _require_finite(**arrays) -> None:
+    """Raise InvalidParametersError naming the first array with a NaN or inf."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise InvalidParametersError(f"{name} holds non-finite entries (NaN or inf)")
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,7 @@ class LqProblem:
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
+        _require_finite(A=self.A, y=self.y, D=self.D.matrix)
         if not 0.0 < self.q <= 1.0:
             raise InvalidParametersError(f"q must lie in (0, 1], got {self.q}")
         if self.epsilon < 0.0:
@@ -131,8 +147,10 @@ def _require_full_row_rank(A: np.ndarray) -> None:
 def _spd_solve_factor(M: np.ndarray):
     try:
         return cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by frame invariants
-        raise AssertionError("weighted Gram matrix unexpectedly singular") from exc
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(
+            f"{M.shape[0]}x{M.shape[0]} weighted Gram matrix is not numerically positive definite"
+        ) from exc
 
 
 class _Trace:
@@ -163,19 +181,31 @@ class _Trace:
         )
 
 
-def _least_norm_feasible(A: np.ndarray, y: np.ndarray):
-    aat = cho_factor(A @ A.T, lower=True)
-    return A.T @ cho_solve(aat, y), aat
+def _null_space_parametrisation(A: np.ndarray, y: np.ndarray):
+    """Least-norm solution f0 of A f = y and an orthonormal basis N of ker A.
+
+    One complete QR of A^T = [Q1 Q2] [R1; 0] gives f0 = Q1 R1^-T y and
+    N = Q2, so that {f : A f = y} = {f0 + N z}.  A must have full row rank.
+    """
+    m = A.shape[0]
+    Q, R = np.linalg.qr(A.T, mode="complete")
+    f0 = Q[:, :m] @ solve_triangular(R[:m], y, trans="T")
+    return f0, Q[:, m:]
 
 
 def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
     """Iteratively reweighted least squares for the l_q-analysis problem.
 
     Each outer step solves min_f sum_i w_i <d_i, f>^2 subject to A f = y
-    with w_i = (<d_i, f_prev>^2 + sigma_j)^(q/2 - 1), via the stationarity
-    system f = M^-1 A^T (A M^-1 A^T)^-1 y for M = D W D^T.  Iterates in the
-    eps = 0 path are feasible to 1e-8 relative; for fixed sigma a step never
-    increases the smoothed surrogate sum_i (<d_i, f>^2 + sigma)^(q/2).
+    with w_i = (<d_i, f_prev>^2 + sigma_j)^(q/2 - 1).  In the eps = 0 path
+    the step is taken over the feasible set f = f0 + N z (see
+    ``_null_space_parametrisation``): with B = D^T N and c0 = D^T f0 it
+    solves (B^T W B) z = -B^T W c0, an (n - m) x (n - m) SPD system whose
+    solution is the unique weighted least-squares minimiser on {A f = y},
+    since D^T is injective and w > 0.  Iterates satisfy A f = y to rounding
+    error; for fixed sigma a step never increases the smoothed surrogate
+    sum_i (<d_i, f>^2 + sigma)^(q/2).  When A is square, ker A is trivial
+    and the unique solution is returned after one step.
     """
     config = config or SolverConfig()
     A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
@@ -183,21 +213,20 @@ def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     if problem.epsilon > 0.0:
         return _irls_penalty(problem, config)
 
-    f, aat = _least_norm_feasible(A, y)
+    f0, N = _null_space_parametrisation(A, y)
+    B = Dm.T @ N
+    c0 = Dm.T @ f0
+    f, coeffs = f0, c0
     trace = _Trace(problem, config, f)
     converged = False
     iterations = 0
     for j in range(config.max_outer_iters):
         sigma = config.sigma_at(j)
-        coeffs = Dm.T @ f
         weights = (coeffs * coeffs + sigma) ** (q / 2.0 - 1.0)
-        M = (Dm * weights) @ Dm.T
-        chom = _spd_solve_factor(M)
-        X = cho_solve(chom, A.T)
-        gram = A @ X
-        f_new = X @ cho_solve(_spd_solve_factor(gram), y)
-        # One refinement step keeps iterates feasible at machine precision.
-        f_new += A.T @ cho_solve(aat, y - A @ f_new)
+        bw = B.T * weights
+        z = cho_solve(_spd_solve_factor(bw @ B), -(bw @ c0))
+        f_new = f0 + N @ z
+        coeffs = c0 + B @ z
         trace.record(f_new)
         rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
         f = f_new
@@ -272,7 +301,7 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     ginv_at = cho_solve(gram_d, A.T)
     gram_a = _spd_solve_factor(A @ ginv_at)
 
-    f, _ = _least_norm_feasible(A, y)
+    f, _ = _null_space_parametrisation(A, y)
     u = Dm.T @ f
     z = np.zeros_like(u)
     trace = _Trace(problem, config, f)

@@ -211,3 +211,23 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_csv_in_one_line(instance, capsys):
+    tmp, _, _, _ = instance
+    bad = tmp / "nan.csv"
+    bad.write_text("1.0,2.0\nnan,3.0\n")
+    rc = main(
+        [
+            "solve",
+            "--matrix", str(bad),
+            "--dict", str(tmp / "D.csv"),
+            "--obs", str(tmp / "y.csv"),
+            "--q", "0.7",
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and f"{bad}:2: non-finite" in err
+    assert "Traceback" not in err

@@ -206,6 +206,25 @@ def test_cosparse_infeasible_overcompleteness_raises():
         cosparse_signal(fr, 8, 1)
 
 
+def test_cosparse_failure_message_states_the_rule():
+    fr = random_tight_frame(64, 80, 0)
+    with pytest.raises(GenerationFailedError) as info:
+        cosparse_signal(fr, 8, 1, max_retries=3)
+    message = str(info.value)
+    for part in ("after 3 tries", "n=64", "d=80", "s=8", "s > d - n = 16"):
+        assert part in message
+
+
+def test_cosparse_duplicated_atoms_succeed_below_the_general_position_rule():
+    # [I | I] / sqrt(2) is tight but not in general position: leaving out an
+    # atom and its duplicate leaves a one-dimensional null space, so exactly
+    # 2-sparse coefficients exist although s = 2 <= d - n = 4
+    fr = Frame(matrix=np.hstack([np.eye(4), np.eye(4)]) / np.sqrt(2.0), lower_bound=1.0, upper_bound=1.0)
+    f, coeffs = cosparse_signal(fr, 2, 5)
+    assert np.linalg.norm(f) == pytest.approx(1.0)
+    assert np.sum(np.abs(coeffs) > 1e-10) == 2
+
+
 def test_frame_energy_sampling_within_bounds():
     rng = np.random.default_rng(8)
     fr = Frame.from_matrix(rng.standard_normal((10, 15)))
@@ -235,4 +254,12 @@ def test_csv_rejects_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,x\n")
     with pytest.raises(InvalidDimensionsError):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_csv_rejects_non_finite(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1.0,2.0\n3.0,{token}\n")
+    with pytest.raises(InvalidDimensionsError, match=r"bad\.csv:2: non-finite"):
         load_matrix(path)

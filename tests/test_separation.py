@@ -89,6 +89,20 @@ def test_problem_rejects_non_tight_dictionaries():
         SeparationProblem(dicts=[_spikes(2), loose], A=np.eye(2), y=np.zeros(2), q=0.7)
 
 
+@pytest.mark.parametrize("field", ["A", "y", "dictionary 1"])
+def test_problem_rejects_non_finite_input(field):
+    args = {"A": np.eye(2), "y": np.ones(2)}
+    waves = _waves(2).matrix.copy()
+    if field == "dictionary 1":
+        waves[0, 0] = math.nan
+    else:
+        args[field] = args[field].copy()
+        args[field][0] = math.nan
+    dicts = [_spikes(2), Frame(matrix=waves, lower_bound=1.0, upper_bound=1.0)]
+    with pytest.raises(InvalidParametersError, match=f"^{field} holds non-finite"):
+        SeparationProblem(dicts=dicts, q=0.7, **args)
+
+
 def test_split_recovers_both_components():
     n, m = 16, 12
     spikes, waves = _spikes(n), _waves(n)

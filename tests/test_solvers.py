@@ -6,6 +6,7 @@ import pytest
 
 from lqframes import (
     Frame,
+    IllConditionedError,
     InfeasibleOrDegenerateError,
     InvalidParametersError,
     LqProblem,
@@ -17,6 +18,7 @@ from lqframes import (
     random_tight_frame,
 )
 from lqframes._kernels import smoothed_surrogate
+from lqframes.solvers import _spd_solve_factor
 
 
 def _reference_instance(seed=0):
@@ -64,6 +66,23 @@ def test_problem_rejects_bad_norm_index():
         LqProblem(A=np.eye(3), y=np.zeros(3), D=D, q=0.5, norm_index=1.0)
 
 
+@pytest.mark.parametrize("field", ["A", "y", "D"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_problem_rejects_non_finite_input(field, bad):
+    args = {"A": np.eye(3), "y": np.ones(3), "D": np.eye(3)}
+    args[field] = args[field].copy()
+    args[field][-1] = bad
+    D = Frame(matrix=args.pop("D"), lower_bound=1.0, upper_bound=1.0)
+    with pytest.raises(InvalidParametersError, match=f"^{field} holds non-finite"):
+        LqProblem(D=D, q=0.5, **args)
+
+
+def test_spd_factor_failure_is_an_lqframes_error():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(IllConditionedError, match="not numerically positive definite"):
+        _spd_solve_factor(indefinite)
+
+
 def test_solver_rejects_row_rank_deficient():
     D = Frame.from_matrix(np.eye(3))
     A = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -82,6 +101,47 @@ def test_irls_identity_measurement_single_iteration():
     assert res.iterations == 1
     assert res.converged
     np.testing.assert_allclose(res.f_hat, y, atol=1e-12)
+
+
+def test_irls_square_measurement_returns_unique_solution_in_one_step():
+    # m = n: ker A is trivial, so the feasible set is the single point A^-1 y
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((6, 6))
+    y = rng.standard_normal(6)
+    res = irls_analysis(LqProblem(A=A, y=y, D=random_tight_frame(6, 9, 3), q=0.5))
+    assert res.iterations == 1
+    assert res.converged
+    np.testing.assert_allclose(res.f_hat, np.linalg.solve(A, y), rtol=1e-10, atol=1e-12)
+
+
+def test_irls_step_is_the_weighted_least_squares_kkt_solution():
+    # each iterate solves min sum_i w_i <d_i, f>^2 s.t. A f = y with the
+    # weights of the previous iterate; compare with the full KKT system
+    rng = np.random.default_rng(4)
+    n, d, m, q = 12, 15, 6, 0.5
+    D = random_tight_frame(n, d, 4)
+    A = rng.standard_normal((m, n))
+    f, _ = cosparse_signal(D, 5, 44)
+    y = A @ f
+    config = SolverConfig(keep_iterates=True)
+    res = irls_analysis(LqProblem(A=A, y=y, D=D, q=q), config)
+    assert res.iterations >= 5
+    Dm = D.matrix
+    for j in range(res.iterations):
+        coeffs = Dm.T @ res.iterates[j]
+        weights = (coeffs * coeffs + config.sigma_at(j)) ** (q / 2.0 - 1.0)
+        kkt = np.block([[2.0 * (Dm * weights) @ Dm.T, A.T], [A, np.zeros((m, m))]])
+        expected = np.linalg.solve(kkt, np.concatenate([np.zeros(n), y]))[:n]
+        np.testing.assert_allclose(res.iterates[j + 1], expected, rtol=1e-9)
+
+
+def test_irls_reference_iterates_are_feasible_to_rounding_error():
+    A, D, f = _reference_instance(0)
+    y = A @ f
+    res = irls_analysis(LqProblem(A=A, y=y, D=D, q=0.7), SolverConfig(keep_iterates=True))
+    assert res.converged
+    for it in res.iterates:
+        assert np.linalg.norm(A @ it - y) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_irls_matches_grid_search_on_feasible_line():
