@@ -120,12 +120,8 @@ def _cmd_rip_estimate(args):
 
 
 def _solver_config(args):
-    config = SolverConfig()
-    if args.max_iters is not None:
-        config.max_outer_iters = args.max_iters
-    if args.tol is not None:
-        config.tol = args.tol
-    return config
+    overrides = {"max_outer_iters": args.max_iters, "tol": args.tol}
+    return SolverConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_solve(args):
@@ -275,7 +271,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LqframesError as exc:
+    except (LqframesError, OSError, ValueError) as exc:
+        # unreadable files, bad paths and malformed values are user errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

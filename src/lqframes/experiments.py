@@ -11,7 +11,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -125,7 +125,21 @@ def trial_seed(master_seed: int, cell_index: int, trial_index: int) -> np.random
     return np.random.SeedSequence([int(master_seed), int(cell_index), int(trial_index)])
 
 
-def _aggregate(params, outcomes, threshold, elapsed_ms) -> CellResult:
+def _run_cell(params, trial_fn, master_seed, trials, threshold) -> CellResult:
+    """Run ``trial_fn(seed_seq)`` for each seeded trial of one cell, serially.
+
+    A trial returns (relative error, iterations); one that raises counts as
+    a failure with infinite error, so a bad trial never aborts a sweep.
+    """
+    ck = cell_key(params)
+    start = time.perf_counter()
+    outcomes = []
+    for t in range(trials):
+        try:
+            outcomes.append(trial_fn(trial_seed(master_seed, ck, t)))
+        except Exception:
+            outcomes.append((math.inf, 0))
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
     errors = [err for err, _ in outcomes]
     iters = [it for _, it in outcomes]
     successes = sum(1 for err in errors if err <= threshold)
@@ -168,16 +182,9 @@ def run_figure1(
     """
     config = config or SolverConfig()
     params = {"n": n, "d": d, "m": m, "q": q, "s": s}
-    ck = cell_key(params)
-    start = time.perf_counter()
-    outcomes = []
-    for t in range(trials):
-        try:
-            outcomes.append(_recovery_trial(n, d, m, q, s, trial_seed(master_seed, ck, t), config))
-        except Exception:
-            outcomes.append((math.inf, 0))
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return _aggregate(params, outcomes, threshold, elapsed)
+    return _run_cell(
+        params, lambda ss: _recovery_trial(n, d, m, q, s, ss, config), master_seed, trials, threshold
+    )
 
 
 def run_phase_transition(spec: ExperimentSpec, config: SolverConfig | None = None) -> list:
@@ -191,16 +198,14 @@ def run_phase_transition(spec: ExperimentSpec, config: SolverConfig | None = Non
             n, d, m, q, s = (cell[k] for k in ("n", "d", "m", "q", "s"))
         except KeyError as exc:
             raise InvalidSpecError(f"cell {ci} missing field {exc}") from exc
-        ck = cell_key(cell)
-        start = time.perf_counter()
-        outcomes = []
-        for t in range(spec.trials_per_cell):
-            try:
-                outcomes.append(_recovery_trial(n, d, m, q, s, trial_seed(spec.master_seed, ck, t), config))
-            except Exception:
-                outcomes.append((math.inf, 0))
-        elapsed = (time.perf_counter() - start) * 1000.0
-        results.append(_aggregate(cell, outcomes, spec.success_threshold, elapsed))
+        result = _run_cell(
+            cell,
+            lambda ss: _recovery_trial(n, d, m, q, s, ss, config),
+            spec.master_seed,
+            spec.trials_per_cell,
+            spec.success_threshold,
+        )
+        results.append(result)
     results.sort(key=lambda r: (r.params["q"], r.params["s"], r.params["m"]))
     return results
 
@@ -254,20 +259,14 @@ def run_separation_sweep(spec: ExperimentSpec, config: SolverConfig | None = Non
         if n < 1 or n & (n - 1):
             raise InvalidSpecError(f"cell {ci}: n={n} is not a power of two")
         mu1 = mutual_coherence([np.eye(n), hadamard(n) / math.sqrt(n)])
-        ck = cell_key(cell)
-        start = time.perf_counter()
-        outcomes = []
-        for t in range(spec.trials_per_cell):
-            try:
-                outcomes.append(
-                    _separation_trial(n, s1, s2, m, q, trial_seed(spec.master_seed, ck, t), config)
-                )
-            except Exception:
-                outcomes.append((math.inf, 0))
-        elapsed = (time.perf_counter() - start) * 1000.0
-        params = dict(cell)
-        params["mu1"] = mu1
-        results.append(_aggregate(params, outcomes, spec.success_threshold, elapsed))
+        result = _run_cell(
+            cell,
+            lambda ss: _separation_trial(n, s1, s2, m, q, ss, config),
+            spec.master_seed,
+            spec.trials_per_cell,
+            spec.success_threshold,
+        )
+        results.append(replace(result, params={**cell, "mu1": mu1}))
     return results
 
 

@@ -6,16 +6,20 @@ Both solvers attack
 
 by solving a sequence of convex surrogates: weighted least squares (IRLS)
 or weighted l1 (IRL1), with weights refreshed from the current iterate and
-a smoothing level that decays geometrically to a floor.  On the eps = 0
-path IRLS works over the null space of A: with f0 the least-norm solution
-of A f = y and N an orthonormal basis of ker A, every iterate is
-f = f0 + N z, so it satisfies A f = y by construction, and each step is one
-(n - m) x (n - m) symmetric positive definite solve for z.  The noisy path
-replaces the constraint by a quadratic penalty whose weight is swept upward
-until the residual target is met.
+a smoothing level that decays geometrically to a floor.  One driver,
+``_reweight``, owns that outer loop, the traces and the stopping rule; a
+path supplies only its step ``step(coeffs, sigma) -> (f_new, D^T f_new,
+inner_ok)``, and the objective trace is read from the returned D^T f_new.
+IRLS at eps = 0 steps over f = f0 + N z, with f0 the least-norm solution
+of A f = y and N an orthonormal basis of ker A, so every iterate is
+feasible and a step is one (n - m) x (n - m) SPD solve.  An IRL1 step is
+one ADMM run on u = D^T f (``_weighted_l1``) around a closed-form f-update:
+the projection onto {A f = y}, or a penalised solve when eps > 0.  For
+eps > 0 both solvers penalise |A f - y|_2^2 and ``_penalty_sweep`` raises
+the penalty weight until the residual target is met.
 
-Solvers are single-threaded per problem instance and hold no shared state,
-so independent instances may run concurrently.
+Solvers hold no shared state, so independent instances may run
+concurrently; BLAS may still use several threads inside one solve.
 """
 
 import math
@@ -115,6 +119,13 @@ class SolverConfig:
             raise InvalidParametersError("sigma_decay must lie in (0, 1)")
         if self.sigma0 <= 0.0 or self.sigma_min <= 0.0:
             raise InvalidParametersError("smoothing levels must be positive")
+        for name in ("max_outer_iters", "inner_max_iters", "penalty_max_sweeps"):
+            if getattr(self, name) < 1:
+                raise InvalidParametersError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.penalty_lambda0 <= 0.0:
+            raise InvalidParametersError(f"penalty_lambda0 must be positive, got {self.penalty_lambda0}")
+        if self.penalty_growth <= 1.0:
+            raise InvalidParametersError(f"penalty_growth must exceed 1, got {self.penalty_growth}")
 
     def sigma_at(self, j: int) -> float:
         return max(self.sigma0 * self.sigma_decay**j, self.sigma_min)
@@ -153,34 +164,6 @@ def _spd_solve_factor(M: np.ndarray):
         ) from exc
 
 
-class _Trace:
-    """Collects per-iteration traces and the stopping test."""
-
-    def __init__(self, problem: LqProblem, config: SolverConfig, f0: np.ndarray):
-        self.problem = problem
-        self.config = config
-        self.objective = []
-        self.residual = []
-        self.iterates = [f0.copy()] if config.keep_iterates else None
-
-    def record(self, f: np.ndarray) -> None:
-        Dm = self.problem.D.matrix
-        self.objective.append(lq_powsum(Dm.T @ f, self.problem.q))
-        self.residual.append(_residual_norm(self.problem.A @ f - self.problem.y, self.problem.norm_index))
-        if self.iterates is not None:
-            self.iterates.append(f.copy())
-
-    def result(self, f: np.ndarray, iterations: int, converged: bool) -> SolverResult:
-        return SolverResult(
-            f_hat=f,
-            iterations=iterations,
-            objective_trace=self.objective,
-            residual_trace=self.residual,
-            converged=converged,
-            iterates=self.iterates,
-        )
-
-
 def _null_space_parametrisation(A: np.ndarray, y: np.ndarray):
     """Least-norm solution f0 of A f = y and an orthonormal basis N of ker A.
 
@@ -191,6 +174,60 @@ def _null_space_parametrisation(A: np.ndarray, y: np.ndarray):
     Q, R = np.linalg.qr(A.T, mode="complete")
     f0 = Q[:, :m] @ solve_triangular(R[:m], y, trans="T")
     return f0, Q[:, m:]
+
+
+def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step, outer_tol: float) -> SolverResult:
+    """The outer reweighting loop shared by every solver path.
+
+    ``step(coeffs, sigma)`` maps D^T f of the current iterate to ``(f_new,
+    D^T f_new, inner_ok)``; ``inner_ok`` is False when an inner solver hit
+    its cap.  Stops once the relative change of f is below ``outer_tol``;
+    ``converged`` also requires the last inner solve to have finished.
+    """
+    objective_trace, residual_trace = [], []
+    iterates = [f.copy()] if config.keep_iterates else None
+    converged = False
+    for j in range(config.max_outer_iters):
+        f_new, coeffs, inner_ok = step(coeffs, config.sigma_at(j))
+        objective_trace.append(lq_powsum(coeffs, problem.q))
+        residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
+        if iterates is not None:
+            iterates.append(f_new.copy())
+        rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
+        f = f_new
+        if rel_change < outer_tol:
+            converged = True
+            break
+    return SolverResult(
+        f_hat=f,
+        iterations=len(residual_trace),
+        objective_trace=objective_trace,
+        residual_trace=residual_trace,
+        converged=converged and inner_ok,
+        iterates=iterates,
+    )
+
+
+def _penalty_sweep(problem: LqProblem, config: SolverConfig, solve_at) -> SolverResult:
+    """Noisy path: raise the penalty weight until the residual target holds.
+
+    ``solve_at(lam)`` runs one reweighted solve with weight lam on the
+    quadratic penalty |A f - y|_2^2.  The first result whose final residual,
+    in the problem's ``norm_index``, is within ``epsilon`` is returned;
+    otherwise the result with the smallest residual, with ``converged``
+    False.
+    """
+    lam = config.penalty_lambda0
+    best = None
+    for _ in range(config.penalty_max_sweeps):
+        result = solve_at(lam)
+        if result.residual_trace[-1] <= problem.epsilon * (1.0 + 1e-8):
+            return result
+        if best is None or result.residual_trace[-1] < best.residual_trace[-1]:
+            best = result
+        lam *= config.penalty_growth
+    best.converged = False
+    return best
 
 
 def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
@@ -205,77 +242,65 @@ def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     since D^T is injective and w > 0.  Iterates satisfy A f = y to rounding
     error; for fixed sigma a step never increases the smoothed surrogate
     sum_i (<d_i, f>^2 + sigma)^(q/2).  When A is square, ker A is trivial
-    and the unique solution is returned after one step.
+    and the unique solution is returned after one step.  For eps > 0 each
+    step solves (D W D^T + lam A^T A) f = lam A^T y instead.
     """
     config = config or SolverConfig()
     A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
     _require_full_row_rank(A)
+
+    def weights(coeffs, sigma):
+        return (coeffs * coeffs + sigma) ** (q / 2.0 - 1.0)
+
     if problem.epsilon > 0.0:
-        return _irls_penalty(problem, config)
+        ata, aty = A.T @ A, A.T @ y
+
+        def solve_at(lam):
+            def step(coeffs, sigma):
+                gram = (Dm * weights(coeffs, sigma)) @ Dm.T + lam * ata
+                f_new = cho_solve(_spd_solve_factor(gram), lam * aty)
+                return f_new, Dm.T @ f_new, True
+
+            f = np.zeros(A.shape[1])
+            return _reweight(problem, config, f, Dm.T @ f, step, config.tol)
+
+        return _penalty_sweep(problem, config, solve_at)
 
     f0, N = _null_space_parametrisation(A, y)
-    B = Dm.T @ N
-    c0 = Dm.T @ f0
-    f, coeffs = f0, c0
-    trace = _Trace(problem, config, f)
-    converged = False
-    iterations = 0
-    for j in range(config.max_outer_iters):
-        sigma = config.sigma_at(j)
-        weights = (coeffs * coeffs + sigma) ** (q / 2.0 - 1.0)
-        bw = B.T * weights
+    B, c0 = Dm.T @ N, Dm.T @ f0
+
+    def step(coeffs, sigma):
+        bw = B.T * weights(coeffs, sigma)
         z = cho_solve(_spd_solve_factor(bw @ B), -(bw @ c0))
-        f_new = f0 + N @ z
-        coeffs = c0 + B @ z
-        trace.record(f_new)
-        rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
-        f = f_new
-        iterations = j + 1
-        if rel_change < config.tol:
-            converged = True
-            break
-    return trace.result(f, iterations, converged)
+        return f0 + N @ z, c0 + B @ z, True
 
-
-def _irls_penalty(problem: LqProblem, config: SolverConfig) -> SolverResult:
-    """Noisy-path IRLS: quadratic penalty with the weight swept upward."""
-    A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
-    ata = A.T @ A
-    aty = A.T @ y
-    lam = config.penalty_lambda0
-    best = None
-    best_resid = math.inf
-    for _ in range(config.penalty_max_sweeps):
-        f = np.zeros(A.shape[1])
-        trace = _Trace(problem, config, f)
-        converged = False
-        iterations = 0
-        for j in range(config.max_outer_iters):
-            sigma = config.sigma_at(j)
-            coeffs = Dm.T @ f
-            weights = (coeffs * coeffs + sigma) ** (q / 2.0 - 1.0)
-            M = (Dm * weights) @ Dm.T
-            f_new = cho_solve(_spd_solve_factor(M + lam * ata), lam * aty)
-            trace.record(f_new)
-            rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
-            f = f_new
-            iterations = j + 1
-            if rel_change < config.tol:
-                converged = True
-                break
-        resid = _residual_norm(A @ f - y, problem.norm_index)
-        result = trace.result(f, iterations, converged)
-        if resid <= problem.epsilon * (1.0 + 1e-8):
-            return result
-        if resid < best_resid:
-            best, best_resid = result, resid
-        lam *= config.penalty_growth
-    best.converged = False
-    return best
+    return _reweight(problem, config, f0, c0, step, config.tol)
 
 
 def _soft_threshold(x: np.ndarray, thresh: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
+
+
+def _weighted_l1(f_update, Dm, weights, u, z, config: SolverConfig):
+    """ADMM for min sum w_i |<d_i, f>| over the f that ``f_update`` ranges over.
+
+    Splits u = D^T f with scaled dual z, warm-started at (u, z).
+    ``f_update(c)`` is the closed-form f-step for the target c = u - z.
+    Returns ``(f, D^T f, u, z, ok)``; ok is False when the loop hit
+    ``inner_max_iters`` before both residuals fell below ``inner_tol``.
+    """
+    for _ in range(config.inner_max_iters):
+        f = f_update(u - z)
+        coeffs = Dm.T @ f
+        u_new = _soft_threshold(coeffs + z, weights)
+        z = z + coeffs - u_new
+        primal = np.linalg.norm(coeffs - u_new)
+        dual = np.linalg.norm(u_new - u)
+        u = u_new
+        scale = max(1.0, np.linalg.norm(u))
+        if primal <= config.inner_tol * scale and dual <= config.inner_tol * scale:
+            return f, coeffs, u, z, True
+    return f, coeffs, u, z, False
 
 
 def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
@@ -285,120 +310,42 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     with w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1), via operator splitting
     on u = D^T f: an equality-constrained quadratic f-update in closed form,
     a weighted soft-threshold u-update, and a dual ascent on the coupling.
-    Outer changes below the inner accuracy cannot be resolved, so the
-    stopping threshold saturates at ``inner_tol``.  If an inner loop
-    exhausts its cap the best iterate is still returned with ``converged``
-    False.
+    For eps > 0 the f-update minimises the splitting term plus the penalty
+    lam |A f - y|^2 instead of projecting.  Outer changes below the inner
+    accuracy cannot be resolved, so the stopping threshold saturates at
+    ``inner_tol``.  If an inner loop exhausts its cap the best iterate is
+    still returned with ``converged`` False.
     """
     config = config or SolverConfig()
     A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
     _require_full_row_rank(A)
+
+    def reweighted_l1(f, f_update):
+        u, z = Dm.T @ f, np.zeros(Dm.shape[1])
+
+        def step(coeffs, sigma):
+            nonlocal u, z
+            weights = (np.abs(coeffs) + sigma) ** (q - 1.0)
+            f_new, coeffs, u, z, ok = _weighted_l1(f_update, Dm, weights / np.mean(weights), u, z, config)
+            return f_new, coeffs, ok
+
+        return _reweight(problem, config, f, u, step, max(config.tol, config.inner_tol))
+
     if problem.epsilon > 0.0:
-        return _irl1_penalty(problem, config)
-    outer_tol = max(config.tol, config.inner_tol)
+        gram, ata, aty = Dm @ Dm.T, A.T @ A, A.T @ y
+
+        def solve_at(lam):
+            kkt = _spd_solve_factor(gram + 2.0 * lam * ata)
+            return reweighted_l1(np.zeros(A.shape[1]), lambda c: cho_solve(kkt, Dm @ c + 2.0 * lam * aty))
+
+        return _penalty_sweep(problem, config, solve_at)
 
     gram_d = _spd_solve_factor(Dm @ Dm.T)
     ginv_at = cho_solve(gram_d, A.T)
     gram_a = _spd_solve_factor(A @ ginv_at)
 
-    f, _ = _null_space_parametrisation(A, y)
-    u = Dm.T @ f
-    z = np.zeros_like(u)
-    trace = _Trace(problem, config, f)
-    converged = False
-    inner_ok = True
-    iterations = 0
-    for j in range(config.max_outer_iters):
-        sigma = config.sigma_at(j)
-        weights = (np.abs(Dm.T @ f) + sigma) ** (q - 1.0)
-        weights = weights / np.mean(weights)
-        f_new, u, z, inner_ok = _weighted_l1_equality(
-            Dm, A, y, weights, u, z, gram_d, ginv_at, gram_a, config
-        )
-        trace.record(f_new)
-        rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
-        f = f_new
-        iterations = j + 1
-        if rel_change < outer_tol:
-            converged = True
-            break
-    return trace.result(f, iterations, converged and inner_ok)
-
-
-def _weighted_l1_equality(Dm, A, y, weights, u, z, gram_d, ginv_at, gram_a, config):
-    """ADMM for min sum w_i |<d_i, f>| s.t. A f = y, warm-started at (u, z)."""
-    f = None
-    ok = False
-    for _ in range(config.inner_max_iters):
-        c = u - z
+    def project(c):
         t = cho_solve(gram_d, Dm @ c)
-        nu = cho_solve(gram_a, y - A @ t)
-        f = t + ginv_at @ nu
-        coeffs = Dm.T @ f
-        u_new = _soft_threshold(coeffs + z, weights)
-        z = z + coeffs - u_new
-        primal = np.linalg.norm(coeffs - u_new)
-        dual = np.linalg.norm(u_new - u)
-        u = u_new
-        scale = max(1.0, np.linalg.norm(u))
-        if primal <= config.inner_tol * scale and dual <= config.inner_tol * scale:
-            ok = True
-            break
-    return f, u, z, ok
+        return t + ginv_at @ cho_solve(gram_a, y - A @ t)
 
-
-def _irl1_penalty(problem: LqProblem, config: SolverConfig) -> SolverResult:
-    """Noisy-path IRL1: quadratic penalty inside the splitting f-update."""
-    A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
-    gram = Dm @ Dm.T
-    ata = A.T @ A
-    aty = A.T @ y
-    lam = config.penalty_lambda0
-    outer_tol = max(config.tol, config.inner_tol)
-    best = None
-    best_resid = math.inf
-    for _ in range(config.penalty_max_sweeps):
-        kkt = _spd_solve_factor(gram + 2.0 * lam * ata)
-        f = np.zeros(A.shape[1])
-        u = Dm.T @ f
-        z = np.zeros_like(u)
-        trace = _Trace(problem, config, f)
-        converged = False
-        inner_ok = True
-        iterations = 0
-        for j in range(config.max_outer_iters):
-            sigma = config.sigma_at(j)
-            weights = (np.abs(Dm.T @ f) + sigma) ** (q - 1.0)
-            weights = weights / np.mean(weights)
-            ok = False
-            f_new = f
-            for _ in range(config.inner_max_iters):
-                c = u - z
-                f_new = cho_solve(kkt, Dm @ c + 2.0 * lam * aty)
-                coeffs = Dm.T @ f_new
-                u_new = _soft_threshold(coeffs + z, weights)
-                z = z + coeffs - u_new
-                primal = np.linalg.norm(coeffs - u_new)
-                dual = np.linalg.norm(u_new - u)
-                u = u_new
-                scale = max(1.0, np.linalg.norm(u))
-                if primal <= config.inner_tol * scale and dual <= config.inner_tol * scale:
-                    ok = True
-                    break
-            inner_ok = ok
-            trace.record(f_new)
-            rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
-            f = f_new
-            iterations = j + 1
-            if rel_change < outer_tol:
-                converged = True
-                break
-        resid = _residual_norm(A @ f - y, problem.norm_index)
-        result = trace.result(f, iterations, converged and inner_ok)
-        if resid <= problem.epsilon * (1.0 + 1e-8):
-            return result
-        if resid < best_resid:
-            best, best_resid = result, resid
-        lam *= config.penalty_growth
-    best.converged = False
-    return best
+    return reweighted_l1(_null_space_parametrisation(A, y)[0], project)

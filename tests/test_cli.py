@@ -231,3 +231,24 @@ def test_cli_rejects_non_finite_csv_in_one_line(instance, capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: ") and f"{bad}:2: non-finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--matrix", "{tmp}/missing.csv", "--dict", "{tmp}/D.csv", "--obs", "{tmp}/y.csv", "--q", "0.7"],
+        ["bounds", "--q", "abc", "--s", "3", "--d", "10"],
+        ["bounds", "--q", "0.5", "--s", "3", "--d", "10", "--out", "{tmp}/no_such_dir/table.csv"],
+        ["solve", "--matrix", "{tmp}/A.csv", "--dict", "{tmp}/D.csv", "--obs", "{tmp}/y.csv", "--q", "0.7",
+         "--max-iters", "0"],
+    ],
+    ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters"],
+)
+def test_cli_user_errors_exit_2_in_one_line(instance, capsys, argv):
+    tmp, _, _, _ = instance
+    rc = main([arg.format(tmp=tmp) for arg in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -77,6 +77,23 @@ def test_problem_rejects_non_finite_input(field, bad):
         LqProblem(D=D, q=0.5, **args)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_outer_iters", 0),
+        ("inner_max_iters", 0),
+        ("penalty_max_sweeps", 0),
+        ("penalty_lambda0", 0.0),
+        ("penalty_lambda0", -1.0),
+        ("penalty_growth", 1.0),
+        ("penalty_growth", 0.5),
+    ],
+)
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(InvalidParametersError, match=field):
+        SolverConfig(**{field: value})
+
+
 def test_spd_factor_failure_is_an_lqframes_error():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(IllConditionedError, match="not numerically positive definite"):
@@ -297,3 +314,27 @@ def test_irl1_penalty_path_meets_residual_target():
     y = A @ f + noise
     res = irl1_analysis(LqProblem(A=A, y=y, D=D, q=0.7, epsilon=0.01))
     assert np.linalg.norm(A @ res.f_hat - y) <= 0.01 * (1.0 + 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the shared reweighting driver
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("solver", [irls_analysis, irl1_analysis])
+@pytest.mark.parametrize("epsilon, norm_index", [(0.0, 2.0), (0.01, 2.0), (0.01, math.inf)])
+def test_traces_describe_the_kept_iterates(solver, epsilon, norm_index):
+    rng = np.random.default_rng(21)
+    D = random_tight_frame(12, 15, 21)
+    A = rng.standard_normal((6, 12))
+    f, _ = cosparse_signal(D, 5, 121)
+    noise = rng.standard_normal(6)
+    noise *= epsilon / np.linalg.norm(noise, ord=norm_index)
+    problem = LqProblem(A=A, y=A @ f + noise, D=D, q=0.7, epsilon=epsilon, norm_index=norm_index)
+    res = solver(problem, SolverConfig(max_outer_iters=10, inner_max_iters=200, keep_iterates=True))
+    assert len(res.iterates) == res.iterations + 1
+    assert len(res.objective_trace) == len(res.residual_trace) == res.iterations
+    for j, f_j in enumerate(res.iterates[1:]):
+        assert res.objective_trace[j] == pytest.approx(objective(f_j, D, 0.7), rel=1e-12)
+        resid = np.linalg.norm(A @ f_j - problem.y, ord=norm_index)
+        assert res.residual_trace[j] == pytest.approx(resid, rel=1e-12)
+    np.testing.assert_array_equal(res.f_hat, res.iterates[-1])
