@@ -8,7 +8,6 @@ recovery conditions, Gaussian measurement bounds) plus a joint-recovery
 path for signals mixing several dictionaries.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .errors import (
     ConditionUnevaluableError,
     DegenerateDictionaryError,
@@ -73,6 +72,9 @@ from .separation import (
 from .solvers import LqProblem, SolverConfig, SolverResult, irl1_analysis, irls_analysis, objective
 
 __version__ = "0.1.0"
+
+# Kept for callers that record it; the package has no JIT path.
+NUMBA_ENABLED = False
 
 __all__ = [
     "NUMBA_ENABLED",

@@ -55,7 +55,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpecError(f"unknown experiment kind {self.kind!r}")
-        object.__setattr__(self, "grid", tuple(dict(cell) for cell in self.grid))
+        try:
+            object.__setattr__(self, "grid", tuple(dict(cell) for cell in self.grid))
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"grid must be a list of objects: {exc}") from exc
         if not self.grid:
             raise InvalidSpecError("grid must be nonempty")
         if self.trials_per_cell < 1:
@@ -69,16 +72,20 @@ class ExperimentSpec:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidSpecError(f"spec is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise InvalidSpecError(f"spec must be a JSON object, got {type(payload).__name__}")
         try:
             return cls(
                 kind=payload["kind"],
-                grid=tuple(payload["grid"]),
+                grid=payload["grid"],
                 trials_per_cell=int(payload.get("trials_per_cell", 20)),
                 success_threshold=float(payload.get("success_threshold", 1e-4)),
                 master_seed=int(payload.get("master_seed", 0)),
             )
         except KeyError as exc:
             raise InvalidSpecError(f"spec missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"spec field of the wrong type: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import lq_powsum
 from .errors import (
     GenerationFailedError,
     IllConditionedError,
     InvalidDimensionsError,
+    InvalidParametersError,
     NotAFrameError,
 )
 
@@ -34,6 +34,12 @@ __all__ = [
 DEFAULT_CONDITION_CAP = 1e12
 
 _RANK_RTOL = 1e-12
+
+
+def _check_q(q: float) -> None:
+    """Raise InvalidParametersError unless the exponent q lies in (0, 1]."""
+    if not 0.0 < q <= 1.0:
+        raise InvalidParametersError(f"q must lie in (0, 1], got {q}")
 
 
 def frame_bounds(matrix: np.ndarray) -> tuple[float, float]:
@@ -138,6 +144,7 @@ def random_tight_frame(n: int, d: int, seed) -> Frame:
 
 
 def _atoms(obj) -> np.ndarray:
+    """The atom matrix of a Frame, or a raw array as a float matrix."""
     return obj.matrix if isinstance(obj, Frame) else np.asarray(obj, dtype=float)
 
 
@@ -183,8 +190,10 @@ class SparseApproximation:
 def hard_threshold(x: np.ndarray, s: int, q: float = 1.0) -> SparseApproximation:
     """Keep the s largest-magnitude entries of x; ties keep the lowest index.
 
-    The residual is measured in the l_q quasinorm for the requested q.
+    The residual is measured in the l_q quasinorm for the requested q,
+    which must lie in (0, 1].
     """
+    _check_q(q)
     x = np.asarray(x, dtype=float)
     d = x.size
     if not 0 <= s <= d:
@@ -192,7 +201,7 @@ def hard_threshold(x: np.ndarray, s: int, q: float = 1.0) -> SparseApproximation
     order = np.argsort(-np.abs(x), kind="stable")
     support = np.sort(order[:s])
     dropped = x[order[s:]]
-    residual = lq_powsum(dropped, q) ** (1.0 / q) if dropped.size else 0.0
+    residual = float(np.sum(np.abs(dropped) ** q)) ** (1.0 / q) if dropped.size else 0.0
     return SparseApproximation(support=support, values=x[support], residual_q_norm=residual)
 
 

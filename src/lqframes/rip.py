@@ -17,13 +17,13 @@ from math import comb
 
 import numpy as np
 
-from ._kernels import rip_scan
 from .errors import (
     ConditionUnevaluableError,
     DegenerateDictionaryError,
     EmptyKernelError,
     InvalidParametersError,
 )
+from .frames import _atoms, _check_q
 
 __all__ = [
     "RipReport",
@@ -41,11 +41,6 @@ __all__ = [
 
 # Cap on supports enumerated by exhaustive estimation.
 DEFAULT_SUPPORT_CAP = 10**6
-
-
-def _check_q(q: float) -> None:
-    if not 0.0 < q <= 1.0:
-        raise InvalidParametersError(f"q must lie in (0, 1], got {q}")
 
 
 def gaussian_moment(q: float, sigma: float = 1.0) -> float:
@@ -267,8 +262,25 @@ def _direction_block(s: int, rng, extra: int) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def _as_matrix(D) -> np.ndarray:
-    return np.asarray(D.matrix if hasattr(D, "matrix") else D, dtype=float)
+def rip_scan(ad_s, d_s, dirs, q):
+    """Worst q-isometry deviation of one support over direction columns.
+
+    ``ad_s`` (m x k) is A applied to the support's k dictionary columns
+    ``d_s`` (n x k), and ``dirs`` (k x t) holds the coefficient directions.
+    Returns ``(max_dev, n_degenerate)``: the largest |ratio - 1| over the
+    directions with D_S v != 0 (-1.0 when there are none) and the count of
+    directions with D_S v = 0, where ratio = |A D_S v|_q^q / |D_S v|_2^q.
+    """
+    y = ad_s @ dirs
+    z = d_s @ dirs
+    den_sq = np.sum(z * z, axis=0)
+    good = den_sq > 0.0
+    n_degenerate = int(np.sum(~good))
+    if not np.any(good):
+        return -1.0, n_degenerate
+    num = np.sum(np.abs(y[:, good]) ** q, axis=0)
+    ratios = num / den_sq[good] ** (q / 2.0)
+    return float(np.max(np.abs(ratios - 1.0))), n_degenerate
 
 
 def estimate_rip(
@@ -294,7 +306,7 @@ def estimate_rip(
     """
     _check_q(q)
     A = np.asarray(A, dtype=float)
-    Dm = _as_matrix(D)
+    Dm = _atoms(D)
     d = Dm.shape[1]
     if not 1 <= s <= d:
         raise InvalidParametersError(f"need 1 <= s <= d, got s={s}, d={d}")
@@ -366,7 +378,7 @@ def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed=0) -> floa
     """
     _check_q(q)
     A = np.asarray(A, dtype=float)
-    Dm = _as_matrix(D)
+    Dm = _atoms(D)
     d = Dm.shape[1]
     if not 1 <= s <= d:
         raise InvalidParametersError(f"need 1 <= s <= d, got s={s}, d={d}")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionsError, InvalidParametersError
-from .frames import Frame
-from .rip import _bound_from_t, _ceil_exact, _check_q
+from .frames import Frame, _atoms, _check_q
+from .rip import _bound_from_t, _ceil_exact
 from .solvers import LqProblem, SolverConfig, _require_finite, irls_analysis
 
 __all__ = [
@@ -87,7 +87,7 @@ def build_stacked(dicts, A=None):
     (iota*n x sum d_k), and [A | ... | A] (m x iota*n) so that
     a_stacked @ stack(f_k) = A @ sum(f_k).  ``a_stacked`` is None when A is.
     """
-    mats = [fr.matrix if isinstance(fr, Frame) else np.asarray(fr, dtype=float) for fr in dicts]
+    mats = [_atoms(fr) for fr in dicts]
     if not mats:
         raise InvalidParametersError("need at least one dictionary")
     n = mats[0].shape[0]

@@ -14,9 +14,10 @@ IRLS at eps = 0 steps over f = f0 + N z, with f0 the least-norm solution
 of A f = y and N an orthonormal basis of ker A, so every iterate is
 feasible and a step is one (n - m) x (n - m) SPD solve.  An IRL1 step is
 one ADMM run on u = D^T f (``_weighted_l1``) around a closed-form f-update:
-the projection onto {A f = y}, or a penalised solve when eps > 0.  For
-eps > 0 both solvers penalise |A f - y|_2^2 and ``_penalty_sweep`` raises
-the penalty weight until the residual target is met.
+the projection onto {A f = y}, taken over the same f0 + N z, or a
+penalised solve when eps > 0.  For eps > 0 both solvers penalise
+|A f - y|_2^2 and ``_penalty_sweep`` raises the penalty weight until the
+residual target is met.
 
 Solvers hold no shared state, so independent instances may run
 concurrently; BLAS may still use several threads inside one solve.
@@ -28,14 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from ._kernels import lq_powsum
 from .errors import (
     IllConditionedError,
     InfeasibleOrDegenerateError,
     InvalidDimensionsError,
     InvalidParametersError,
 )
-from .frames import Frame
+from .frames import Frame, _atoms, _check_q
 
 __all__ = [
     "LqProblem",
@@ -49,8 +49,7 @@ __all__ = [
 
 def objective(f, D, q: float) -> float:
     """Analysis objective |D^T f|_q^q (the q-th power, not the quasinorm)."""
-    mat = D.matrix if isinstance(D, Frame) else np.asarray(D, dtype=float)
-    return lq_powsum(mat.T @ f, q)
+    return float(np.sum(np.abs(_atoms(D).T @ f) ** q))
 
 
 def _require_finite(**arrays) -> None:
@@ -79,8 +78,7 @@ class LqProblem:
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
         _require_finite(A=self.A, y=self.y, D=self.D.matrix)
-        if not 0.0 < self.q <= 1.0:
-            raise InvalidParametersError(f"q must lie in (0, 1], got {self.q}")
+        _check_q(self.q)
         if self.epsilon < 0.0:
             raise InvalidParametersError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.norm_index not in (2, 2.0, math.inf):
@@ -164,16 +162,19 @@ def _spd_solve_factor(M: np.ndarray):
         ) from exc
 
 
-def _null_space_parametrisation(A: np.ndarray, y: np.ndarray):
-    """Least-norm solution f0 of A f = y and an orthonormal basis N of ker A.
+def _null_space_parametrisation(A: np.ndarray, y: np.ndarray, Dm: np.ndarray):
+    """The feasible set {f : A f = y} = {f0 + N z} and its analysis image.
 
-    One complete QR of A^T = [Q1 Q2] [R1; 0] gives f0 = Q1 R1^-T y and
-    N = Q2, so that {f : A f = y} = {f0 + N z}.  A must have full row rank.
+    One complete QR of A^T = [Q1 Q2] [R1; 0] gives the least-norm solution
+    f0 = Q1 R1^-T y and an orthonormal basis N = Q2 of ker A.  Returns
+    ``(f0, N, B, c0)`` with B = D^T N and c0 = D^T f0, so that D^T f =
+    c0 + B z on the feasible set.  A must have full row rank.
     """
     m = A.shape[0]
     Q, R = np.linalg.qr(A.T, mode="complete")
     f0 = Q[:, :m] @ solve_triangular(R[:m], y, trans="T")
-    return f0, Q[:, m:]
+    N = Q[:, m:]
+    return f0, N, Dm.T @ N, Dm.T @ f0
 
 
 def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step, outer_tol: float) -> SolverResult:
@@ -189,7 +190,7 @@ def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step, outer_t
     converged = False
     for j in range(config.max_outer_iters):
         f_new, coeffs, inner_ok = step(coeffs, config.sigma_at(j))
-        objective_trace.append(lq_powsum(coeffs, problem.q))
+        objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
         residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
         if iterates is not None:
             iterates.append(f_new.copy())
@@ -266,8 +267,7 @@ def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
 
         return _penalty_sweep(problem, config, solve_at)
 
-    f0, N = _null_space_parametrisation(A, y)
-    B, c0 = Dm.T @ N, Dm.T @ f0
+    f0, N, B, c0 = _null_space_parametrisation(A, y, Dm)
 
     def step(coeffs, sigma):
         bw = B.T * weights(coeffs, sigma)
@@ -340,12 +340,11 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
 
         return _penalty_sweep(problem, config, solve_at)
 
-    gram_d = _spd_solve_factor(Dm @ Dm.T)
-    ginv_at = cho_solve(gram_d, A.T)
-    gram_a = _spd_solve_factor(A @ ginv_at)
+    f0, N, B, c0 = _null_space_parametrisation(A, y, Dm)
+    gram_b = _spd_solve_factor(B.T @ B)
 
     def project(c):
-        t = cho_solve(gram_d, Dm @ c)
-        return t + ginv_at @ cho_solve(gram_a, y - A @ t)
+        # argmin |D^T f - c| over f = f0 + N z
+        return f0 + N @ cho_solve(gram_b, B.T @ (c - c0))
 
-    return reweighted_l1(_null_space_parametrisation(A, y)[0], project)
+    return reweighted_l1(f0, project)

@@ -241,11 +241,13 @@ def test_cli_rejects_non_finite_csv_in_one_line(instance, capsys):
         ["bounds", "--q", "0.5", "--s", "3", "--d", "10", "--out", "{tmp}/no_such_dir/table.csv"],
         ["solve", "--matrix", "{tmp}/A.csv", "--dict", "{tmp}/D.csv", "--obs", "{tmp}/y.csv", "--q", "0.7",
          "--max-iters", "0"],
+        ["phase", "--spec", "{tmp}/list_spec.json"],
     ],
-    ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters"],
+    ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters", "spec-not-an-object"],
 )
 def test_cli_user_errors_exit_2_in_one_line(instance, capsys, argv):
     tmp, _, _, _ = instance
+    (tmp / "list_spec.json").write_text("[1, 2]")
     rc = main([arg.format(tmp=tmp) for arg in argv])
     assert rc == 2
     err = capsys.readouterr().err

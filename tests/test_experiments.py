@@ -53,6 +53,13 @@ def test_spec_from_json_rejects_garbage():
         ExperimentSpec.from_json("{not json")
     with pytest.raises(InvalidSpecError):
         ExperimentSpec.from_json(json.dumps({"grid": [_SMALL]}))
+    with pytest.raises(InvalidSpecError):
+        ExperimentSpec.from_json("[1, 2]")
+    for grid in (5, [1]):
+        with pytest.raises(InvalidSpecError):
+            ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": grid}))
+    with pytest.raises(InvalidSpecError):
+        ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": [_SMALL], "trials_per_cell": [1]}))
 
 
 def test_trial_seed_is_stable():

@@ -6,6 +6,7 @@ from lqframes import (
     GenerationFailedError,
     IllConditionedError,
     InvalidDimensionsError,
+    InvalidParametersError,
     NotAFrameError,
     canonical_dual,
     cosparse_signal,
@@ -163,6 +164,12 @@ def test_hard_threshold_keep_all():
 def test_hard_threshold_tie_breaks_to_lowest_index():
     approx = hard_threshold(np.array([1.0, 1.0, 1.0]), 1)
     assert list(approx.support) == [0]
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, 1.5])
+def test_hard_threshold_rejects_q_outside_unit_interval(q):
+    with pytest.raises(InvalidParametersError, match="q must lie in"):
+        hard_threshold(np.array([3.0, -1.0, 2.0]), 1, q=q)
 
 
 def test_hard_threshold_residual_monotone_in_s():

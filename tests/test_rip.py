@@ -17,6 +17,7 @@ from lqframes import (
     measurement_bound,
     tail_constant,
 )
+from lqframes.rip import rip_scan
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,15 @@ def test_estimate_rip_support_cap():
     D = rng.standard_normal((30, 40))
     with pytest.raises(InvalidParametersError):
         estimate_rip(A, D, 0.5, 10, mode="exhaustive", budget=1, max_supports=1000)
+
+
+def test_rip_scan_counts_exact_zero_directions():
+    d_s = np.array([[1.0, -1.0], [1.0, -1.0]])
+    ad_s = np.array([[2.0, 0.5]])
+    dirs = np.array([[1.0, 1.0], [1.0, 0.0]])  # first column: d_s @ dir = 0 exactly
+    dev, ndeg = rip_scan(ad_s, d_s, dirs, 0.7)
+    assert ndeg == 1
+    assert dev >= 0.0
 
 
 def test_estimate_rip_counts_trials():

@@ -17,7 +17,6 @@ from lqframes import (
     objective,
     random_tight_frame,
 )
-from lqframes._kernels import smoothed_surrogate
 from lqframes.solvers import _spd_solve_factor
 
 
@@ -30,6 +29,11 @@ def _reference_instance(seed=0):
     return A, D, f
 
 
+def _surrogate(c, sigma, q):
+    """sum_i (c_i^2 + sigma)^(q/2), the smoothed objective IRLS descends."""
+    return float(np.sum((c * c + sigma) ** (q / 2.0)))
+
+
 # ---------------------------------------------------------------------------
 # objective
 # ---------------------------------------------------------------------------
@@ -40,6 +44,9 @@ def test_objective_zero():
 
 def test_objective_unit_entries():
     assert objective(np.array([1.0, 1.0]), np.eye(2), 0.5) == pytest.approx(2.0)
+    x = np.array([1.0, -2.0, 0.0, 3.0])
+    assert objective(x, np.eye(4), 1.0) == pytest.approx(6.0)
+    assert objective(x, np.eye(4), 0.5) == pytest.approx(1.0 + 2.0**0.5 + 3.0**0.5)
 
 
 def test_objective_homogeneity():
@@ -152,11 +159,21 @@ def test_irls_step_is_the_weighted_least_squares_kkt_solution():
         np.testing.assert_allclose(res.iterates[j + 1], expected, rtol=1e-9)
 
 
-def test_irls_reference_iterates_are_feasible_to_rounding_error():
+def _reference_iterates(solver):
     A, D, f = _reference_instance(0)
     y = A @ f
-    res = irls_analysis(LqProblem(A=A, y=y, D=D, q=0.7), SolverConfig(keep_iterates=True))
+    return A, y, solver(LqProblem(A=A, y=y, D=D, q=0.7), SolverConfig(keep_iterates=True))
+
+
+def test_irls_reference_iterates_are_feasible_to_rounding_error():
+    A, y, res = _reference_iterates(irls_analysis)
     assert res.converged
+    for it in res.iterates:
+        assert np.linalg.norm(A @ it - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def test_irl1_reference_iterates_are_feasible_to_rounding_error():
+    A, y, res = _reference_iterates(irl1_analysis)
     for it in res.iterates:
         assert np.linalg.norm(A @ it - y) <= 1e-12 * np.linalg.norm(y)
 
@@ -201,8 +218,8 @@ def test_irls_surrogate_descent_and_feasibility():
         res = irls_analysis(LqProblem(A=A, y=y, D=D, q=0.7), config)
         for j in range(res.iterations):
             sj = config.sigma_at(j)
-            before = smoothed_surrogate(D.matrix.T @ res.iterates[j], sj, 0.7)
-            after = smoothed_surrogate(D.matrix.T @ res.iterates[j + 1], sj, 0.7)
+            before = _surrogate(D.matrix.T @ res.iterates[j], sj, 0.7)
+            after = _surrogate(D.matrix.T @ res.iterates[j + 1], sj, 0.7)
             assert after <= before + 1e-10
         assert max(res.residual_trace) <= 1e-8 * np.linalg.norm(y)
         assert len(res.objective_trace) == res.iterations
