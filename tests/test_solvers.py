@@ -44,6 +44,10 @@ def test_objective_zero():
 
 def test_objective_unit_entries():
     assert objective(np.array([1.0, 1.0]), np.eye(2), 0.5) == pytest.approx(2.0)
+
+
+def test_objective_lq_powsum_reference():
+    # with D = I the objective is the plain sum |x_i|^q
     x = np.array([1.0, -2.0, 0.0, 3.0])
     assert objective(x, np.eye(4), 1.0) == pytest.approx(6.0)
     assert objective(x, np.eye(4), 0.5) == pytest.approx(1.0 + 2.0**0.5 + 3.0**0.5)
