@@ -190,7 +190,7 @@ def _cmd_separate(args):
 
 
 def _add_solver_options(p):
-    p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
+    p.add_argument("--max-iters", type=int, default=None, dest="max_iters", help="cap on the outer loop")
     p.add_argument("--tol", type=float, default=None)
 
 

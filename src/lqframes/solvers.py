@@ -4,27 +4,23 @@ Both solvers attack
 
     min |D^T f|_q^q   subject to   |A f - y|_r <= eps
 
-by solving a sequence of convex surrogates: weighted least squares (IRLS)
-or weighted l1 (IRL1), with weights refreshed from the current iterate and
-a smoothing level that decays geometrically to a floor.  One driver,
-``_reweight``, owns that outer loop, the traces and the stopping rule; a
-path supplies only its step ``step(coeffs, sigma) -> (f_new, D^T f_new,
-inner_ok)``, and the objective trace is read from the returned D^T f_new.
-IRLS at eps = 0 steps over f = f0 + N z, with f0 the least-norm solution
-of A f = y and N an orthonormal basis of ker A, so every iterate is
-feasible and a step is one (n - m) x (n - m) SPD solve.  An IRL1 step is
-one ADMM run on u = D^T f (``_weighted_l1``) around a closed-form f-update:
-the projection onto {A f = y}, taken over the same f0 + N z, or a
-penalised solve when eps > 0.  For eps > 0 both solvers penalise
-|A f - y|_2^2 and ``_penalty_sweep`` raises the penalty weight until the
-residual target is met.
+by solving a sequence of convex surrogates, with weights refreshed from
+the current iterate and a smoothing level that decays geometrically to a
+floor.  One driver, ``_reweight``, owns that outer loop, the traces and the
+stopping rule; a path supplies only its step ``step(coeffs, sigma) ->
+(f_new, D^T f_new, inner_ok)``.  There is one inner solver, the weighted
+least-squares step of IRLS (``_wls_steps``), taken exactly over f = f0 +
+A^+ v + N z with v = A f - y: at eps = 0 it is one SPD solve in z, and for
+eps > 0 a trust-region step (l2, ``_ball_step``) or an active-set step
+(l-inf, ``_box_step``) in v, so every iterate meets the constraint in the
+given norm.  IRL1 reweights around IRLS at q = 1 on the atoms w_i d_i.
 
 Solvers hold no shared state, so independent instances may run
 concurrently; BLAS may still use several threads inside one solve.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -37,14 +33,7 @@ from .errors import (
 )
 from .frames import Frame, _atoms, _check_q
 
-__all__ = [
-    "LqProblem",
-    "SolverConfig",
-    "SolverResult",
-    "irls_analysis",
-    "irl1_analysis",
-    "objective",
-]
+__all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_analysis", "objective"]
 
 
 def objective(f, D, q: float) -> float:
@@ -97,7 +86,8 @@ class SolverConfig:
     """Knobs shared by IRLS and IRL1.
 
     The smoothing level at outer step j is max(sigma0 * sigma_decay^j,
-    sigma_min), a nonincreasing positive sequence.
+    sigma_min), a nonincreasing positive sequence.  ``max_outer_iters``
+    caps the outer loop; the inner IRLS runs of IRL1 keep the default cap.
     """
 
     max_outer_iters: int = 300
@@ -105,11 +95,6 @@ class SolverConfig:
     sigma0: float = 1.0
     sigma_decay: float = 0.7
     sigma_min: float = 1e-10
-    inner_max_iters: int = 1500
-    inner_tol: float = 1e-8
-    penalty_lambda0: float = 1.0
-    penalty_growth: float = 10.0
-    penalty_max_sweeps: int = 12
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -117,13 +102,8 @@ class SolverConfig:
             raise InvalidParametersError("sigma_decay must lie in (0, 1)")
         if self.sigma0 <= 0.0 or self.sigma_min <= 0.0:
             raise InvalidParametersError("smoothing levels must be positive")
-        for name in ("max_outer_iters", "inner_max_iters", "penalty_max_sweeps"):
-            if getattr(self, name) < 1:
-                raise InvalidParametersError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.penalty_lambda0 <= 0.0:
-            raise InvalidParametersError(f"penalty_lambda0 must be positive, got {self.penalty_lambda0}")
-        if self.penalty_growth <= 1.0:
-            raise InvalidParametersError(f"penalty_growth must exceed 1, got {self.penalty_growth}")
+        if self.max_outer_iters < 1:
+            raise InvalidParametersError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
 
     def sigma_at(self, j: int) -> float:
         return max(self.sigma0 * self.sigma_decay**j, self.sigma_min)
@@ -162,41 +142,141 @@ def _spd_solve_factor(M: np.ndarray):
         ) from exc
 
 
-def _null_space_parametrisation(A: np.ndarray, y: np.ndarray, Dm: np.ndarray):
-    """The feasible set {f : A f = y} = {f0 + N z} and its analysis image.
+def _ball_step(H: np.ndarray, h: np.ndarray, radius: float):
+    """min |H v + h|_2 over |v|_2 <= radius, for H of full column rank.
+
+    A trust-region step (More and Sorensen, SISSC 1983) from one SVD of H:
+    ``(v, mu)`` with (H^T H + mu I) v = -H^T h, where mu = 0 if the
+    unconstrained minimiser lies in the ball and otherwise Newton's method
+    on 1/|v(mu)| = 1/radius raises mu monotonically until |v| = radius.
+    """
+    U, s, Vt = np.linalg.svd(H, full_matrices=False)
+    g, s2 = s * (U.T @ h), s * s
+    mu = 0.0
+    for _ in range(50):
+        x = g / (s2 + mu)  # v = -V x
+        norm = np.linalg.norm(x)
+        if norm <= radius * (1.0 + 1e-13):
+            break
+        mu += (norm - radius) / radius * norm * norm / np.sum(x * x / (s2 + mu))
+    if norm > radius:
+        x *= radius / norm
+    return -(Vt.T @ x), mu
+
+
+def _box_step(H: np.ndarray, h: np.ndarray, radius: float, v: np.ndarray):
+    """min |H v + h|_2 over |v|_inf <= radius, for H of full column rank.
+
+    A primal active-set method (Stark and Parker, Comput. Stat. 1995),
+    warm-started at ``v``: variables at a bound stay there while the free
+    ones take their least-squares value, stepping back to the first bound
+    crossed; a bound variable whose multiplier has the wrong sign is freed.
+    Returns ``(v, ok)``; ok is False when 3 m + 3 moves did not settle the
+    active set.
+    """
+    v = np.clip(v, -radius, radius)
+    free = np.abs(v) < radius
+    scale = 1e-12 * np.linalg.norm(H, axis=0)
+    for _ in range(3 * v.size + 3):
+        target = v.copy()
+        target[free] = np.linalg.lstsq(H[:, free], -(h + H[:, ~free] @ v[~free]), rcond=None)[0]
+        out = free & (np.abs(target) > radius)
+        if out.any():
+            # move towards target until the first free variable reaches its bound
+            bound = np.sign(target) * radius
+            ratio = np.full(v.size, np.inf)
+            ratio[out] = (bound[out] - v[out]) / (target[out] - v[out])
+            alpha = ratio.min()
+            v = v + alpha * (target - v)
+            hit = ratio <= alpha
+            v[hit] = bound[hit]
+            free &= ~hit
+            continue
+        v = target
+        r = H @ v + h
+        # at v_i = +radius the gradient must be <= 0, at -radius >= 0
+        violation = np.where(free, -np.inf, np.sign(v) * (H.T @ r) - scale * np.linalg.norm(r))
+        k = np.argmax(violation)
+        if violation[k] <= 0.0:
+            return v, True
+        free[k] = True
+    return v, False
+
+
+def _wls_steps(problem: LqProblem):
+    """The one inner solver: a weighted least-squares step on the constraint set.
 
     One complete QR of A^T = [Q1 Q2] [R1; 0] gives the least-norm solution
-    f0 = Q1 R1^-T y and an orthonormal basis N = Q2 of ker A.  Returns
-    ``(f0, N, B, c0)`` with B = D^T N and c0 = D^T f0, so that D^T f =
-    c0 + B z on the feasible set.  A must have full row rank.
+    f0 = Q1 R1^-T y of A f = y, A^+ = Q1 R1^-T and an orthonormal basis
+    N = Q2 of ker A, so the constraint set is f = f0 + A^+ v + N z with
+    v = A f - y, and D^T f = c0 + P v + B z (c0 = D^T f0, P = D^T A^+,
+    B = D^T N).  Returns ``(f0, c0, step)``; ``step(weights) -> (f, D^T f,
+    ok)`` minimises sum_i weights_i <d_i, f>^2 subject to |A f - y|_r <= eps
+    (weights > 0).  At eps = 0, v = 0 and (B^T W B) z = -B^T W c0.  For
+    eps > 0 a QR of W^(1/2) B eliminates z, leaving min |H v + h| over the
+    ball or the box of radius eps; the box step starts from the previous
+    step's v, and ``ok`` is False when it hit its cap.
     """
+    A, y, Dm, eps = problem.A, problem.y, problem.D.matrix, problem.epsilon
     m = A.shape[0]
     Q, R = np.linalg.qr(A.T, mode="complete")
     f0 = Q[:, :m] @ solve_triangular(R[:m], y, trans="T")
     N = Q[:, m:]
-    return f0, N, Dm.T @ N, Dm.T @ f0
+    B, c0 = Dm.T @ N, Dm.T @ f0
+
+    if eps == 0.0:
+        def step(weights):
+            bw = B.T * weights
+            z = cho_solve(_spd_solve_factor(bw @ B), -(bw @ c0))
+            return f0 + N @ z, c0 + B @ z, True
+
+        return f0, c0, step
+
+    pinv = np.linalg.solve(R[:m], Q[:, :m].T).T
+    Pc = np.column_stack([Dm.T @ pinv, c0])
+    v = np.zeros(m)
+
+    def step(weights):
+        nonlocal v
+        root = np.sqrt(weights)[:, None]
+        Qb, Rb = np.linalg.qr(root * B)
+        X = root * Pc
+        C = Qb.T @ X
+        X -= Qb @ C  # [H h]: the part of W^(1/2) [P c0] that z cannot reach
+        if problem.norm_index == math.inf:
+            v, ok = _box_step(X[:, :-1], X[:, -1], eps, v)
+        else:
+            v, ok = _ball_step(X[:, :-1], X[:, -1], eps)[0], True
+        z = np.linalg.solve(Rb, -(C[:, :-1] @ v + C[:, -1]))
+        f = f0 + pinv @ v + N @ z
+        return f, Dm.T @ f, ok
+
+    return f0, c0, step
 
 
-def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step, outer_tol: float) -> SolverResult:
+def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step) -> SolverResult:
     """The outer reweighting loop shared by every solver path.
 
     ``step(coeffs, sigma)`` maps D^T f of the current iterate to ``(f_new,
     D^T f_new, inner_ok)``; ``inner_ok`` is False when an inner solver hit
-    its cap.  Stops once the relative change of f is below ``outer_tol``;
-    ``converged`` also requires the last inner solve to have finished.
+    its cap.  Stops once the relative change of f is below ``config.tol``
+    and sigma has reached ``sigma_min``, or when the first step leaves f
+    exactly unchanged (the feasible set is one point); ``converged`` also
+    requires the last inner solve to have finished.
     """
     objective_trace, residual_trace = [], []
     iterates = [f.copy()] if config.keep_iterates else None
     converged = False
     for j in range(config.max_outer_iters):
-        f_new, coeffs, inner_ok = step(coeffs, config.sigma_at(j))
+        sigma = config.sigma_at(j)
+        f_new, coeffs, inner_ok = step(coeffs, sigma)
         objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
         residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
         if iterates is not None:
             iterates.append(f_new.copy())
         rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
         f = f_new
-        if rel_change < outer_tol:
+        if rel_change < config.tol and (sigma <= config.sigma_min or (j == 0 and rel_change == 0.0)):
             converged = True
             break
     return SolverResult(
@@ -209,142 +289,56 @@ def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step, outer_t
     )
 
 
-def _penalty_sweep(problem: LqProblem, config: SolverConfig, solve_at) -> SolverResult:
-    """Noisy path: raise the penalty weight until the residual target holds.
-
-    ``solve_at(lam)`` runs one reweighted solve with weight lam on the
-    quadratic penalty |A f - y|_2^2.  The first result whose final residual,
-    in the problem's ``norm_index``, is within ``epsilon`` is returned;
-    otherwise the result with the smallest residual, with ``converged``
-    False.
-    """
-    lam = config.penalty_lambda0
-    best = None
-    for _ in range(config.penalty_max_sweeps):
-        result = solve_at(lam)
-        if result.residual_trace[-1] <= problem.epsilon * (1.0 + 1e-8):
-            return result
-        if best is None or result.residual_trace[-1] < best.residual_trace[-1]:
-            best = result
-        lam *= config.penalty_growth
-    best.converged = False
-    return best
-
-
 def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
     """Iteratively reweighted least squares for the l_q-analysis problem.
 
-    Each outer step solves min_f sum_i w_i <d_i, f>^2 subject to A f = y
-    with w_i = (<d_i, f_prev>^2 + sigma_j)^(q/2 - 1).  In the eps = 0 path
-    the step is taken over the feasible set f = f0 + N z (see
-    ``_null_space_parametrisation``): with B = D^T N and c0 = D^T f0 it
-    solves (B^T W B) z = -B^T W c0, an (n - m) x (n - m) SPD system whose
-    solution is the unique weighted least-squares minimiser on {A f = y},
-    since D^T is injective and w > 0.  Iterates satisfy A f = y to rounding
-    error; for fixed sigma a step never increases the smoothed surrogate
-    sum_i (<d_i, f>^2 + sigma)^(q/2).  When A is square, ker A is trivial
-    and the unique solution is returned after one step.  For eps > 0 each
-    step solves (D W D^T + lam A^T A) f = lam A^T y instead.
+    Each outer step solves min_f sum_i w_i <d_i, f>^2 subject to
+    |A f - y|_r <= eps with w_i = (<d_i, f_prev>^2 + sigma_j)^(q/2 - 1),
+    exactly, by ``_wls_steps``, so every iterate meets the constraint to
+    rounding error and, for fixed sigma, a step never increases the
+    smoothed surrogate sum_i (<d_i, f>^2 + sigma)^(q/2).  When A is square
+    the feasible set at eps = 0 is the point A^-1 y, returned after one step.
     """
     config = config or SolverConfig()
-    A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
-    _require_full_row_rank(A)
-
-    def weights(coeffs, sigma):
-        return (coeffs * coeffs + sigma) ** (q / 2.0 - 1.0)
-
-    if problem.epsilon > 0.0:
-        ata, aty = A.T @ A, A.T @ y
-
-        def solve_at(lam):
-            def step(coeffs, sigma):
-                gram = (Dm * weights(coeffs, sigma)) @ Dm.T + lam * ata
-                f_new = cho_solve(_spd_solve_factor(gram), lam * aty)
-                return f_new, Dm.T @ f_new, True
-
-            f = np.zeros(A.shape[1])
-            return _reweight(problem, config, f, Dm.T @ f, step, config.tol)
-
-        return _penalty_sweep(problem, config, solve_at)
-
-    f0, N, B, c0 = _null_space_parametrisation(A, y, Dm)
-
-    def step(coeffs, sigma):
-        bw = B.T * weights(coeffs, sigma)
-        z = cho_solve(_spd_solve_factor(bw @ B), -(bw @ c0))
-        return f0 + N @ z, c0 + B @ z, True
-
-    return _reweight(problem, config, f0, c0, step, config.tol)
-
-
-def _soft_threshold(x: np.ndarray, thresh: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
-
-
-def _weighted_l1(f_update, Dm, weights, u, z, config: SolverConfig):
-    """ADMM for min sum w_i |<d_i, f>| over the f that ``f_update`` ranges over.
-
-    Splits u = D^T f with scaled dual z, warm-started at (u, z).
-    ``f_update(c)`` is the closed-form f-step for the target c = u - z.
-    Returns ``(f, D^T f, u, z, ok)``; ok is False when the loop hit
-    ``inner_max_iters`` before both residuals fell below ``inner_tol``.
-    """
-    for _ in range(config.inner_max_iters):
-        f = f_update(u - z)
-        coeffs = Dm.T @ f
-        u_new = _soft_threshold(coeffs + z, weights)
-        z = z + coeffs - u_new
-        primal = np.linalg.norm(coeffs - u_new)
-        dual = np.linalg.norm(u_new - u)
-        u = u_new
-        scale = max(1.0, np.linalg.norm(u))
-        if primal <= config.inner_tol * scale and dual <= config.inner_tol * scale:
-            return f, coeffs, u, z, True
-    return f, coeffs, u, z, False
+    _require_full_row_rank(problem.A)
+    f0, c0, wls = _wls_steps(problem)
+    exponent = problem.q / 2.0 - 1.0
+    return _reweight(problem, config, f0, c0, lambda c, sigma: wls((c * c + sigma) ** exponent))
 
 
 def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
     """Iteratively reweighted l1 for the l_q-analysis problem.
 
-    Each outer step solves min_f sum_i w_i |<d_i, f>| subject to A f = y
-    with w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1), via operator splitting
-    on u = D^T f: an equality-constrained quadratic f-update in closed form,
-    a weighted soft-threshold u-update, and a dual ascent on the coupling.
-    For eps > 0 the f-update minimises the splitting term plus the penalty
-    lam |A f - y|^2 instead of projecting.  Outer changes below the inner
-    accuracy cannot be resolved, so the stopping threshold saturates at
-    ``inner_tol``.  If an inner loop exhausts its cap the best iterate is
-    still returned with ``converged`` False.
+    Each outer step approximates min_f sum_i w_i |<d_i, f>| subject to
+    |A f - y|_r <= eps, w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1) scaled to
+    mean 1, by IRLS at q = 1 on the atoms w_i d_i with the caller's tol and
+    smoothing schedule and the default cap.  At eps = 0 the weighted-l1
+    minimum is a vertex, where n - m coefficients vanish: the inner result
+    moves to [A; D_Z^T] f = [y; 0], Z its n - m smallest weighted
+    coefficients, when that does not raise the weighted-l1 objective.
+    ``converged`` is False when the last inner run hit its cap.
     """
     config = config or SolverConfig()
     A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
     _require_full_row_rank(A)
+    f0, c0, wls = _wls_steps(problem)
+    inner_config = replace(config, max_outer_iters=SolverConfig.max_outer_iters, keep_iterates=False)
+    k = A.shape[1] - A.shape[0]
 
-    def reweighted_l1(f, f_update):
-        u, z = Dm.T @ f, np.zeros(Dm.shape[1])
+    def step(coeffs, sigma):
+        w = (np.abs(coeffs) + sigma) ** (q - 1.0)
+        w /= np.mean(w)
+        inner = _reweight(problem, inner_config, f0, c0, lambda c, s: wls(w * w / np.sqrt((w * c) ** 2 + s)))
+        f_new, coeffs = inner.f_hat, Dm.T @ inner.f_hat
+        if problem.epsilon == 0.0 and k > 0:
+            Z = np.argsort(w * np.abs(coeffs))[:k]
+            try:
+                vertex = np.linalg.solve(np.vstack([A, Dm[:, Z].T]), np.concatenate([y, np.zeros(k)]))
+            except np.linalg.LinAlgError:  # these k atoms do not fix a vertex
+                return f_new, coeffs, inner.converged
+            c_vertex = Dm.T @ vertex
+            if w @ np.abs(c_vertex) <= w @ np.abs(coeffs):
+                f_new, coeffs = vertex, c_vertex
+        return f_new, coeffs, inner.converged
 
-        def step(coeffs, sigma):
-            nonlocal u, z
-            weights = (np.abs(coeffs) + sigma) ** (q - 1.0)
-            f_new, coeffs, u, z, ok = _weighted_l1(f_update, Dm, weights / np.mean(weights), u, z, config)
-            return f_new, coeffs, ok
-
-        return _reweight(problem, config, f, u, step, max(config.tol, config.inner_tol))
-
-    if problem.epsilon > 0.0:
-        gram, ata, aty = Dm @ Dm.T, A.T @ A, A.T @ y
-
-        def solve_at(lam):
-            kkt = _spd_solve_factor(gram + 2.0 * lam * ata)
-            return reweighted_l1(np.zeros(A.shape[1]), lambda c: cho_solve(kkt, Dm @ c + 2.0 * lam * aty))
-
-        return _penalty_sweep(problem, config, solve_at)
-
-    f0, N, B, c0 = _null_space_parametrisation(A, y, Dm)
-    gram_b = _spd_solve_factor(B.T @ B)
-
-    def project(c):
-        # argmin |D^T f - c| over f = f0 + N z
-        return f0 + N @ cho_solve(gram_b, B.T @ (c - c0))
-
-    return reweighted_l1(f0, project)
+    return _reweight(problem, config, f0, c0, step)
