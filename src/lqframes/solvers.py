@@ -7,13 +7,14 @@ Both solvers attack
 by solving a sequence of convex surrogates, with weights refreshed from
 the current iterate and a smoothing level that decays geometrically to a
 floor.  One driver, ``_reweight``, owns that outer loop, the traces and the
-stopping rule; a path supplies only its step ``step(coeffs, sigma) ->
+stopping rule; a path supplies only its step ``step(f, D^T f, sigma) ->
 (f_new, D^T f_new, inner_ok)``.  There is one inner solver, the weighted
 least-squares step of IRLS (``_wls_steps``), taken exactly over f = f0 +
 A^+ v + N z with v = A f - y: at eps = 0 it is one SPD solve in z, and for
 eps > 0 a trust-region step (l2, ``_ball_step``) or an active-set step
 (l-inf, ``_box_step``) in v, so every iterate meets the constraint in the
-given norm.  IRL1 reweights around IRLS at q = 1 on the atoms w_i d_i.
+given norm.  IRL1 reweights around IRLS at q = 1 on the atoms w_i d_i;
+each inner run starts at the outer iterate, with its smoothing at sigma_j^2.
 
 Solvers hold no shared state, so independent instances may run
 concurrently; BLAS may still use several threads inside one solve.
@@ -87,7 +88,8 @@ class SolverConfig:
 
     The smoothing level at outer step j is max(sigma0 * sigma_decay^j,
     sigma_min), a nonincreasing positive sequence.  ``max_outer_iters``
-    caps the outer loop; the inner IRLS runs of IRL1 keep the default cap.
+    caps the outer loop; the inner IRLS runs of IRL1 keep the default cap
+    and start at the outer iterate with smoothing max(sigma_j^2, sigma_min).
     """
 
     max_outer_iters: int = 300
@@ -257,19 +259,19 @@ def _wls_steps(problem: LqProblem):
 def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step) -> SolverResult:
     """The outer reweighting loop shared by every solver path.
 
-    ``step(coeffs, sigma)`` maps D^T f of the current iterate to ``(f_new,
-    D^T f_new, inner_ok)``; ``inner_ok`` is False when an inner solver hit
-    its cap.  Stops once the relative change of f is below ``config.tol``
-    and sigma has reached ``sigma_min``, or when the first step leaves f
-    exactly unchanged (the feasible set is one point); ``converged`` also
-    requires the last inner solve to have finished.
+    ``step(f, coeffs, sigma)`` maps the current iterate f and its D^T f to
+    ``(f_new, D^T f_new, inner_ok)``; ``inner_ok`` is False when an inner
+    solver hit its cap.  Stops once the relative change of f is below
+    ``config.tol`` and sigma has reached ``sigma_min``, or when the first
+    step leaves f exactly unchanged (the feasible set is one point);
+    ``converged`` also requires the last inner solve to have finished.
     """
     objective_trace, residual_trace = [], []
     iterates = [f.copy()] if config.keep_iterates else None
     converged = False
     for j in range(config.max_outer_iters):
         sigma = config.sigma_at(j)
-        f_new, coeffs, inner_ok = step(coeffs, sigma)
+        f_new, coeffs, inner_ok = step(f, coeffs, sigma)
         objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
         residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
         if iterates is not None:
@@ -303,7 +305,7 @@ def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     _require_full_row_rank(problem.A)
     f0, c0, wls = _wls_steps(problem)
     exponent = problem.q / 2.0 - 1.0
-    return _reweight(problem, config, f0, c0, lambda c, sigma: wls((c * c + sigma) ** exponent))
+    return _reweight(problem, config, f0, c0, lambda _, c, sigma: wls((c * c + sigma) ** exponent))
 
 
 def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
@@ -311,8 +313,11 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
 
     Each outer step approximates min_f sum_i w_i |<d_i, f>| subject to
     |A f - y|_r <= eps, w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1) scaled to
-    mean 1, by IRLS at q = 1 on the atoms w_i d_i with the caller's tol and
-    smoothing schedule and the default cap.  At eps = 0 the weighted-l1
+    mean 1, by IRLS at q = 1 on the atoms w_i d_i with the caller's tol,
+    decay and floor and the default cap.  Each inner run starts at the outer
+    iterate f_prev, and its smoothing at max(sigma_j^2, sigma_min): the inner
+    sqrt((w_i <d_i, f>)^2 + s) is in squared coefficient units, the outer
+    |<d_i, f>| + sigma_j in plain ones.  At eps = 0 the weighted-l1
     minimum is a vertex, where n - m coefficients vanish: the inner result
     moves to [A; D_Z^T] f = [y; 0], Z its n - m smallest weighted
     coefficients, when that does not raise the weighted-l1 objective.
@@ -325,10 +330,11 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     inner_config = replace(config, max_outer_iters=SolverConfig.max_outer_iters, keep_iterates=False)
     k = A.shape[1] - A.shape[0]
 
-    def step(coeffs, sigma):
+    def step(f, coeffs, sigma):
         w = (np.abs(coeffs) + sigma) ** (q - 1.0)
         w /= np.mean(w)
-        inner = _reweight(problem, inner_config, f0, c0, lambda c, s: wls(w * w / np.sqrt((w * c) ** 2 + s)))
+        schedule = replace(inner_config, sigma0=max(sigma**2, config.sigma_min))
+        inner = _reweight(problem, schedule, f, coeffs, lambda _, c, s: wls(w * w / np.sqrt((w * c) ** 2 + s)))
         f_new, coeffs = inner.f_hat, Dm.T @ inner.f_hat
         if problem.epsilon == 0.0 and k > 0:
             Z = np.argsort(w * np.abs(coeffs))[:k]

@@ -21,6 +21,7 @@ from lqframes import (
     objective,
     random_tight_frame,
 )
+import lqframes.solvers as solvers
 from lqframes.solvers import _ball_step, _box_step, _spd_solve_factor
 
 
@@ -338,6 +339,41 @@ def test_irl1_noisy_path_converges():
     A, y, D = _irl1_noisy_instance()
     res = irl1_analysis(LqProblem(A=A, y=y, D=D, q=0.7, epsilon=0.01))
     assert res.converged
+
+
+def test_irl1_inner_runs_start_at_the_outer_iterate(monkeypatch):
+    # each inner IRLS run starts at the outer iterate, with its smoothing at
+    # sigma_j^2: sqrt((w c)^2 + s) is in squared coefficient units
+    calls = []
+    reweight = solvers._reweight
+
+    def recording(problem, config, f, coeffs, step):
+        call = {"config": config, "f": f.copy()}
+        calls.append(call)
+        call["result"] = reweight(problem, config, f, coeffs, step)
+        return call["result"]
+
+    monkeypatch.setattr(solvers, "_reweight", recording)
+    A, y, D = _irl1_noisy_instance()
+    config = SolverConfig(keep_iterates=True)
+    res = irl1_analysis(LqProblem(A=A, y=y, D=D, q=0.7, epsilon=0.01), config)
+    outer, inner = calls[0], calls[1:]
+    assert outer["result"] is res
+    assert len(inner) == res.iterations
+    for j, call in enumerate(inner):
+        assert np.array_equal(call["f"], res.iterates[j])
+        assert call["config"].sigma0 == max(config.sigma_at(j) ** 2, config.sigma_min)
+    # cold inner runs, from f0 at sigma0 = 1, took 9674 steps here
+    assert sum(call["result"].iterations for call in inner) <= 6000
+
+
+def test_irl1_noisy_objective_no_worse_than_cold_inner_runs():
+    # 2.3316441821851583 is the objective reached with cold inner runs, from
+    # f0 at smoothing 1; warm ones must not end higher
+    A, y, D = _irl1_noisy_instance()
+    res = irl1_analysis(LqProblem(A=A, y=y, D=D, q=0.7, epsilon=0.01))
+    assert objective(res.f_hat, D, 0.7) <= 2.3316441821851583 * (1.0 + 1e-9)
+    assert np.linalg.norm(A @ res.f_hat - y) <= 0.01 * (1.0 + 1e-8)
 
 
 def test_irl1_recovers_reference_instance_13():
