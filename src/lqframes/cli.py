@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConditionUnevaluableError, LqframesError
+from .errors import ConditionUnevaluableError, InvalidDimensionsError, LqframesError
 from .experiments import (
     ExperimentSpec,
     cells_to_csv,
@@ -155,6 +155,13 @@ def _cmd_separate(args):
     paths = [tok for tok in args.dicts.split(",") if tok.strip()]
     if len(paths) < 2:
         raise LqframesError("separate needs at least two dictionaries")
+    sparsities = None
+    if args.sparsities is not None:
+        sparsities = [int(tok) for tok in args.sparsities.split(",")]
+        if len(sparsities) != len(paths):
+            raise InvalidDimensionsError(
+                f"--sparsities needs one value per dictionary, got {len(sparsities)} for {len(paths)}"
+            )
     dicts = [Frame.from_matrix(load_matrix(p)) for p in paths]
     A = load_matrix(args.matrix)
     y = _load_vector(args.obs)
@@ -162,9 +169,7 @@ def _cmd_separate(args):
     components, _ = solve_split_analysis(problem, _solver_config(args))
 
     mu1 = mutual_coherence(dicts)
-    if args.sparsities is not None:
-        sparsities = [int(tok) for tok in args.sparsities.split(",")]
-    else:
+    if sparsities is None:
         sparsities = [
             _estimate_sparsity(fr.matrix.T @ comp) for fr, comp in zip(dicts, components)
         ]
@@ -179,7 +184,7 @@ def _cmd_separate(args):
         A, dbar, args.q, min(s_total + a, d_total), mode="sampled", budget=args.rip_budget, seed=args.seed
     )
     verdict = check_separation_conditions(
-        mu1, sparsities, a, rep_a.delta, min(rep_sa.delta, 1.0 - 1e-12), args.q, len(dicts)
+        mu1, sparsities, a, rep_a.delta, min(rep_sa.delta, 1.0 - 1e-12), args.q
     )
     payload = {
         "components": [comp for comp in components],
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", type=int, default=None, help="overshoot order for the condition check")
+    p.add_argument("--a", type=int, default=None, help="comparison order a for the condition check")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="sampled")
     p.add_argument("--budget", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -256,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--sparsities", default=None, help="comma-separated per-component budgets")
-    p.add_argument("--a", type=int, default=None, help="overshoot order for the verdict")
+    p.add_argument("--a", type=int, default=None, help="comparison order a for the verdict")
     p.add_argument("--rip-budget", type=int, default=32, dest="rip_budget")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)

@@ -1,5 +1,11 @@
 """Exception types raised by lqframes."""
 
+__all__ = [
+    "LqframesError", "NotAFrameError", "IllConditionedError", "InvalidDimensionsError",
+    "GenerationFailedError", "DegenerateDictionaryError", "ConditionUnevaluableError",
+    "InvalidParametersError", "InfeasibleOrDegenerateError", "EmptyKernelError", "InvalidSpecError",
+]
+
 
 class LqframesError(Exception):
     """Base class for all lqframes errors."""

@@ -37,7 +37,8 @@ __all__ = [
     "cells_from_json",
 ]
 
-KINDS = ("figure1", "phase_transition", "separation_sweep", "bounds_table")
+# The spec-driven runners; run_figure1 and run_bounds_table take no spec.
+KINDS = ("phase_transition", "separation_sweep")
 
 _METRICS = ("success_rate", "median_relative_error", "median_iterations", "wall_time_ms")
 
@@ -61,6 +62,10 @@ class ExperimentSpec:
             raise InvalidSpecError(f"grid must be a list of objects: {exc}") from exc
         if not self.grid:
             raise InvalidSpecError("grid must be nonempty")
+        for ci, cell in enumerate(self.grid):
+            for key, value in cell.items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise InvalidSpecError(f"cell {ci} field {key!r} is not a number: {value!r}")
         if self.trials_per_cell < 1:
             raise InvalidSpecError("trials_per_cell must be >= 1")
         if self.success_threshold <= 0:
@@ -111,14 +116,14 @@ class CellResult:
     wall_time_ms: float
 
     def to_dict(self) -> dict:
-        row = dict(self.params)
-        row.update(
-            success_rate=self.success_rate,
-            median_relative_error=self.median_relative_error,
-            median_iterations=self.median_iterations,
-            wall_time_ms=self.wall_time_ms,
-        )
-        return row
+        """The parameters followed by the metrics, in ``_METRICS`` order."""
+        return {**self.params, **{k: getattr(self, k) for k in _METRICS}}
+
+    @classmethod
+    def from_dict(cls, row: dict) -> "CellResult":
+        """Inverse of ``to_dict``: every key outside ``_METRICS`` is a parameter."""
+        params = {k: v for k, v in row.items() if k not in _METRICS}
+        return cls(params=params, **{k: float(row[k]) for k in _METRICS})
 
 
 def cell_key(params: dict) -> int:
@@ -307,14 +312,8 @@ def cells_to_csv(cells) -> str:
     out = io.StringIO()
     out.write(",".join(list(param_keys) + list(_METRICS)) + "\n")
     for cell in cells:
-        row = [_format_number(cell.params[k]) for k in param_keys]
-        row += [
-            _format_number(cell.success_rate),
-            _format_number(cell.median_relative_error),
-            _format_number(cell.median_iterations),
-            _format_number(cell.wall_time_ms),
-        ]
-        out.write(",".join(row) + "\n")
+        row = [cell.params[k] for k in param_keys] + [getattr(cell, k) for k in _METRICS]
+        out.write(",".join(_format_number(v) for v in row) + "\n")
     return out.getvalue()
 
 
@@ -323,15 +322,8 @@ def cells_from_csv(text: str) -> list:
     if not lines:
         return []
     header = lines[0].split(",")
-    param_keys = header[: len(header) - len(_METRICS)]
-    cells = []
-    for line in lines[1:]:
-        tokens = line.split(",")
-        values = [_parse_number(tok) for tok in tokens]
-        params = dict(zip(param_keys, values))
-        metrics = dict(zip(_METRICS, values[len(param_keys) :]))
-        cells.append(CellResult(params=params, **{k: float(v) for k, v in metrics.items()}))
-    return cells
+    rows = (dict(zip(header, map(_parse_number, line.split(",")))) for line in lines[1:])
+    return [CellResult.from_dict(row) for row in rows]
 
 
 def cells_to_json(cells) -> str:
@@ -339,8 +331,4 @@ def cells_to_json(cells) -> str:
 
 
 def cells_from_json(text: str) -> list:
-    cells = []
-    for row in json.loads(text):
-        params = {k: v for k, v in row.items() if k not in _METRICS}
-        cells.append(CellResult(params=params, **{k: float(row[k]) for k in _METRICS}))
-    return cells
+    return [CellResult.from_dict(row) for row in json.loads(text)]

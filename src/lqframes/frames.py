@@ -104,14 +104,6 @@ class Frame:
     def num_atoms(self) -> int:
         return self.matrix.shape[1]
 
-    def analysis(self, f: np.ndarray) -> np.ndarray:
-        """Analysis coefficients D.T f."""
-        return self.matrix.T @ f
-
-    def is_tight(self, tol: float = 1e-8) -> bool:
-        """True when the bounds coincide within tol (relative)."""
-        return abs(self.upper_bound - self.lower_bound) <= tol * self.upper_bound
-
 
 def canonical_dual(frame: Frame, condition_cap: float = DEFAULT_CONDITION_CAP) -> Frame:
     """Canonical dual of a frame: (D D.T)^{-1} D, with bounds (1/upper, 1/lower).

@@ -79,7 +79,7 @@ def measurement_bound(q: float, s: int, d: int, kappa: float = 1.0) -> float:
     """Gaussian measurement count sufficient for the q-RIP recovery condition.
 
     Returns the bound as a real number; callers take the ceiling.  The
-    internal overshoot order is t = ceil((5 * 2^(q/2) * kappa^q)^(2/(2-q))).
+    internal comparison order is t = ceil((5 * 2^(q/2) * kappa^q)^(2/(2-q))).
     """
     _check_q(q)
     if not 1 <= s <= d:
@@ -236,11 +236,6 @@ class RipReport:
     trials: int
     degenerate: int = 0
 
-    @property
-    def rip_holds(self) -> bool:
-        """False once the estimate already rules out any constant below 1."""
-        return self.delta < 1.0
-
     def to_dict(self) -> dict:
         return {
             "order": self.order,
@@ -315,6 +310,7 @@ def estimate_rip(
             f"A has {A.shape[1]} columns but dictionary ambient dimension is {Dm.shape[0]}"
         )
     ad = A @ Dm
+    entropy = _seed_entropy(seed)
 
     if mode == "exhaustive":
         n_supports = comb(d, s)
@@ -322,12 +318,13 @@ def estimate_rip(
             raise InvalidParametersError(
                 f"exhaustive mode would enumerate {n_supports} supports, cap is {max_supports}"
             )
-        supports = itertools.combinations(range(d), s)
+        indexed_supports = enumerate(itertools.combinations(range(d), s))
         extra = budget
     elif mode == "sampled":
         if budget < 1:
             raise InvalidParametersError("sampled mode needs budget >= 1")
-        supports = None
+        rngs = (np.random.default_rng(np.random.SeedSequence([entropy, i, 7])) for i in range(budget))
+        indexed_supports = enumerate(np.sort(gen.choice(d, size=s, replace=False)) for gen in rngs)
         extra = directions_per_support
     else:
         raise InvalidParametersError(f"unknown mode {mode!r}")
@@ -335,26 +332,14 @@ def estimate_rip(
     best = -1.0
     trials = 0
     degenerate = 0
-
-    def scan(support, index):
-        nonlocal best, trials, degenerate
+    for index, support in indexed_supports:
         cols = np.fromiter(support, dtype=int)
-        rng = np.random.default_rng(np.random.SeedSequence([_seed_entropy(seed), index]))
+        rng = np.random.default_rng(np.random.SeedSequence([entropy, index]))
         dirs = _direction_block(s, rng, extra)
         dev, ndeg = rip_scan(ad[:, cols], Dm[:, cols], dirs, q)
         trials += dirs.shape[1]
         degenerate += ndeg
-        if dev > best:
-            best = dev
-
-    if mode == "exhaustive":
-        for i, support in enumerate(supports):
-            scan(support, i)
-    else:
-        for i in range(budget):
-            rng_sup = np.random.default_rng(np.random.SeedSequence([_seed_entropy(seed), i, 7]))
-            support = np.sort(rng_sup.choice(d, size=s, replace=False))
-            scan(support, i)
+        best = max(best, dev)
 
     if best < 0.0:
         raise DegenerateDictionaryError("every sampled sparse combination of dictionary columns was zero")
@@ -389,9 +374,10 @@ def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed=0) -> floa
         raise EmptyKernelError("measurement matrix has a trivial null space")
 
     best = 0.0
+    entropy = _seed_entropy(seed)
     candidates = list(null_basis)
     for i in range(budget):
-        rng = np.random.default_rng(np.random.SeedSequence([_seed_entropy(seed), i]))
+        rng = np.random.default_rng(np.random.SeedSequence([entropy, i]))
         g = rng.standard_normal(null_basis.shape[0])
         h = null_basis.T @ g
         norm = np.linalg.norm(h)

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import InvalidDimensionsError, InvalidParametersError
 from .frames import Frame, _atoms, _check_q
@@ -23,6 +24,8 @@ __all__ = [
     "solve_split_analysis",
     "check_separation_conditions",
     "separation_measurement_bound",
+    "split_nsp_constant",
+    "split_nsp_condition",
 ]
 
 _TIGHT_TOL = 1e-8
@@ -48,16 +51,16 @@ def _require_unit_tight(frames) -> int:
 class SeparationProblem:
     """A joint-recovery instance over unit tight dictionaries.
 
-    ``overshoot`` is the comparison order a used by the condition checks;
-    it must exceed the total sparsity when given.
+    ``dicts`` share the ambient dimension n of the columns of ``A``;
+    ``y`` observes the sum of one component per dictionary, within
+    ``epsilon`` in the ``norm_index`` norm.  Sparsity budgets belong to the
+    condition check, ``check_separation_conditions``, not to the instance.
     """
 
     dicts: list
     A: np.ndarray
     y: np.ndarray
     q: float
-    sparsities: tuple | None = None
-    overshoot: int | None = None
     epsilon: float = 0.0
     norm_index: float = 2.0
 
@@ -71,12 +74,6 @@ class SeparationProblem:
             raise InvalidDimensionsError(
                 f"A has {self.A.shape[1]} columns but dictionaries live in dimension {n}"
             )
-        if self.sparsities is not None:
-            object.__setattr__(self, "sparsities", tuple(int(s) for s in self.sparsities))
-            if len(self.sparsities) != len(self.dicts):
-                raise InvalidDimensionsError("one sparsity per dictionary required")
-            if self.overshoot is not None and self.overshoot <= sum(self.sparsities):
-                raise InvalidParametersError("overshoot order must exceed the total sparsity")
 
 
 def build_stacked(dicts, A=None):
@@ -84,8 +81,9 @@ def build_stacked(dicts, A=None):
 
     Returns ``(dbar, psi, a_stacked)``: the horizontal concatenation
     [D_1 | ... | D_iota] (n x sum d_k), the block diagonal of the D_k
-    (iota*n x sum d_k), and [A | ... | A] (m x iota*n) so that
-    a_stacked @ stack(f_k) = A @ sum(f_k).  ``a_stacked`` is None when A is.
+    (iota*n x sum d_k, from ``scipy.linalg.block_diag``), and [A | ... | A]
+    (m x iota*n) so that a_stacked @ stack(f_k) = A @ sum(f_k).
+    ``a_stacked`` is None when A is.
     """
     mats = [_atoms(fr) for fr in dicts]
     if not mats:
@@ -94,21 +92,14 @@ def build_stacked(dicts, A=None):
     for m in mats:
         if m.shape[0] != n:
             raise InvalidDimensionsError("dictionaries must share the ambient dimension")
-    iota = len(mats)
-    total_d = sum(m.shape[1] for m in mats)
     dbar = np.concatenate(mats, axis=1)
-    psi = np.zeros((iota * n, total_d))
-    col = 0
-    for k, mat in enumerate(mats):
-        dk = mat.shape[1]
-        psi[k * n : (k + 1) * n, col : col + dk] = mat
-        col += dk
+    psi = block_diag(*mats)
     a_stacked = None
     if A is not None:
         A = np.asarray(A, dtype=float)
         if A.shape[1] != n:
             raise InvalidDimensionsError(f"A has {A.shape[1]} columns, expected {n}")
-        a_stacked = np.tile(A, (1, iota))
+        a_stacked = np.tile(A, (1, len(mats)))
     return dbar, psi, a_stacked
 
 
@@ -208,12 +199,12 @@ def check_separation_conditions(
     delta_a: float,
     delta_sa: float,
     q: float,
-    n_components: int | None = None,
 ) -> SeparationVerdict:
     """Evaluate the separation recovery conditions verbatim.
 
-    ``sparsities`` are the per-component budgets s_1..s_iota; ``a`` is the
-    overshoot order (a > sum s_k); the deltas are q-RIP constants of the
+    ``sparsities`` are the per-component budgets s_1..s_iota, one per
+    dictionary, so the component count iota is ``len(sparsities)``; ``a`` is
+    the comparison order (a > sum s_k); the deltas are q-RIP constants of the
     concatenated dictionary at orders a and s + a.  The two-dictionary
     coherence condition (thm3) is evaluated with the total sparsity.
     """
@@ -222,7 +213,7 @@ def check_separation_conditions(
     if any(s <= 0 for s in sparsities):
         raise InvalidParametersError("sparsities must be positive")
     s = sum(sparsities)
-    iota = n_components if n_components is not None else len(sparsities)
+    iota = len(sparsities)
     if iota < 1:
         raise InvalidParametersError("need at least one component")
     if a <= s:
@@ -261,7 +252,7 @@ def check_separation_conditions(
 def separation_measurement_bound(q: float, s: int, d_total: int) -> float:
     """Gaussian measurement count sufficient for the separation condition.
 
-    Same structure as the single-dictionary bound with the overshoot order
+    Same structure as the single-dictionary bound with the comparison order
     t = ceil((5 * 2^(3q/2))^(2/(2-q))); the dictionary condition number
     does not appear because the blocks are unit tight.
     """

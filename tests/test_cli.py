@@ -242,8 +242,11 @@ def test_cli_rejects_non_finite_csv_in_one_line(instance, capsys):
         ["solve", "--matrix", "{tmp}/A.csv", "--dict", "{tmp}/D.csv", "--obs", "{tmp}/y.csv", "--q", "0.7",
          "--max-iters", "0"],
         ["phase", "--spec", "{tmp}/list_spec.json"],
+        ["separate", "--dicts", "{tmp}/D.csv,{tmp}/D.csv", "--matrix", "{tmp}/A.csv", "--obs", "{tmp}/y.csv",
+         "--q", "0.7", "--sparsities", "3"],
     ],
-    ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters", "spec-not-an-object"],
+    ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters", "spec-not-an-object",
+         "sparsity-count-mismatch"],
 )
 def test_cli_user_errors_exit_2_in_one_line(instance, capsys, argv):
     tmp, _, _, _ = instance

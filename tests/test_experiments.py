@@ -31,8 +31,10 @@ def test_spec_rejects_empty_grid():
 
 
 def test_spec_rejects_unknown_kind():
-    with pytest.raises(InvalidSpecError):
-        ExperimentSpec(kind="nope", grid=[_SMALL])
+    # figure1 and bounds_table have runners, but none that takes a spec
+    for kind in ("nope", "figure1", "bounds_table"):
+        with pytest.raises(InvalidSpecError):
+            ExperimentSpec(kind=kind, grid=[_SMALL])
 
 
 def test_spec_rejects_zero_trials():
@@ -60,6 +62,8 @@ def test_spec_from_json_rejects_garbage():
             ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": grid}))
     with pytest.raises(InvalidSpecError):
         ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": [_SMALL], "trials_per_cell": [1]}))
+    with pytest.raises(InvalidSpecError, match="cell 0 field 'label'"):
+        ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": [{**_SMALL, "label": "a"}]}))
 
 
 def test_trial_seed_is_stable():
