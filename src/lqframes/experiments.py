@@ -295,6 +295,8 @@ def _format_number(value) -> str:
 
 
 def _parse_number(token: str):
+    if token in ("True", "False"):
+        return token == "True"
     try:
         return int(token)
     except ValueError:

@@ -13,8 +13,10 @@ least-squares step of IRLS (``_wls_steps``), taken exactly over f = f0 +
 A^+ v + N z with v = A f - y: at eps = 0 it is one SPD solve in z, and for
 eps > 0 a trust-region step (l2, ``_ball_step``) or an active-set step
 (l-inf, ``_box_step``) in v, so every iterate meets the constraint in the
-given norm.  IRL1 reweights around IRLS at q = 1 on the atoms w_i d_i;
-each inner run starts at the outer iterate, with its smoothing at sigma_j^2.
+given norm; the ball step starts from the previous step's multiplier, the
+box step from its v.  IRL1 reweights around IRLS at q = 1 on the atoms
+w_i d_i; each inner run starts at the outer iterate, with its smoothing at
+sigma_j^2, and keeps no traces.
 
 Solvers hold no shared state, so independent instances may run
 concurrently; BLAS may still use several threads inside one solve.
@@ -144,23 +146,29 @@ def _spd_solve_factor(M: np.ndarray):
         ) from exc
 
 
-def _ball_step(H: np.ndarray, h: np.ndarray, radius: float):
+def _ball_step(H: np.ndarray, h: np.ndarray, radius: float, mu: float = 0.0):
     """min |H v + h|_2 over |v|_2 <= radius, for H of full column rank.
 
     A trust-region step (More and Sorensen, SISSC 1983) from one SVD of H:
     ``(v, mu)`` with (H^T H + mu I) v = -H^T h, where mu = 0 if the
-    unconstrained minimiser lies in the ball and otherwise Newton's method
-    on 1/|v(mu)| = 1/radius raises mu monotonically until |v| = radius.
+    unconstrained minimiser lies in the ball and otherwise |v| = radius.
+    Newton's method on 1/|v(mu)| = 1/radius starts from the given ``mu``,
+    the previous step's multiplier.  1/|v(mu)| is concave, so one step from
+    above the root lands at or below it (clamped at 0), and from there mu
+    rises monotonically until |v| is within 1e-13 of the radius, or mu = 0
+    with |v| <= radius.  When H^T h vanishes, v = 0 and mu = 0.
     """
     U, s, Vt = np.linalg.svd(H, full_matrices=False)
     g, s2 = s * (U.T @ h), s * s
-    mu = 0.0
+    if not g.any():
+        return np.zeros(H.shape[1]), 0.0
     for _ in range(50):
-        x = g / (s2 + mu)  # v = -V x
-        norm = np.linalg.norm(x)
-        if norm <= radius * (1.0 + 1e-13):
+        den = s2 + mu
+        x = g / den  # v = -V x
+        norm = math.sqrt(x @ x)
+        if abs(norm - radius) <= radius * 1e-13 or (mu == 0.0 and norm <= radius):
             break
-        mu += (norm - radius) / radius * norm * norm / np.sum(x * x / (s2 + mu))
+        mu = max(mu + (norm - radius) / radius * norm * norm / ((x / den) @ x), 0.0)
     if norm > radius:
         x *= radius / norm
     return -(Vt.T @ x), mu
@@ -216,8 +224,9 @@ def _wls_steps(problem: LqProblem):
     ok)`` minimises sum_i weights_i <d_i, f>^2 subject to |A f - y|_r <= eps
     (weights > 0).  At eps = 0, v = 0 and (B^T W B) z = -B^T W c0.  For
     eps > 0 a QR of W^(1/2) B eliminates z, leaving min |H v + h| over the
-    ball or the box of radius eps; the box step starts from the previous
-    step's v, and ``ok`` is False when it hit its cap.
+    ball or the box of radius eps.  Each step starts from the previous
+    one: the ball step from its multiplier mu, the box step from its v;
+    ``ok`` is False when the box step hit its cap.
     """
     A, y, Dm, eps = problem.A, problem.y, problem.D.matrix, problem.epsilon
     m = A.shape[0]
@@ -236,10 +245,10 @@ def _wls_steps(problem: LqProblem):
 
     pinv = np.linalg.solve(R[:m], Q[:, :m].T).T
     Pc = np.column_stack([Dm.T @ pinv, c0])
-    v = np.zeros(m)
+    v, mu = np.zeros(m), 0.0
 
     def step(weights):
-        nonlocal v
+        nonlocal v, mu
         root = np.sqrt(weights)[:, None]
         Qb, Rb = np.linalg.qr(root * B)
         X = root * Pc
@@ -248,7 +257,7 @@ def _wls_steps(problem: LqProblem):
         if problem.norm_index == math.inf:
             v, ok = _box_step(X[:, :-1], X[:, -1], eps, v)
         else:
-            v, ok = _ball_step(X[:, :-1], X[:, -1], eps)[0], True
+            (v, mu), ok = _ball_step(X[:, :-1], X[:, -1], eps, mu), True
         z = np.linalg.solve(Rb, -(C[:, :-1] @ v + C[:, -1]))
         f = f0 + pinv @ v + N @ z
         return f, Dm.T @ f, ok
@@ -256,7 +265,7 @@ def _wls_steps(problem: LqProblem):
     return f0, c0, step
 
 
-def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step) -> SolverResult:
+def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step, traces: bool = True) -> SolverResult:
     """The outer reweighting loop shared by every solver path.
 
     ``step(f, coeffs, sigma)`` maps the current iterate f and its D^T f to
@@ -265,6 +274,7 @@ def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step) -> Solv
     ``config.tol`` and sigma has reached ``sigma_min``, or when the first
     step leaves f exactly unchanged (the feasible set is one point);
     ``converged`` also requires the last inner solve to have finished.
+    With ``traces=False`` the objective and residual traces stay empty.
     """
     objective_trace, residual_trace = [], []
     iterates = [f.copy()] if config.keep_iterates else None
@@ -272,8 +282,9 @@ def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step) -> Solv
     for j in range(config.max_outer_iters):
         sigma = config.sigma_at(j)
         f_new, coeffs, inner_ok = step(f, coeffs, sigma)
-        objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
-        residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
+        if traces:
+            objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
+            residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
         if iterates is not None:
             iterates.append(f_new.copy())
         rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
@@ -283,7 +294,7 @@ def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step) -> Solv
             break
     return SolverResult(
         f_hat=f,
-        iterations=len(residual_trace),
+        iterations=j + 1,
         objective_trace=objective_trace,
         residual_trace=residual_trace,
         converged=converged and inner_ok,
@@ -321,6 +332,7 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     minimum is a vertex, where n - m coefficients vanish: the inner result
     moves to [A; D_Z^T] f = [y; 0], Z its n - m smallest weighted
     coefficients, when that does not raise the weighted-l1 objective.
+    Only the outer loop keeps traces; the inner runs keep none.
     ``converged`` is False when the last inner run hit its cap.
     """
     config = config or SolverConfig()
@@ -334,7 +346,9 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
         w = (np.abs(coeffs) + sigma) ** (q - 1.0)
         w /= np.mean(w)
         schedule = replace(inner_config, sigma0=max(sigma**2, config.sigma_min))
-        inner = _reweight(problem, schedule, f, coeffs, lambda _, c, s: wls(w * w / np.sqrt((w * c) ** 2 + s)))
+        inner = _reweight(
+            problem, schedule, f, coeffs, lambda _, c, s: wls(w * w / np.sqrt((w * c) ** 2 + s)), traces=False
+        )
         f_new, coeffs = inner.f_hat, Dm.T @ inner.f_hat
         if problem.epsilon == 0.0 and k > 0:
             Z = np.argsort(w * np.abs(coeffs))[:k]

@@ -210,22 +210,24 @@ def test_separation_sweep_requires_power_of_two():
 def test_cell_serialization_round_trips_losslessly():
     cells = [
         CellResult(
-            params={"n": 20, "d": 24, "m": 14, "q": 0.7, "s": 6},
+            params={"n": 20, "d": 24, "m": 14, "q": 0.7, "s": 6, "tight": True},
             success_rate=0.95,
             median_relative_error=1.2345678901234567e-05,
             median_iterations=37.5,
             wall_time_ms=123.456,
         ),
         CellResult(
-            params={"n": 20, "d": 24, "m": 10, "q": 0.5, "s": 6},
+            params={"n": 20, "d": 24, "m": 10, "q": 0.5, "s": 6, "tight": False},
             success_rate=0.0,
             median_relative_error=math.inf,
             median_iterations=0.0,
             wall_time_ms=1.0,
         ),
     ]
-    assert cells_from_csv(cells_to_csv(cells)) == cells
-    assert cells_from_json(cells_to_json(cells)) == cells
+    for back in (cells_from_csv(cells_to_csv(cells)), cells_from_json(cells_to_json(cells))):
+        assert back == cells
+        # True == 1, so == alone would accept a bool read back as an int
+        assert [type(cell.params["tight"]) for cell in back] == [bool, bool]
 
 
 def test_cells_csv_header():

@@ -347,10 +347,10 @@ def test_irl1_inner_runs_start_at_the_outer_iterate(monkeypatch):
     calls = []
     reweight = solvers._reweight
 
-    def recording(problem, config, f, coeffs, step):
+    def recording(problem, config, f, coeffs, step, **kwargs):
         call = {"config": config, "f": f.copy()}
         calls.append(call)
-        call["result"] = reweight(problem, config, f, coeffs, step)
+        call["result"] = reweight(problem, config, f, coeffs, step, **kwargs)
         return call["result"]
 
     monkeypatch.setattr(solvers, "_reweight", recording)
@@ -422,16 +422,31 @@ def _step_instance(seed, d=30, m=8):
 @pytest.mark.parametrize("radius", [1e-3, 0.1, 1e3])
 def test_ball_step_meets_its_kkt_conditions(seed, radius):
     H, h = _step_instance(seed)
-    v, mu = _ball_step(H, h, radius)
     inside = np.linalg.norm(np.linalg.lstsq(H, -h, rcond=None)[0]) <= radius
-    assert mu >= 0.0
-    assert np.linalg.norm(v) <= radius * (1.0 + 1e-12)
-    lhs = H.T @ (H @ v) + mu * v
-    assert np.linalg.norm(lhs + H.T @ h) <= 1e-10 * np.linalg.norm(H.T @ h)
-    if inside:
-        assert mu == 0.0
-    else:
-        assert np.linalg.norm(v) == pytest.approx(radius, rel=1e-12)
+    root = _ball_step(H, h, radius)[1]
+    # Newton's method starts from the given multiplier: cold, below the
+    # root, above it, and far above it (an interior solution at radius 1e3)
+    for start in (0.0, 0.5 * root, 2.0 * root + 1.0, 1e6):
+        v, mu = _ball_step(H, h, radius, start)
+        assert mu >= 0.0
+        assert np.linalg.norm(v) <= radius * (1.0 + 1e-12)
+        lhs = H.T @ (H @ v) + mu * v
+        assert np.linalg.norm(lhs + H.T @ h) <= 1e-10 * np.linalg.norm(H.T @ h)
+        if inside:
+            assert mu == 0.0
+        else:
+            assert np.linalg.norm(v) == pytest.approx(radius, rel=1e-12)
+
+
+def test_ball_step_with_h_orthogonal_to_the_range_returns_zero():
+    # H^T h = 0: v = 0 is the minimiser, and a warm multiplier must not
+    # turn the Newton step into 0/0
+    rng = np.random.default_rng(7)
+    H = np.vstack([rng.standard_normal((8, 8)), np.zeros((22, 8))])
+    h = np.concatenate([np.zeros(8), rng.standard_normal(22)])
+    v, mu = _ball_step(H, h, 0.1, 5.0)
+    assert np.all(np.isfinite(v)) and not v.any()
+    assert mu == 0.0
 
 
 def _assert_box_optimal(H, h, radius, v):
