@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import hadamard
 
-from .errors import InvalidSpecError
+from .errors import InvalidParametersError, InvalidSpecError
 from .frames import Frame, cosparse_signal, mutual_coherence, random_tight_frame
 from .rip import measurement_bound
 from .separation import SeparationProblem, separation_measurement_bound, solve_split_analysis
-from .solvers import LqProblem, SolverConfig, irls_analysis
+from .solvers import LqProblem, irls_analysis
 
 __all__ = [
     "ExperimentSpec",
@@ -37,8 +37,9 @@ __all__ = [
     "cells_from_json",
 ]
 
-# The spec-driven runners; run_figure1 and run_bounds_table take no spec.
-KINDS = ("phase_transition", "separation_sweep")
+# The spec-driven runners' kinds, each with the fields its cells carry;
+# run_figure1 and run_bounds_table take no spec.
+KINDS = {"phase_transition": ("n", "d", "m", "q", "s"), "separation_sweep": ("n", "s1", "s2", "m", "q")}
 
 _METRICS = ("success_rate", "median_relative_error", "median_iterations", "wall_time_ms")
 
@@ -70,6 +71,8 @@ class ExperimentSpec:
             raise InvalidSpecError("trials_per_cell must be >= 1")
         if self.success_threshold <= 0:
             raise InvalidSpecError("success_threshold must be positive")
+        if self.master_seed < 0:
+            raise InvalidSpecError(f"master_seed must be >= 0, got {self.master_seed}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -134,21 +137,25 @@ def cell_key(params: dict) -> int:
 
 def trial_seed(master_seed: int, cell_index: int, trial_index: int) -> np.random.SeedSequence:
     """Deterministic per-trial seed; cell_index is the cell's content hash."""
+    if master_seed < 0:
+        raise InvalidParametersError(f"master_seed must be >= 0, got {master_seed}")
     return np.random.SeedSequence([int(master_seed), int(cell_index), int(trial_index)])
 
 
-def _run_cell(params, trial_fn, master_seed, trials, threshold) -> CellResult:
-    """Run ``trial_fn(seed_seq)`` for each seeded trial of one cell, serially.
+def _run_cell(params, trial_fn, fields, master_seed, trials, threshold) -> CellResult:
+    """Run ``trial_fn(*fields, seed_seq)`` for each seeded trial of one cell, serially.
 
     A trial returns (relative error, iterations); one that raises counts as
-    a failure with infinite error, so a bad trial never aborts a sweep.
+    a failure with infinite error, so a bad trial never aborts a sweep.  A
+    bad master seed is the caller's error and raises before any trial.
     """
     ck = cell_key(params)
     start = time.perf_counter()
     outcomes = []
     for t in range(trials):
+        seed_seq = trial_seed(master_seed, ck, t)
         try:
-            outcomes.append(trial_fn(trial_seed(master_seed, ck, t)))
+            outcomes.append(trial_fn(*fields, seed_seq))
         except Exception:
             outcomes.append((math.inf, 0))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -164,14 +171,27 @@ def _run_cell(params, trial_fn, master_seed, trials, threshold) -> CellResult:
     )
 
 
-def _recovery_trial(n, d, m, q, s, seed_seq, config) -> tuple:
+def _cell_fields(spec: ExperimentSpec, kind: str) -> list:
+    """Each cell's ``KINDS[kind]`` values; every cell is checked before any trial runs."""
+    if spec.kind != kind:
+        raise InvalidSpecError(f"expected kind {kind}, got {spec.kind!r}")
+    for ci, cell in enumerate(spec.grid):
+        missing = [key for key in KINDS[kind] if key not in cell]
+        if missing:
+            raise InvalidSpecError(f"cell {ci} missing field {missing[0]!r}")
+        if kind == "separation_sweep" and (cell["n"] < 1 or cell["n"] & (cell["n"] - 1)):
+            raise InvalidSpecError(f"cell {ci}: n={cell['n']} is not a power of two")
+    return [tuple(cell[key] for key in KINDS[kind]) for cell in spec.grid]
+
+
+def _recovery_trial(n, d, m, q, s, seed_seq) -> tuple:
     """One generate/measure/solve round; returns (relative error, iterations)."""
     ss_a, ss_d, ss_f = seed_seq.spawn(3)
     A = np.random.default_rng(ss_a).standard_normal((m, n))
     frame = random_tight_frame(n, d, ss_d)
     f, _ = cosparse_signal(frame, s, ss_f)
     problem = LqProblem(A=A, y=A @ f, D=frame, q=q)
-    result = irls_analysis(problem, config)
+    result = irls_analysis(problem)
     rel = float(np.linalg.norm(result.f_hat - f) / np.linalg.norm(f))
     return rel, result.iterations
 
@@ -185,39 +205,22 @@ def run_figure1(
     m: int = 50,
     q: float = 0.7,
     s: int = 25,
-    config: SolverConfig | None = None,
 ) -> CellResult:
     """The reference reconstruction experiment: IRLS on a random tight frame.
 
     Defaults reproduce the canonical configuration (n=100, d=110, m=50,
     q=0.7, s=25) over ``trials`` seeded instances.
     """
-    config = config or SolverConfig()
     params = {"n": n, "d": d, "m": m, "q": q, "s": s}
-    return _run_cell(
-        params, lambda ss: _recovery_trial(n, d, m, q, s, ss, config), master_seed, trials, threshold
-    )
+    return _run_cell(params, _recovery_trial, (n, d, m, q, s), master_seed, trials, threshold)
 
 
-def run_phase_transition(spec: ExperimentSpec, config: SolverConfig | None = None) -> list:
+def run_phase_transition(spec: ExperimentSpec) -> list:
     """Success-rate sweep over (n, d, m, q, s) cells, sorted by (q, s, m)."""
-    if spec.kind != "phase_transition":
-        raise InvalidSpecError(f"expected kind phase_transition, got {spec.kind!r}")
-    config = config or SolverConfig()
-    results = []
-    for ci, cell in enumerate(spec.grid):
-        try:
-            n, d, m, q, s = (cell[k] for k in ("n", "d", "m", "q", "s"))
-        except KeyError as exc:
-            raise InvalidSpecError(f"cell {ci} missing field {exc}") from exc
-        result = _run_cell(
-            cell,
-            lambda ss: _recovery_trial(n, d, m, q, s, ss, config),
-            spec.master_seed,
-            spec.trials_per_cell,
-            spec.success_threshold,
-        )
-        results.append(result)
+    results = [
+        _run_cell(cell, _recovery_trial, fields, spec.master_seed, spec.trials_per_cell, spec.success_threshold)
+        for cell, fields in zip(spec.grid, _cell_fields(spec, "phase_transition"))
+    ]
     results.sort(key=lambda r: (r.params["q"], r.params["s"], r.params["m"]))
     return results
 
@@ -236,7 +239,7 @@ def run_bounds_table(q_list, s: int, d: int, kappa: float = 1.0) -> list:
     return rows
 
 
-def _separation_trial(n, s1, s2, m, q, seed_seq, config) -> tuple:
+def _separation_trial(n, s1, s2, m, q, seed_seq) -> tuple:
     ss_a, ss_f1, ss_f2 = seed_seq.spawn(3)
     spikes = Frame(matrix=np.eye(n), lower_bound=1.0, upper_bound=1.0)
     waves = Frame(matrix=hadamard(n) / math.sqrt(n), lower_bound=1.0, upper_bound=1.0)
@@ -244,7 +247,7 @@ def _separation_trial(n, s1, s2, m, q, seed_seq, config) -> tuple:
     f1, _ = cosparse_signal(spikes, s1, ss_f1)
     f2, _ = cosparse_signal(waves, s2, ss_f2)
     problem = SeparationProblem(dicts=[spikes, waves], A=A, y=A @ (f1 + f2), q=q)
-    (g1, g2), result = solve_split_analysis(problem, config)
+    (g1, g2), result = solve_split_analysis(problem)
     rel = max(
         float(np.linalg.norm(g1 - f1) / np.linalg.norm(f1)),
         float(np.linalg.norm(g2 - f2) / np.linalg.norm(f2)),
@@ -252,31 +255,19 @@ def _separation_trial(n, s1, s2, m, q, seed_seq, config) -> tuple:
     return rel, result.iterations
 
 
-def run_separation_sweep(spec: ExperimentSpec, config: SolverConfig | None = None) -> list:
+def run_separation_sweep(spec: ExperimentSpec) -> list:
     """Joint-recovery sweep with spike + normalized Hadamard dictionaries.
 
     Cells carry (n, s1, s2, m, q); n must be a power of two.  Success means
     both components recovered within the threshold; the cell coherence
     (1/sqrt(n)) is reported alongside the parameters.
     """
-    if spec.kind != "separation_sweep":
-        raise InvalidSpecError(f"expected kind separation_sweep, got {spec.kind!r}")
-    config = config or SolverConfig()
     results = []
-    for ci, cell in enumerate(spec.grid):
-        try:
-            n, s1, s2, m, q = (cell[k] for k in ("n", "s1", "s2", "m", "q"))
-        except KeyError as exc:
-            raise InvalidSpecError(f"cell {ci} missing field {exc}") from exc
-        if n < 1 or n & (n - 1):
-            raise InvalidSpecError(f"cell {ci}: n={n} is not a power of two")
+    for cell, fields in zip(spec.grid, _cell_fields(spec, "separation_sweep")):
+        n = fields[0]
         mu1 = mutual_coherence([np.eye(n), hadamard(n) / math.sqrt(n)])
         result = _run_cell(
-            cell,
-            lambda ss: _separation_trial(n, s1, s2, m, q, ss, config),
-            spec.master_seed,
-            spec.trials_per_cell,
-            spec.success_threshold,
+            cell, _separation_trial, fields, spec.master_seed, spec.trials_per_cell, spec.success_threshold
         )
         results.append(replace(result, params={**cell, "mu1": mu1}))
     return results

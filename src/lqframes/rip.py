@@ -287,17 +287,16 @@ def estimate_rip(
     budget: int = 32,
     seed=0,
     max_supports: int = DEFAULT_SUPPORT_CAP,
-    directions_per_support: int = 8,
 ) -> RipReport:
     """Estimate the q-RIP constant of A relative to dictionary D at order s.
 
     In exhaustive mode every size-s support is enumerated and probed with
     the coordinate axes, the flat direction, and ``budget`` random sphere
     directions.  In sampled mode ``budget`` random supports are drawn, each
-    probed with the deterministic directions plus ``directions_per_support``
-    random ones.  Per-support randomness is derived from (seed, index), so
-    results do not depend on evaluation order and grow monotonically with
-    the budget for a fixed seed.
+    probed with the deterministic directions plus 8 random ones.
+    Per-support randomness is derived from (seed, index), so results do not
+    depend on evaluation order and grow monotonically with the budget for a
+    fixed seed.
     """
     _check_q(q)
     A = np.asarray(A, dtype=float)
@@ -325,7 +324,7 @@ def estimate_rip(
             raise InvalidParametersError("sampled mode needs budget >= 1")
         rngs = (np.random.default_rng(np.random.SeedSequence([entropy, i, 7])) for i in range(budget))
         indexed_supports = enumerate(np.sort(gen.choice(d, size=s, replace=False)) for gen in rngs)
-        extra = directions_per_support
+        extra = 8  # random directions per sampled support
     else:
         raise InvalidParametersError(f"unknown mode {mode!r}")
 

@@ -5,8 +5,9 @@ Both solvers attack
     min |D^T f|_q^q   subject to   |A f - y|_r <= eps
 
 by solving a sequence of convex surrogates, with weights refreshed from
-the current iterate and a smoothing level that decays geometrically to a
-floor.  One driver, ``_reweight``, owns that outer loop, the traces and the
+the current iterate and a smoothing level sigma_j = max(0.7^j, 1e-10)
+that decays geometrically to a floor (Chartrand and Yin, ICASSP 2008).
+One driver, ``_reweight``, owns that outer loop, the traces and the
 stopping rule; a path supplies only its step ``step(f, D^T f, sigma) ->
 (f_new, D^T f_new, inner_ok)``.  There is one inner solver, the weighted
 least-squares step of IRLS (``_wls_steps``), taken exactly over f = f0 +
@@ -15,15 +16,15 @@ eps > 0 a trust-region step (l2, ``_ball_step``) or an active-set step
 (l-inf, ``_box_step``) in v, so every iterate meets the constraint in the
 given norm; the ball step starts from the previous step's multiplier, the
 box step from its v.  IRL1 reweights around IRLS at q = 1 on the atoms
-w_i d_i; each inner run starts at the outer iterate, with its smoothing at
-sigma_j^2, and keeps no traces.
+w_i d_i; each inner run starts at the outer iterate, with its smoothing
+schedule started at max(sigma_j^2, 1e-10), and keeps no traces.
 
 Solvers hold no shared state, so independent instances may run
 concurrently; BLAS may still use several threads inside one solve.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -84,33 +85,32 @@ class LqProblem:
             )
 
 
+_SIGMA_MIN = 1e-10  # the smoothing floor
+
+
+def _sigma_at(j: int, sigma0: float = 1.0) -> float:
+    """Smoothing level at outer step j of a schedule started at ``sigma0``."""
+    return max(sigma0 * 0.7**j, _SIGMA_MIN)
+
+
 @dataclass
 class SolverConfig:
     """Knobs shared by IRLS and IRL1.
 
-    The smoothing level at outer step j is max(sigma0 * sigma_decay^j,
-    sigma_min), a nonincreasing positive sequence.  ``max_outer_iters``
-    caps the outer loop; the inner IRLS runs of IRL1 keep the default cap
-    and start at the outer iterate with smoothing max(sigma_j^2, sigma_min).
+    ``max_outer_iters`` caps the outer loop, which stops once the relative
+    change of f is below ``tol`` and the smoothing sigma_j = max(0.7^j,
+    1e-10) has reached its floor.  The inner IRLS runs of IRL1 keep the
+    default cap and the caller's ``tol``, and start at the outer iterate
+    with their schedule started at max(sigma_j^2, 1e-10).
     """
 
     max_outer_iters: int = 300
     tol: float = 1e-10
-    sigma0: float = 1.0
-    sigma_decay: float = 0.7
-    sigma_min: float = 1e-10
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_decay < 1.0:
-            raise InvalidParametersError("sigma_decay must lie in (0, 1)")
-        if self.sigma0 <= 0.0 or self.sigma_min <= 0.0:
-            raise InvalidParametersError("smoothing levels must be positive")
         if self.max_outer_iters < 1:
             raise InvalidParametersError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
-
-    def sigma_at(self, j: int) -> float:
-        return max(self.sigma0 * self.sigma_decay**j, self.sigma_min)
 
 
 @dataclass
@@ -265,22 +265,25 @@ def _wls_steps(problem: LqProblem):
     return f0, c0, step
 
 
-def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step, traces: bool = True) -> SolverResult:
+def _reweight(
+    problem: LqProblem, config: SolverConfig, f, coeffs, step, sigma0: float = 1.0, traces: bool = True
+) -> SolverResult:
     """The outer reweighting loop shared by every solver path.
 
     ``step(f, coeffs, sigma)`` maps the current iterate f and its D^T f to
-    ``(f_new, D^T f_new, inner_ok)``; ``inner_ok`` is False when an inner
-    solver hit its cap.  Stops once the relative change of f is below
-    ``config.tol`` and sigma has reached ``sigma_min``, or when the first
-    step leaves f exactly unchanged (the feasible set is one point);
-    ``converged`` also requires the last inner solve to have finished.
-    With ``traces=False`` the objective and residual traces stay empty.
+    ``(f_new, D^T f_new, inner_ok)``, with sigma = ``_sigma_at(j, sigma0)``;
+    ``inner_ok`` is False when an inner solver hit its cap.  Stops once the
+    relative change of f is below ``config.tol`` and sigma has reached its
+    floor, or when the first step leaves f exactly unchanged (the feasible
+    set is one point); ``converged`` also requires the last inner solve to
+    have finished.  With ``traces=False`` the objective and residual traces
+    stay empty.
     """
     objective_trace, residual_trace = [], []
     iterates = [f.copy()] if config.keep_iterates else None
     converged = False
     for j in range(config.max_outer_iters):
-        sigma = config.sigma_at(j)
+        sigma = _sigma_at(j, sigma0)
         f_new, coeffs, inner_ok = step(f, coeffs, sigma)
         if traces:
             objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
@@ -289,7 +292,7 @@ def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step, traces:
             iterates.append(f_new.copy())
         rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
         f = f_new
-        if rel_change < config.tol and (sigma <= config.sigma_min or (j == 0 and rel_change == 0.0)):
+        if rel_change < config.tol and (sigma <= _SIGMA_MIN or (j == 0 and rel_change == 0.0)):
             converged = True
             break
     return SolverResult(
@@ -324,9 +327,9 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
 
     Each outer step approximates min_f sum_i w_i |<d_i, f>| subject to
     |A f - y|_r <= eps, w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1) scaled to
-    mean 1, by IRLS at q = 1 on the atoms w_i d_i with the caller's tol,
-    decay and floor and the default cap.  Each inner run starts at the outer
-    iterate f_prev, and its smoothing at max(sigma_j^2, sigma_min): the inner
+    mean 1, by IRLS at q = 1 on the atoms w_i d_i with the caller's tol and
+    the default cap.  Each inner run starts at the outer iterate f_prev, and
+    its smoothing schedule at max(sigma_j^2, 1e-10): the inner
     sqrt((w_i <d_i, f>)^2 + s) is in squared coefficient units, the outer
     |<d_i, f>| + sigma_j in plain ones.  At eps = 0 the weighted-l1
     minimum is a vertex, where n - m coefficients vanish: the inner result
@@ -339,16 +342,17 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
     _require_full_row_rank(A)
     f0, c0, wls = _wls_steps(problem)
-    inner_config = replace(config, max_outer_iters=SolverConfig.max_outer_iters, keep_iterates=False)
+    inner_config = SolverConfig(tol=config.tol)
     k = A.shape[1] - A.shape[0]
 
     def step(f, coeffs, sigma):
         w = (np.abs(coeffs) + sigma) ** (q - 1.0)
         w /= np.mean(w)
-        schedule = replace(inner_config, sigma0=max(sigma**2, config.sigma_min))
-        inner = _reweight(
-            problem, schedule, f, coeffs, lambda _, c, s: wls(w * w / np.sqrt((w * c) ** 2 + s)), traces=False
-        )
+
+        def inner_step(_, c, s):
+            return wls(w * w / np.sqrt((w * c) ** 2 + s))
+
+        inner = _reweight(problem, inner_config, f, coeffs, inner_step, max(sigma**2, _SIGMA_MIN), traces=False)
         f_new, coeffs = inner.f_hat, Dm.T @ inner.f_hat
         if problem.epsilon == 0.0 and k > 0:
             Z = np.argsort(w * np.abs(coeffs))[:k]

@@ -40,12 +40,11 @@ def _surrogate(c, sigma, q):
 def test_figure1_reproduction():
     params = {"n": 100, "d": 110, "m": 50, "q": 0.7, "s": 25}
     ck = cell_key(params)
-    config = lq.SolverConfig()
     successes = 0
     slowest = 0.0
     for t in range(20):
         start = time.perf_counter()
-        rel, _ = _recovery_trial(100, 110, 50, 0.7, 25, lq.trial_seed(0, ck, t), config)
+        rel, _ = _recovery_trial(100, 110, 50, 0.7, 25, lq.trial_seed(0, ck, t))
         slowest = max(slowest, time.perf_counter() - start)
         successes += rel <= 1e-4
     cell = lq.run_figure1(master_seed=0, trials=20, threshold=1e-4)
@@ -224,7 +223,7 @@ def test_invariant_suites_over_seeds():
         config = lq.SolverConfig(keep_iterates=True)
         res = lq.irls_analysis(lq.LqProblem(A=A, y=y, D=D, q=0.7), config)
         for j in range(res.iterations):
-            sj = config.sigma_at(j)
+            sj = lq.solvers._sigma_at(j)
             before = _surrogate(D.matrix.T @ res.iterates[j], sj, 0.7)
             after = _surrogate(D.matrix.T @ res.iterates[j + 1], sj, 0.7)
             worst_descent = max(worst_descent, after - before)

@@ -244,9 +244,10 @@ def test_cli_rejects_non_finite_csv_in_one_line(instance, capsys):
         ["phase", "--spec", "{tmp}/list_spec.json"],
         ["separate", "--dicts", "{tmp}/D.csv,{tmp}/D.csv", "--matrix", "{tmp}/A.csv", "--obs", "{tmp}/y.csv",
          "--q", "0.7", "--sparsities", "3"],
+        ["figure1", "--seed", "-1"],
     ],
     ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters", "spec-not-an-object",
-         "sparsity-count-mismatch"],
+         "sparsity-count-mismatch", "figure1-negative-seed"],
 )
 def test_cli_user_errors_exit_2_in_one_line(instance, capsys, argv):
     tmp, _, _, _ = instance

@@ -64,6 +64,8 @@ def test_spec_from_json_rejects_garbage():
         ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": [_SMALL], "trials_per_cell": [1]}))
     with pytest.raises(InvalidSpecError, match="cell 0 field 'label'"):
         ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": [{**_SMALL, "label": "a"}]}))
+    with pytest.raises(InvalidSpecError, match="master_seed"):
+        ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": [_SMALL], "master_seed": -1}))
 
 
 def test_trial_seed_is_stable():
@@ -152,6 +154,29 @@ def test_phase_transition_missing_cell_key():
     spec = ExperimentSpec(kind="phase_transition", grid=[{"n": 8}], trials_per_cell=1)
     with pytest.raises(InvalidSpecError):
         run_phase_transition(spec)
+
+
+@pytest.mark.parametrize(
+    "kind, trial, grid",
+    [
+        ("phase_transition", "_recovery_trial", [_SMALL, {"n": 20, "m": 14, "q": 0.7, "s": 6}]),
+        (
+            "separation_sweep",
+            "_separation_trial",
+            [{"n": 16, "s1": 1, "s2": 1, "m": 12, "q": 0.7}, {"n": 12, "s1": 1, "s2": 1, "m": 8, "q": 0.7}],
+        ),
+    ],
+)
+def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch, kind, trial, grid):
+    import lqframes.experiments as ex
+
+    calls = []
+    monkeypatch.setattr(ex, trial, lambda *args: calls.append(args) or (0.0, 1))
+    spec = ExperimentSpec(kind=kind, grid=grid, trials_per_cell=5)
+    runner = ex.run_phase_transition if kind == "phase_transition" else ex.run_separation_sweep
+    with pytest.raises(InvalidSpecError, match="cell 1"):
+        runner(spec)
+    assert calls == []
 
 
 def test_phase_transition_smaller_q_needs_no_more_measurements():

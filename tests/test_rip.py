@@ -95,6 +95,8 @@ def test_estimate_rip_sampled_below_exhaustive():
     exhaustive = estimate_rip(I, I, 1.0, 2, mode="exhaustive", budget=8, seed=1)
     assert sampled.delta <= exhaustive.delta + 1e-12
     assert sampled.method == "sampled"
+    # 5 supports, each probed with 2 axes, the flat direction and 8 random ones
+    assert sampled.trials == 5 * (2 + 1 + 8)
 
 
 def test_estimate_rip_sampled_monotone_in_budget():

@@ -151,7 +151,7 @@ def test_irls_step_is_the_weighted_least_squares_kkt_solution():
     Dm = D.matrix
     for j in range(res.iterations):
         coeffs = Dm.T @ res.iterates[j]
-        weights = (coeffs * coeffs + config.sigma_at(j)) ** (q / 2.0 - 1.0)
+        weights = (coeffs * coeffs + solvers._sigma_at(j)) ** (q / 2.0 - 1.0)
         kkt = np.block([[2.0 * (Dm * weights) @ Dm.T, A.T], [A, np.zeros((m, m))]])
         expected = np.linalg.solve(kkt, np.concatenate([np.zeros(n), y]))[:n]
         np.testing.assert_allclose(res.iterates[j + 1], expected, rtol=1e-9)
@@ -215,7 +215,7 @@ def test_irls_surrogate_descent_and_feasibility():
         config = SolverConfig(keep_iterates=True)
         res = irls_analysis(LqProblem(A=A, y=y, D=D, q=0.7), config)
         for j in range(res.iterations):
-            sj = config.sigma_at(j)
+            sj = solvers._sigma_at(j)
             before = _surrogate(D.matrix.T @ res.iterates[j], sj, 0.7)
             after = _surrogate(D.matrix.T @ res.iterates[j + 1], sj, 0.7)
             assert after <= before + 1e-10
@@ -347,10 +347,10 @@ def test_irl1_inner_runs_start_at_the_outer_iterate(monkeypatch):
     calls = []
     reweight = solvers._reweight
 
-    def recording(problem, config, f, coeffs, step, **kwargs):
-        call = {"config": config, "f": f.copy()}
+    def recording(problem, config, f, coeffs, step, sigma0=1.0, **kwargs):
+        call = {"sigma0": sigma0, "f": f.copy()}
         calls.append(call)
-        call["result"] = reweight(problem, config, f, coeffs, step, **kwargs)
+        call["result"] = reweight(problem, config, f, coeffs, step, sigma0, **kwargs)
         return call["result"]
 
     monkeypatch.setattr(solvers, "_reweight", recording)
@@ -362,7 +362,7 @@ def test_irl1_inner_runs_start_at_the_outer_iterate(monkeypatch):
     assert len(inner) == res.iterations
     for j, call in enumerate(inner):
         assert np.array_equal(call["f"], res.iterates[j])
-        assert call["config"].sigma0 == max(config.sigma_at(j) ** 2, config.sigma_min)
+        assert call["sigma0"] == max(solvers._sigma_at(j) ** 2, solvers._SIGMA_MIN)
     # cold inner runs, from f0 at sigma0 = 1, took 9674 steps here
     assert sum(call["result"].iterations for call in inner) <= 6000
 
