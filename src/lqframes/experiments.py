@@ -179,6 +179,9 @@ def _cell_fields(spec: ExperimentSpec, kind: str) -> list:
         missing = [key for key in KINDS[kind] if key not in cell]
         if missing:
             raise InvalidSpecError(f"cell {ci} missing field {missing[0]!r}")
+        for key in KINDS[kind]:
+            if key != "q" and (isinstance(cell[key], bool) or not isinstance(cell[key], int)):
+                raise InvalidSpecError(f"cell {ci} field {key!r} is not an integer: {cell[key]!r}")
         if kind == "separation_sweep" and (cell["n"] < 1 or cell["n"] & (cell["n"] - 1)):
             raise InvalidSpecError(f"cell {ci}: n={cell['n']} is not a power of two")
     return [tuple(cell[key] for key in KINDS[kind]) for cell in spec.grid]

@@ -8,16 +8,17 @@ by solving a sequence of convex surrogates, with weights refreshed from
 the current iterate and a smoothing level sigma_j = max(0.7^j, 1e-10)
 that decays geometrically to a floor (Chartrand and Yin, ICASSP 2008).
 One driver, ``_reweight``, owns that outer loop, the traces and the
-stopping rule; a path supplies only its step ``step(f, D^T f, sigma) ->
-(f_new, D^T f_new, inner_ok)``.  There is one inner solver, the weighted
+stopping rule; a path supplies only its step ``step(D^T f, sigma) ->
+(f_new, D^T f_new, ok)``.  There is one inner solver, the weighted
 least-squares step of IRLS (``_wls_steps``), taken exactly over f = f0 +
 A^+ v + N z with v = A f - y: at eps = 0 it is one SPD solve in z, and for
 eps > 0 a trust-region step (l2, ``_ball_step``) or an active-set step
 (l-inf, ``_box_step``) in v, so every iterate meets the constraint in the
 given norm; the ball step starts from the previous step's multiplier, the
-box step from its v.  IRL1 reweights around IRLS at q = 1 on the atoms
-w_i d_i; each inner run starts at the outer iterate, with its smoothing
-schedule started at max(sigma_j^2, 1e-10), and keeps no traces.
+box step from its v.  IRL1 takes one such step per reweighting, on the
+atoms w_i d_i at q = 1: it lowers a majoriser of the weighted-l1
+objective, which is all that majorise-minimise needs (Hunter and Lange,
+Am. Stat. 2004).
 
 Solvers hold no shared state, so independent instances may run
 concurrently; BLAS may still use several threads inside one solve.
@@ -88,9 +89,9 @@ class LqProblem:
 _SIGMA_MIN = 1e-10  # the smoothing floor
 
 
-def _sigma_at(j: int, sigma0: float = 1.0) -> float:
-    """Smoothing level at outer step j of a schedule started at ``sigma0``."""
-    return max(sigma0 * 0.7**j, _SIGMA_MIN)
+def _sigma_at(j: int) -> float:
+    """Smoothing level at outer step j."""
+    return max(0.7**j, _SIGMA_MIN)
 
 
 @dataclass
@@ -99,9 +100,9 @@ class SolverConfig:
 
     ``max_outer_iters`` caps the outer loop, which stops once the relative
     change of f is below ``tol`` and the smoothing sigma_j = max(0.7^j,
-    1e-10) has reached its floor.  The inner IRLS runs of IRL1 keep the
-    default cap and the caller's ``tol``, and start at the outer iterate
-    with their schedule started at max(sigma_j^2, 1e-10).
+    1e-10) has reached its floor.  IRLS and IRL1 both take one weighted
+    least-squares step per outer step, so there is no inner cap;
+    ``converged`` is False at the cap, or when the last box step hit its cap.
     """
 
     max_outer_iters: int = 300
@@ -111,6 +112,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise InvalidParametersError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise InvalidParametersError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass
@@ -265,29 +268,25 @@ def _wls_steps(problem: LqProblem):
     return f0, c0, step
 
 
-def _reweight(
-    problem: LqProblem, config: SolverConfig, f, coeffs, step, sigma0: float = 1.0, traces: bool = True
-) -> SolverResult:
+def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step) -> SolverResult:
     """The outer reweighting loop shared by every solver path.
 
-    ``step(f, coeffs, sigma)`` maps the current iterate f and its D^T f to
-    ``(f_new, D^T f_new, inner_ok)``, with sigma = ``_sigma_at(j, sigma0)``;
-    ``inner_ok`` is False when an inner solver hit its cap.  Stops once the
-    relative change of f is below ``config.tol`` and sigma has reached its
-    floor, or when the first step leaves f exactly unchanged (the feasible
-    set is one point); ``converged`` also requires the last inner solve to
-    have finished.  With ``traces=False`` the objective and residual traces
-    stay empty.
+    ``step(coeffs, sigma)`` maps D^T f of the current iterate to
+    ``(f_new, D^T f_new, ok)``, with sigma = ``_sigma_at(j)``; ``ok`` is
+    False when the box step hit its cap.  Stops once the relative change of
+    f is below ``config.tol`` and sigma has reached its floor, or when the
+    first step leaves f exactly unchanged (the feasible set is one point);
+    ``converged`` means that rule stopped the loop, and is False when the
+    last box step hit its cap.
     """
     objective_trace, residual_trace = [], []
     iterates = [f.copy()] if config.keep_iterates else None
     converged = False
     for j in range(config.max_outer_iters):
-        sigma = _sigma_at(j, sigma0)
-        f_new, coeffs, inner_ok = step(f, coeffs, sigma)
-        if traces:
-            objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
-            residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
+        sigma = _sigma_at(j)
+        f_new, coeffs, ok = step(coeffs, sigma)
+        objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
+        residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
         if iterates is not None:
             iterates.append(f_new.copy())
         rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
@@ -300,7 +299,7 @@ def _reweight(
         iterations=j + 1,
         objective_trace=objective_trace,
         residual_trace=residual_trace,
-        converged=converged and inner_ok,
+        converged=converged and ok,
         iterates=iterates,
     )
 
@@ -319,50 +318,41 @@ def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     _require_full_row_rank(problem.A)
     f0, c0, wls = _wls_steps(problem)
     exponent = problem.q / 2.0 - 1.0
-    return _reweight(problem, config, f0, c0, lambda _, c, sigma: wls((c * c + sigma) ** exponent))
+    return _reweight(problem, config, f0, c0, lambda c, sigma: wls((c * c + sigma) ** exponent))
 
 
 def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
     """Iteratively reweighted l1 for the l_q-analysis problem.
 
-    Each outer step approximates min_f sum_i w_i |<d_i, f>| subject to
-    |A f - y|_r <= eps, w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1) scaled to
-    mean 1, by IRLS at q = 1 on the atoms w_i d_i with the caller's tol and
-    the default cap.  Each inner run starts at the outer iterate f_prev, and
-    its smoothing schedule at max(sigma_j^2, 1e-10): the inner
-    sqrt((w_i <d_i, f>)^2 + s) is in squared coefficient units, the outer
-    |<d_i, f>| + sigma_j in plain ones.  At eps = 0 the weighted-l1
-    minimum is a vertex, where n - m coefficients vanish: the inner result
-    moves to [A; D_Z^T] f = [y; 0], Z its n - m smallest weighted
-    coefficients, when that does not raise the weighted-l1 objective.
-    Only the outer loop keeps traces; the inner runs keep none.
-    ``converged`` is False when the last inner run hit its cap.
+    Each outer step lowers sum_i w_i |<d_i, f>| subject to |A f - y|_r <=
+    eps, w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1) scaled to mean 1, by one
+    weighted least-squares step of IRLS at q = 1 on the atoms w_i d_i, with
+    weights w_i^2 / sqrt((w_i <d_i, f_prev>)^2 + s) and s = max(sigma_j^2,
+    1e-10): s is in squared coefficient units, sigma_j in plain ones.  At
+    eps = 0 the weighted-l1 minimum is a vertex, where n - m coefficients
+    vanish: the step moves to [A; D_Z^T] f = [y; 0], Z its n - m smallest
+    weighted coefficients, when that does not raise the weighted-l1
+    objective.  ``converged`` is False when the last box step hit its cap.
     """
     config = config or SolverConfig()
     A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
     _require_full_row_rank(A)
     f0, c0, wls = _wls_steps(problem)
-    inner_config = SolverConfig(tol=config.tol)
     k = A.shape[1] - A.shape[0]
 
-    def step(f, coeffs, sigma):
+    def step(coeffs, sigma):
         w = (np.abs(coeffs) + sigma) ** (q - 1.0)
         w /= np.mean(w)
-
-        def inner_step(_, c, s):
-            return wls(w * w / np.sqrt((w * c) ** 2 + s))
-
-        inner = _reweight(problem, inner_config, f, coeffs, inner_step, max(sigma**2, _SIGMA_MIN), traces=False)
-        f_new, coeffs = inner.f_hat, Dm.T @ inner.f_hat
+        f_new, coeffs, ok = wls(w * w / np.sqrt((w * coeffs) ** 2 + max(sigma**2, _SIGMA_MIN)))
         if problem.epsilon == 0.0 and k > 0:
             Z = np.argsort(w * np.abs(coeffs))[:k]
             try:
                 vertex = np.linalg.solve(np.vstack([A, Dm[:, Z].T]), np.concatenate([y, np.zeros(k)]))
             except np.linalg.LinAlgError:  # these k atoms do not fix a vertex
-                return f_new, coeffs, inner.converged
+                return f_new, coeffs, ok
             c_vertex = Dm.T @ vertex
             if w @ np.abs(c_vertex) <= w @ np.abs(coeffs):
                 f_new, coeffs = vertex, c_vertex
-        return f_new, coeffs, inner.converged
+        return f_new, coeffs, ok
 
     return _reweight(problem, config, f0, c0, step)

@@ -245,9 +245,11 @@ def test_cli_rejects_non_finite_csv_in_one_line(instance, capsys):
         ["separate", "--dicts", "{tmp}/D.csv,{tmp}/D.csv", "--matrix", "{tmp}/A.csv", "--obs", "{tmp}/y.csv",
          "--q", "0.7", "--sparsities", "3"],
         ["figure1", "--seed", "-1"],
+        ["solve", "--matrix", "{tmp}/A.csv", "--dict", "{tmp}/D.csv", "--obs", "{tmp}/y.csv", "--q", "0.7",
+         "--tol", "-1"],
     ],
     ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters", "spec-not-an-object",
-         "sparsity-count-mismatch", "figure1-negative-seed"],
+         "sparsity-count-mismatch", "figure1-negative-seed", "negative-tol"],
 )
 def test_cli_user_errors_exit_2_in_one_line(instance, capsys, argv):
     tmp, _, _, _ = instance
@@ -257,4 +259,23 @@ def test_cli_user_errors_exit_2_in_one_line(instance, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, cell",
+    [
+        ("separate-sweep", {"n": 16.0, "s1": 1, "s2": 1, "m": 12, "q": 0.7}),
+        ("phase", {"n": 20.5, "d": 24, "m": 14, "q": 0.7, "s": 6}),
+    ],
+    ids=["float-n-separation", "fractional-n-phase"],
+)
+def test_cli_refuses_a_non_integer_count(tmp_path, capsys, command, cell):
+    kind = "separation_sweep" if command == "separate-sweep" else "phase_transition"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": kind, "grid": [cell], "trials_per_cell": 2}))
+    rc = main([command, "--spec", str(spec_path), "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not an integer" in err
     assert "Traceback" not in err

@@ -93,7 +93,10 @@ def test_problem_rejects_non_finite_input(field, bad):
         LqProblem(D=D, q=0.5, **args)
 
 
-@pytest.mark.parametrize("field, value", [("max_outer_iters", 0)])
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_outer_iters", 0), ("tol", 0.0), ("tol", -1.0), ("tol", math.nan), ("tol", math.inf)],
+)
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(InvalidParametersError, match=field):
         SolverConfig(**{field: value})
@@ -341,30 +344,38 @@ def test_irl1_noisy_path_converges():
     assert res.converged
 
 
-def test_irl1_inner_runs_start_at_the_outer_iterate(monkeypatch):
-    # each inner IRLS run starts at the outer iterate, with its smoothing at
-    # sigma_j^2: sqrt((w c)^2 + s) is in squared coefficient units
-    calls = []
-    reweight = solvers._reweight
+def test_irl1_takes_one_wls_step_per_reweighting(monkeypatch):
+    # outer step j is one weighted least-squares step on the atoms w_i d_i,
+    # its smoothing s = max(sigma_j^2, 1e-10) in squared coefficient units
+    seen = []
+    wls_steps = solvers._wls_steps
 
-    def recording(problem, config, f, coeffs, step, sigma0=1.0, **kwargs):
-        call = {"sigma0": sigma0, "f": f.copy()}
-        calls.append(call)
-        call["result"] = reweight(problem, config, f, coeffs, step, sigma0, **kwargs)
-        return call["result"]
+    def recording(problem):
+        f0, c0, step = wls_steps(problem)
 
-    monkeypatch.setattr(solvers, "_reweight", recording)
+        def recorded(weights):
+            seen.append(weights.copy())
+            return step(weights)
+
+        return f0, c0, recorded
+
+    monkeypatch.setattr(solvers, "_wls_steps", recording)
     A, y, D = _irl1_noisy_instance()
-    config = SolverConfig(keep_iterates=True)
-    res = irl1_analysis(LqProblem(A=A, y=y, D=D, q=0.7, epsilon=0.01), config)
-    outer, inner = calls[0], calls[1:]
-    assert outer["result"] is res
-    assert len(inner) == res.iterations
-    for j, call in enumerate(inner):
-        assert np.array_equal(call["f"], res.iterates[j])
-        assert call["sigma0"] == max(solvers._sigma_at(j) ** 2, solvers._SIGMA_MIN)
-    # cold inner runs, from f0 at sigma0 = 1, took 9674 steps here
-    assert sum(call["result"].iterations for call in inner) <= 6000
+    res = irl1_analysis(LqProblem(A=A, y=y, D=D, q=0.7, epsilon=0.01), SolverConfig(keep_iterates=True))
+    assert len(seen) == res.iterations
+    for j, weights in enumerate(seen):
+        c = D.matrix.T @ res.iterates[j]
+        sigma = solvers._sigma_at(j)
+        w = (np.abs(c) + sigma) ** (0.7 - 1.0)
+        w /= np.mean(w)
+        np.testing.assert_allclose(weights, w * w / np.sqrt((w * c) ** 2 + max(sigma**2, 1e-10)), rtol=1e-12)
+
+
+def test_irl1_stopped_at_the_cap_is_not_converged():
+    A, D, f = _reference_instance(0)
+    res = irl1_analysis(LqProblem(A=A, y=A @ f, D=D, q=0.7), SolverConfig(max_outer_iters=5))
+    assert res.iterations == 5
+    assert res.converged is False
 
 
 def test_irl1_noisy_objective_no_worse_than_cold_inner_runs():
