@@ -51,10 +51,6 @@ def _json_safe(value):
     return value
 
 
-def _load_vector(path):
-    return load_matrix(path).ravel()
-
-
 def _cmd_figure1(args):
     cell = run_figure1(master_seed=args.seed, trials=args.trials, threshold=args.threshold)
     _write_text(args.out, json.dumps(_json_safe(cell.to_dict()), indent=2))
@@ -109,11 +105,7 @@ def _cmd_rip_estimate(args):
         except ConditionUnevaluableError:
             # the estimated constant already rules the condition out
             payload["condition"] = {
-                "lhs": None,
-                "rhs": 1.0 - rep_sa.delta,
-                "holds": False,
-                "theta": None,
-                "Delta": None,
+                "lhs": None, "rhs": 1.0 - rep_sa.delta, "holds": False, "theta": None, "Delta": None
             }
     _write_text(args.out, json.dumps(_json_safe(payload), indent=2))
     return 0
@@ -127,7 +119,7 @@ def _solver_config(args):
 def _cmd_solve(args):
     A = load_matrix(args.matrix)
     D = Frame.from_matrix(load_matrix(args.dict))
-    y = _load_vector(args.obs)
+    y = load_matrix(args.obs).ravel()
     norm_index = math.inf if args.r == "inf" else 2.0
     problem = LqProblem(A=A, y=y, D=D, q=args.q, epsilon=args.eps, norm_index=norm_index)
     solver = irls_analysis if args.method == "irls" else irl1_analysis
@@ -164,7 +156,7 @@ def _cmd_separate(args):
             )
     dicts = [Frame.from_matrix(load_matrix(p)) for p in paths]
     A = load_matrix(args.matrix)
-    y = _load_vector(args.obs)
+    y = load_matrix(args.obs).ravel()
     problem = SeparationProblem(dicts=dicts, A=A, y=y, q=args.q, epsilon=args.eps)
     components, _ = solve_split_analysis(problem, _solver_config(args))
 
@@ -186,10 +178,7 @@ def _cmd_separate(args):
     verdict = check_separation_conditions(
         mu1, sparsities, a, rep_a.delta, min(rep_sa.delta, 1.0 - 1e-12), args.q
     )
-    payload = {
-        "components": [comp for comp in components],
-        "verdict": verdict.to_dict(),
-    }
+    payload = {"components": list(components), "verdict": verdict.to_dict()}
     _write_text(args.out, json.dumps(_json_safe(payload), indent=2))
     return 0
 

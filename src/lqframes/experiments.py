@@ -11,7 +11,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -96,16 +96,7 @@ class ExperimentSpec:
             raise InvalidSpecError(f"spec field of the wrong type: {exc}") from exc
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "grid": list(self.grid),
-                "trials_per_cell": self.trials_per_cell,
-                "success_threshold": self.success_threshold,
-                "master_seed": self.master_seed,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass(frozen=True)
@@ -230,16 +221,12 @@ def run_phase_transition(spec: ExperimentSpec) -> list:
 
 def run_bounds_table(q_list, s: int, d: int, kappa: float = 1.0) -> list:
     """Tabulate the measurement lower bounds across q values."""
-    rows = []
-    for q in q_list:
-        rows.append(
-            {
-                "q": float(q),
-                "m_min": measurement_bound(q, s, d, kappa),
-                "m_min_separation": separation_measurement_bound(q, s, d),
-            }
+    return [
+        dict(
+            q=float(q), m_min=measurement_bound(q, s, d, kappa), m_min_separation=separation_measurement_bound(q, s, d)
         )
-    return rows
+        for q in q_list
+    ]
 
 
 def _separation_trial(n, s1, s2, m, q, seed_seq) -> tuple:

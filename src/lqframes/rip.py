@@ -162,13 +162,7 @@ class RecoveryConditionVerdict:
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "theta": self.theta,
-            "Delta": self.Delta,
-        }
+        return {k: getattr(self, k) for k in ("lhs", "rhs", "holds", "theta", "Delta")}
 
 
 def check_recovery_condition(
@@ -237,13 +231,7 @@ class RipReport:
     degenerate: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "q": self.q,
-            "delta": self.delta,
-            "method": self.method,
-            "trials": self.trials,
-        }
+        return {k: getattr(self, k) for k in ("order", "q", "delta", "method", "trials")}
 
 
 def _direction_block(s: int, rng, extra: int) -> np.ndarray:

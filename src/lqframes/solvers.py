@@ -15,10 +15,11 @@ A^+ v + N z with v = A f - y: at eps = 0 it is one SPD solve in z, and for
 eps > 0 a trust-region step (l2, ``_ball_step``) or an active-set step
 (l-inf, ``_box_step``) in v, so every iterate meets the constraint in the
 given norm; the ball step starts from the previous step's multiplier, the
-box step from its v.  IRL1 takes one such step per reweighting, on the
-atoms w_i d_i at q = 1: it lowers a majoriser of the weighted-l1
-objective, which is all that majorise-minimise needs (Hunter and Lange,
-Am. Stat. 2004).
+box step from its v.  For eps > 0 IRL1 takes one such step per
+reweighting, on the atoms w_i d_i at q = 1: it lowers a majoriser of the
+weighted-l1 objective, which is all that majorise-minimise needs (Hunter
+and Lange, Am. Stat. 2004).  At eps = 0 the weighted-l1 step is a linear
+program, solved exactly by vertex descent (``_l1_vertex``).
 
 Solvers hold no shared state, so independent instances may run
 concurrently; BLAS may still use several threads inside one solve.
@@ -100,9 +101,11 @@ class SolverConfig:
 
     ``max_outer_iters`` caps the outer loop, which stops once the relative
     change of f is below ``tol`` and the smoothing sigma_j = max(0.7^j,
-    1e-10) has reached its floor.  IRLS and IRL1 both take one weighted
-    least-squares step per outer step, so there is no inner cap;
-    ``converged`` is False at the cap, or when the last box step hit its cap.
+    1e-10) has reached its floor.  No inner loop has a cap of its own:
+    IRLS, and IRL1 for eps > 0, take one weighted least-squares step per
+    outer step, and IRL1's vertex descent at eps = 0 ends when no pivot
+    lowers its objective.  ``converged`` is False at the cap, or when the
+    last box step hit its cap.
     """
 
     max_outer_iters: int = 300
@@ -321,18 +324,59 @@ def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     return _reweight(problem, config, f0, c0, lambda c, sigma: wls((c * c + sigma) ** exponent))
 
 
+def _l1_vertex(A, y, Dm, w, Z):
+    """min sum_i w_i |<d_i, f>| s.t. A f = y, by vertex descent from [A; D_Z^T] f = [y; 0].
+
+    At a vertex, multipliers u on Z with |u_i| <= w_i prove it optimal.
+    Otherwise the atom with the largest |u_i| - w_i leaves Z, and the atom
+    at which the slope along that edge turns nonnegative joins (Barrodale
+    and Roberts, SIAM J. Numer. Anal. 1973); it varies along the edge, so
+    M stays invertible.  A pivot must lower the objective by more than
+    1e-12 relative, which ends the descent at a degenerate vertex and keeps
+    any vertex from recurring.  Returns ``(f, D^T f)``, or None when Z
+    fixes no vertex.
+    """
+    m = A.shape[0]
+    M, rhs = np.vstack([A, Dm[:, Z].T]), np.concatenate([y, np.zeros(Z.size)])
+    try:
+        c = Dm.T @ np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    while True:
+        S = np.ones(c.size, dtype=bool)
+        S[Z] = False
+        u = np.linalg.solve(M.T, -(Dm[:, S] @ (w[S] * np.sign(c[S]))))[m:]
+        excess = np.abs(u) - w[Z]
+        i = np.argmax(excess)
+        r = Dm.T @ np.linalg.solve(M, np.eye(M.shape[0])[m + i] * np.sign(u[i]))  # d c / d step
+        ahead = np.flatnonzero(S & (r * c < 0.0))  # coefficients the step drives to zero
+        if excess[i] <= 0.0 or not ahead.size:
+            break
+        alpha = -c[ahead] / r[ahead]
+        order = np.argsort(alpha)
+        slope = -excess[i] + np.cumsum(2.0 * w[ahead[order]] * np.abs(r[ahead[order]]))
+        j = order[min(np.searchsorted(slope, 0.0), order.size - 1)]
+        c_new = c + alpha[j] * r
+        if not w @ np.abs(c_new) < (1.0 - 1e-12) * (w @ np.abs(c)):
+            break
+        c, Z[i], M[m + i] = c_new, ahead[j], Dm[:, ahead[j]]
+    f = np.linalg.solve(M, rhs)
+    return f, Dm.T @ f
+
+
 def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
     """Iteratively reweighted l1 for the l_q-analysis problem.
 
     Each outer step lowers sum_i w_i |<d_i, f>| subject to |A f - y|_r <=
-    eps, w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1) scaled to mean 1, by one
-    weighted least-squares step of IRLS at q = 1 on the atoms w_i d_i, with
-    weights w_i^2 / sqrt((w_i <d_i, f_prev>)^2 + s) and s = max(sigma_j^2,
-    1e-10): s is in squared coefficient units, sigma_j in plain ones.  At
-    eps = 0 the weighted-l1 minimum is a vertex, where n - m coefficients
-    vanish: the step moves to [A; D_Z^T] f = [y; 0], Z its n - m smallest
-    weighted coefficients, when that does not raise the weighted-l1
-    objective.  ``converged`` is False when the last box step hit its cap.
+    eps, w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1) scaled to mean 1.  At
+    eps = 0 it reaches the minimum, a vertex where n - m coefficients
+    vanish, by ``_l1_vertex`` from the vertex of the n - m smallest
+    w_i |<d_i, f_prev>|: after the first step, f_prev's own vertex.  For
+    eps > 0, or when those atoms fix no vertex, it takes one weighted
+    least-squares step of IRLS at q = 1 on the atoms w_i d_i, with weights
+    w_i^2 / sqrt((w_i <d_i, f_prev>)^2 + s) and s = max(sigma_j^2, 1e-10):
+    s is in squared coefficient units, sigma_j in plain ones.
+    ``converged`` is False when the last box step hit its cap.
     """
     config = config or SolverConfig()
     A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
@@ -343,16 +387,10 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     def step(coeffs, sigma):
         w = (np.abs(coeffs) + sigma) ** (q - 1.0)
         w /= np.mean(w)
-        f_new, coeffs, ok = wls(w * w / np.sqrt((w * coeffs) ** 2 + max(sigma**2, _SIGMA_MIN)))
         if problem.epsilon == 0.0 and k > 0:
-            Z = np.argsort(w * np.abs(coeffs))[:k]
-            try:
-                vertex = np.linalg.solve(np.vstack([A, Dm[:, Z].T]), np.concatenate([y, np.zeros(k)]))
-            except np.linalg.LinAlgError:  # these k atoms do not fix a vertex
-                return f_new, coeffs, ok
-            c_vertex = Dm.T @ vertex
-            if w @ np.abs(c_vertex) <= w @ np.abs(coeffs):
-                f_new, coeffs = vertex, c_vertex
-        return f_new, coeffs, ok
+            vertex = _l1_vertex(A, y, Dm, w, np.argsort(w * np.abs(coeffs))[:k])
+            if vertex is not None:
+                return *vertex, True
+        return wls(w * w / np.sqrt((w * coeffs) ** 2 + max(sigma**2, _SIGMA_MIN)))
 
     return _reweight(problem, config, f0, c0, step)
