@@ -14,7 +14,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import InvalidParametersError, InvalidSpecError
 from .frames import Frame, cosparse_signal, mutual_coherence, random_tight_frame
@@ -229,10 +228,18 @@ def run_bounds_table(q_list, s: int, d: int, kappa: float = 1.0) -> list:
     ]
 
 
+def _hadamard(n: int) -> np.ndarray:
+    """The n x n Sylvester Hadamard matrix, for n a power of two."""
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
 def _separation_trial(n, s1, s2, m, q, seed_seq) -> tuple:
     ss_a, ss_f1, ss_f2 = seed_seq.spawn(3)
     spikes = Frame(matrix=np.eye(n), lower_bound=1.0, upper_bound=1.0)
-    waves = Frame(matrix=hadamard(n) / math.sqrt(n), lower_bound=1.0, upper_bound=1.0)
+    waves = Frame(matrix=_hadamard(n) / math.sqrt(n), lower_bound=1.0, upper_bound=1.0)
     A = np.random.default_rng(ss_a).standard_normal((m, n))
     f1, _ = cosparse_signal(spikes, s1, ss_f1)
     f2, _ = cosparse_signal(waves, s2, ss_f2)
@@ -255,7 +262,7 @@ def run_separation_sweep(spec: ExperimentSpec) -> list:
     results = []
     for cell, fields in zip(spec.grid, _cell_fields(spec, "separation_sweep")):
         n = fields[0]
-        mu1 = mutual_coherence([np.eye(n), hadamard(n) / math.sqrt(n)])
+        mu1 = mutual_coherence([np.eye(n), _hadamard(n) / math.sqrt(n)])
         result = _run_cell(
             cell, _separation_trial, fields, spec.master_seed, spec.trials_per_cell, spec.success_threshold
         )

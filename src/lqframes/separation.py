@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import InvalidDimensionsError, InvalidParametersError
 from .frames import Frame, _atoms, _check_q
@@ -81,7 +80,7 @@ def build_stacked(dicts, A=None):
 
     Returns ``(dbar, psi, a_stacked)``: the horizontal concatenation
     [D_1 | ... | D_iota] (n x sum d_k), the block diagonal of the D_k
-    (iota*n x sum d_k, from ``scipy.linalg.block_diag``), and [A | ... | A]
+    (iota*n x sum d_k), and [A | ... | A]
     (m x iota*n) so that a_stacked @ stack(f_k) = A @ sum(f_k).
     ``a_stacked`` is None when A is.
     """
@@ -93,7 +92,11 @@ def build_stacked(dicts, A=None):
         if m.shape[0] != n:
             raise InvalidDimensionsError("dictionaries must share the ambient dimension")
     dbar = np.concatenate(mats, axis=1)
-    psi = block_diag(*mats)
+    psi = np.zeros((n * len(mats), dbar.shape[1]))
+    col = 0
+    for k, mat in enumerate(mats):
+        psi[k * n : (k + 1) * n, col : col + mat.shape[1]] = mat
+        col += mat.shape[1]
     a_stacked = None
     if A is not None:
         A = np.asarray(A, dtype=float)

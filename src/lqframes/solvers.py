@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import (
     IllConditionedError,
@@ -143,13 +142,17 @@ def _require_full_row_rank(A: np.ndarray) -> None:
         raise InfeasibleOrDegenerateError("measurement matrix is row-rank deficient")
 
 
-def _spd_solve_factor(M: np.ndarray):
+def _spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The Cholesky factor is only the positive-definiteness check: numpy has
+    # no triangular solve, and two general solves on the factor cost more
+    # than one on M.
     try:
-        return cho_factor(M, lower=True)
+        np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"{M.shape[0]}x{M.shape[0]} weighted Gram matrix is not numerically positive definite"
         ) from exc
+    return np.linalg.solve(M, b)
 
 
 def _ball_step(H: np.ndarray, h: np.ndarray, radius: float, mu: float = 0.0):
@@ -237,14 +240,14 @@ def _wls_steps(problem: LqProblem):
     A, y, Dm, eps = problem.A, problem.y, problem.D.matrix, problem.epsilon
     m = A.shape[0]
     Q, R = np.linalg.qr(A.T, mode="complete")
-    f0 = Q[:, :m] @ solve_triangular(R[:m], y, trans="T")
+    f0 = Q[:, :m] @ np.linalg.solve(R[:m].T, y)
     N = Q[:, m:]
     B, c0 = Dm.T @ N, Dm.T @ f0
 
     if eps == 0.0:
         def step(weights):
             bw = B.T * weights
-            z = cho_solve(_spd_solve_factor(bw @ B), -(bw @ c0))
+            z = _spd_solve(bw @ B, -(bw @ c0))
             return f0 + N @ z, c0 + B @ z, True
 
         return f0, c0, step

@@ -213,6 +213,15 @@ def test_bounds_table_d_equals_s_row():
     )
 
 
+def test_hadamard_matches_scipy():
+    from scipy.linalg import hadamard
+
+    import lqframes.experiments as ex
+
+    for n in (2**k for k in range(8)):
+        np.testing.assert_array_equal(ex._hadamard(n), hadamard(n))
+
+
 def test_separation_sweep_reports_coherence_and_is_deterministic():
     grid = [{"n": 16, "s1": 1, "s2": 1, "m": 12, "q": 0.7}]
     spec = ExperimentSpec(

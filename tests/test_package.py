@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import lqframes
 
 
@@ -9,3 +13,16 @@ def test_public_names_are_exported_once():
     for name in names:
         assert hasattr(lqframes, name), name
     assert {"cell_key", "split_nsp_constant", "split_nsp_condition"} <= set(names)
+
+
+def test_importing_the_package_loads_no_scipy():
+    # the runtime needs numpy alone; scipy is a reference for the tests only
+    script = """
+import sys
+import lqframes, lqframes.cli
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lqframes.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import hadamard
+from scipy.linalg import block_diag, hadamard
 
 from lqframes import (
     Frame,
@@ -49,6 +49,13 @@ def test_build_stacked_shapes():
     assert dbar.shape == (4, 12)
     assert psi.shape == (8, 12)
     assert a_st.shape == (3, 8)
+
+
+def test_build_stacked_psi_is_the_block_diagonal():
+    rng = np.random.default_rng(2)
+    mats = [rng.standard_normal((4, d)) for d in (4, 6, 5)]
+    _, psi, _ = build_stacked(mats)
+    np.testing.assert_array_equal(psi, block_diag(*mats))
 
 
 def test_build_stacked_operator_norm_sqrt_iota():

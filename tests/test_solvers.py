@@ -22,7 +22,7 @@ from lqframes import (
     random_tight_frame,
 )
 import lqframes.solvers as solvers
-from lqframes.solvers import _ball_step, _box_step, _spd_solve_factor
+from lqframes.solvers import _ball_step, _box_step, _spd_solve
 
 
 def _reference_instance(seed=0):
@@ -105,7 +105,7 @@ def test_config_rejects_out_of_range_values(field, value):
 def test_spd_factor_failure_is_an_lqframes_error():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(IllConditionedError, match="not numerically positive definite"):
-        _spd_solve_factor(indefinite)
+        _spd_solve(indefinite, np.ones(2))
 
 
 def test_solver_rejects_row_rank_deficient():
@@ -158,6 +158,24 @@ def test_irls_step_is_the_weighted_least_squares_kkt_solution():
         kkt = np.block([[2.0 * (Dm * weights) @ Dm.T, A.T], [A, np.zeros((m, m))]])
         expected = np.linalg.solve(kkt, np.concatenate([np.zeros(n), y]))[:n]
         np.testing.assert_allclose(res.iterates[j + 1], expected, rtol=1e-9)
+
+
+def test_equality_step_matches_a_cholesky_solve():
+    # the eps = 0 step solves (B^T W B) z = -B^T W c0 over f = f0 + N z;
+    # scipy's Cholesky solve of the same system is the reference
+    from scipy.linalg import cho_factor, cho_solve
+
+    A, D, f = _reference_instance(0)
+    f0, c0, step = solvers._wls_steps(LqProblem(A=A, y=A @ f, D=D, q=0.7))
+    weights = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, D.matrix.shape[1])
+    f_step, coeffs, ok = step(weights)
+    N = np.linalg.qr(A.T, mode="complete")[0][:, A.shape[0] :]
+    B = D.matrix.T @ N
+    bw = B.T * weights
+    f_ref = f0 + N @ cho_solve(cho_factor(bw @ B), -(bw @ c0))
+    assert ok
+    assert np.linalg.norm(f_step - f_ref) <= 1e-10 * np.linalg.norm(f_ref)
+    assert np.linalg.norm(coeffs - D.matrix.T @ f_ref) <= 1e-10 * np.linalg.norm(D.matrix.T @ f_ref)
 
 
 def _reference_iterates(solver):
