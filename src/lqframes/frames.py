@@ -42,6 +42,13 @@ def _check_q(q: float) -> None:
         raise InvalidParametersError(f"q must lie in (0, 1], got {q}")
 
 
+def _require_finite(**arrays) -> None:
+    """Raise InvalidParametersError naming the first array with a NaN or inf."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise InvalidParametersError(f"{name} holds non-finite entries (NaN or inf)")
+
+
 def frame_bounds(matrix: np.ndarray) -> tuple[float, float]:
     """Exact frame bounds of the columns of an n-by-d matrix.
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionsError, InvalidParametersError
-from .frames import Frame, _atoms, _check_q
+from .frames import Frame, _atoms, _check_q, _require_finite
 from .rip import _bound_from_t, _ceil_exact
-from .solvers import LqProblem, SolverConfig, _require_finite, irls_analysis
+from .solvers import LqProblem, SolverConfig, irls_analysis
 
 __all__ = [
     "SeparationProblem",

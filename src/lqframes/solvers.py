@@ -36,7 +36,7 @@ from .errors import (
     InvalidDimensionsError,
     InvalidParametersError,
 )
-from .frames import Frame, _atoms, _check_q
+from .frames import Frame, _atoms, _check_q, _require_finite
 
 __all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_analysis", "objective"]
 
@@ -44,13 +44,6 @@ __all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_a
 def objective(f, D, q: float) -> float:
     """Analysis objective |D^T f|_q^q (the q-th power, not the quasinorm)."""
     return float(np.sum(np.abs(_atoms(D).T @ f) ** q))
-
-
-def _require_finite(**arrays) -> None:
-    """Raise InvalidParametersError naming the first array with a NaN or inf."""
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParametersError(f"{name} holds non-finite entries (NaN or inf)")
 
 
 @dataclass(frozen=True)

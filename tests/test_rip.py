@@ -17,6 +17,7 @@ from lqframes import (
     measurement_bound,
     tail_constant,
 )
+from lqframes import rip
 from lqframes.rip import rip_scan
 
 
@@ -140,6 +141,80 @@ def test_rip_scan_counts_exact_zero_directions():
     dev, ndeg = rip_scan(ad_s, d_s, dirs, 0.7)
     assert ndeg == 1
     assert dev >= 0.0
+
+
+def test_rip_scan_on_a_stack_is_the_max_and_sum_of_its_slices():
+    rng = np.random.default_rng(13)
+    ad_s = rng.standard_normal((3, 4, 2))
+    d_s = rng.standard_normal((3, 5, 2))
+    dirs = rng.standard_normal((3, 2, 6))
+    dirs[1, :, 0] = 0.0  # one degenerate direction in the middle support
+    dirs[2, :, 3:] = 0.0  # three in the last
+    slices = [rip_scan(ad_s[i], d_s[i], dirs[i], 0.7) for i in range(3)]
+    dev, ndeg = rip_scan(ad_s, d_s, dirs, 0.7)
+    assert dev == max(dev_i for dev_i, _ in slices)
+    assert ndeg == sum(n_i for _, n_i in slices) == 4
+
+
+def test_exhaustive_blocks_match_one_support_per_block(monkeypatch):
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((6, 10))
+    D = rng.standard_normal((10, 16))
+    D[:, 5] = 0.0  # supports holding atom 5 are spread over several blocks
+    calls = []
+
+    def counting_scan(*args):
+        result = rip_scan(*args)
+        calls.append(result[1])
+        return result
+
+    monkeypatch.setattr(rip, "rip_scan", counting_scan)
+    blocked = estimate_rip(A, D, 0.7, 3, mode="exhaustive", budget=5, seed=4)
+    assert len(calls) > 1
+    assert sum(n > 0 for n in calls) > 1
+    calls.clear()
+    monkeypatch.setattr(rip, "_BATCH_ENTRIES", 1)
+    single = estimate_rip(A, D, 0.7, 3, mode="exhaustive", budget=5, seed=4)
+    assert len(calls) == math.comb(16, 3)
+    assert blocked.trials == single.trials == math.comb(16, 3) * 9
+    assert blocked.degenerate == single.degenerate > 0
+    assert blocked.delta == pytest.approx(single.delta, rel=1e-12, abs=0.0)
+
+
+def _with_nan(M):
+    M = np.array(M, dtype=float)
+    M[0, 1] = np.nan
+    return M
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda A, D: estimate_rip(A, _with_nan(D), 0.7, 2, mode="exhaustive", budget=4),
+        lambda A, D: estimate_rip(_with_nan(A), D, 0.7, 2, mode="exhaustive", budget=4),
+        lambda A, D: estimate_nsp_theta(_with_nan(A), D, 0.7, 2),
+    ],
+    ids=["rip-nan-in-D", "rip-nan-in-A", "nsp-nan-in-A"],
+)
+def test_rip_rejects_non_finite_input(call):
+    rng = np.random.default_rng(2)
+    with pytest.raises(InvalidParametersError, match="non-finite"):
+        call(rng.standard_normal((4, 6)), rng.standard_normal((6, 8)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda A, D: estimate_rip(A, D, 0.7, 2, mode="sampled", budget=4, seed=-1),
+        lambda A, D: estimate_nsp_theta(A, D, 0.7, 2, seed=-1),
+        lambda A, D: estimate_rip(A, D, 0.7, 2, mode="exhaustive", budget=-3),
+    ],
+    ids=["rip-negative-seed", "nsp-negative-seed", "exhaustive-negative-budget"],
+)
+def test_rip_rejects_negative_seed_and_budget(call):
+    rng = np.random.default_rng(3)
+    with pytest.raises(InvalidParametersError):
+        call(rng.standard_normal((4, 6)), rng.standard_normal((6, 8)))
 
 
 def test_estimate_rip_counts_trials():
