@@ -2,8 +2,8 @@
 
 Every trial derives its own random stream from (master_seed, cell_index,
 trial_index), so results are independent of execution order and cells may
-run concurrently.  Failed trials count as unsuccessful and never abort a
-sweep.  Wall time is informational only.
+run concurrently.  A trial that raises an LqframesError or LinAlgError counts
+as unsuccessful; other exceptions propagate.  Wall time is informational only.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParametersError, InvalidSpecError
+from .errors import InvalidParametersError, InvalidSpecError, LqframesError
 from .frames import Frame, cosparse_signal, mutual_coherence, random_tight_frame
 from .rip import measurement_bound
 from .separation import SeparationProblem, separation_measurement_bound, solve_split_analysis
@@ -68,7 +68,7 @@ class ExperimentSpec:
                     raise InvalidSpecError(f"cell {ci} field {key!r} is not a number: {value!r}")
         if self.trials_per_cell < 1:
             raise InvalidSpecError("trials_per_cell must be >= 1")
-        if self.success_threshold <= 0:
+        if not self.success_threshold > 0:
             raise InvalidSpecError("success_threshold must be positive")
         if self.master_seed < 0:
             raise InvalidSpecError(f"master_seed must be >= 0, got {self.master_seed}")
@@ -135,9 +135,10 @@ def trial_seed(master_seed: int, cell_index: int, trial_index: int) -> np.random
 def _run_cell(params, trial_fn, fields, master_seed, trials, threshold) -> CellResult:
     """Run ``trial_fn(*fields, seed_seq)`` for each seeded trial of one cell, serially.
 
-    A trial returns (relative error, iterations); one that raises counts as
-    a failure with infinite error, so a bad trial never aborts a sweep.  A
-    bad master seed is the caller's error and raises before any trial.
+    A trial returns (relative error, iterations); one that raises an
+    LqframesError or LinAlgError counts as a failure with infinite error.
+    Any other exception is a defect and propagates.  A bad master seed is
+    the caller's error and raises before any trial.
     """
     ck = cell_key(params)
     start = time.perf_counter()
@@ -146,7 +147,7 @@ def _run_cell(params, trial_fn, fields, master_seed, trials, threshold) -> CellR
         seed_seq = trial_seed(master_seed, ck, t)
         try:
             outcomes.append(trial_fn(*fields, seed_seq))
-        except Exception:
+        except (LqframesError, np.linalg.LinAlgError):
             outcomes.append((math.inf, 0))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     errors = [err for err, _ in outcomes]
@@ -172,6 +173,8 @@ def _cell_fields(spec: ExperimentSpec, kind: str) -> list:
         for key in KINDS[kind]:
             if key != "q" and (isinstance(cell[key], bool) or not isinstance(cell[key], int)):
                 raise InvalidSpecError(f"cell {ci} field {key!r} is not an integer: {cell[key]!r}")
+        if not 0.0 < cell["q"] <= 1.0:
+            raise InvalidSpecError(f"cell {ci}: q={cell['q']!r} is outside (0, 1]")
         if kind == "separation_sweep" and (cell["n"] < 1 or cell["n"] & (cell["n"] - 1)):
             raise InvalidSpecError(f"cell {ci}: n={cell['n']} is not a power of two")
     return [tuple(cell[key] for key in KINDS[kind]) for cell in spec.grid]

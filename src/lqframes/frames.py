@@ -35,6 +35,9 @@ DEFAULT_CONDITION_CAP = 1e12
 
 _RANK_RTOL = 1e-12
 
+# Cosupport draws cosparse_signal makes before it gives up.
+_MAX_RETRIES = 50
+
 
 def _check_q(q: float) -> None:
     """Raise InvalidParametersError unless the exponent q lies in (0, 1]."""
@@ -49,6 +52,24 @@ def _require_finite(**arrays) -> None:
             raise InvalidParametersError(f"{name} holds non-finite entries (NaN or inf)")
 
 
+def _matrix(name: str, x) -> np.ndarray:
+    """``x`` as a finite 2-D float array; errors name it ``name``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise InvalidDimensionsError(f"{name} must be a 2-D matrix, got {x.ndim} dimension(s)")
+    _require_finite(**{name: x})
+    return x
+
+
+def _ambient_dim(mats) -> int:
+    """The row count shared by a nonempty list of dictionary matrices."""
+    if not mats:
+        raise InvalidParametersError("need at least one dictionary")
+    if any(m.shape[0] != mats[0].shape[0] for m in mats):
+        raise InvalidDimensionsError("dictionaries must share the ambient dimension")
+    return mats[0].shape[0]
+
+
 def frame_bounds(matrix: np.ndarray) -> tuple[float, float]:
     """Exact frame bounds of the columns of an n-by-d matrix.
 
@@ -60,11 +81,11 @@ def frame_bounds(matrix: np.ndarray) -> tuple[float, float]:
     NotAFrameError
         If the rows fail to span R^n (rank-deficient matrix).
     InvalidDimensionsError
-        If the matrix has more rows than columns.
+        If the matrix is not 2-D or has more rows than columns.
+    InvalidParametersError
+        If the matrix holds NaN or inf.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise InvalidDimensionsError("expected a 2-D matrix")
+    matrix = _matrix("matrix", matrix)
     n, d = matrix.shape
     if n > d:
         raise InvalidDimensionsError(f"frame needs at least as many atoms as dimensions, got {n}x{d}")
@@ -112,15 +133,17 @@ class Frame:
         return self.matrix.shape[1]
 
 
-def canonical_dual(frame: Frame, condition_cap: float = DEFAULT_CONDITION_CAP) -> Frame:
+def canonical_dual(frame: Frame) -> Frame:
     """Canonical dual of a frame: (D D.T)^{-1} D, with bounds (1/upper, 1/lower).
 
     Raises IllConditionedError when the Gram matrix eigenvalue spread
-    exceeds ``condition_cap``.
+    exceeds ``DEFAULT_CONDITION_CAP``.  ``Frame.from_matrix`` never builds
+    such a frame, because ``frame_bounds`` refuses a spread of 1/``_RANK_RTOL``
+    = 1e12 or more; the cap guards frames built from given bounds.
     """
-    if frame.upper_bound / frame.lower_bound > condition_cap:
+    if frame.upper_bound / frame.lower_bound > DEFAULT_CONDITION_CAP:
         raise IllConditionedError(
-            f"Gram condition {frame.upper_bound / frame.lower_bound:.3e} exceeds cap {condition_cap:.3e}"
+            f"Gram condition {frame.upper_bound / frame.lower_bound:.3e} exceeds cap {DEFAULT_CONDITION_CAP:.3e}"
         )
     gram = frame.matrix @ frame.matrix.T
     dual = np.linalg.solve(gram, frame.matrix)
@@ -143,8 +166,8 @@ def random_tight_frame(n: int, d: int, seed) -> Frame:
 
 
 def _atoms(obj) -> np.ndarray:
-    """The atom matrix of a Frame, or a raw array as a float matrix."""
-    return obj.matrix if isinstance(obj, Frame) else np.asarray(obj, dtype=float)
+    """The atom matrix of a Frame, or of a raw array, checked by ``_matrix``."""
+    return _matrix("dictionary", obj.matrix if isinstance(obj, Frame) else obj)
 
 
 def mutual_coherence(dicts) -> float:
@@ -155,10 +178,7 @@ def mutual_coherence(dicts) -> float:
     mats = [_atoms(item) for item in dicts]
     if len(mats) < 2:
         raise InvalidDimensionsError("mutual coherence needs at least two dictionaries")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != n:
-            raise InvalidDimensionsError("dictionaries must share the ambient dimension")
+    _ambient_dim(mats)
     best = 0.0
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -204,14 +224,14 @@ def hard_threshold(x: np.ndarray, s: int, q: float = 1.0) -> SparseApproximation
     return SparseApproximation(support=support, values=x[support], residual_q_norm=residual)
 
 
-def cosparse_signal(frame: Frame, s: int, seed, max_retries: int = 50):
+def cosparse_signal(frame: Frame, s: int, seed):
     """Unit-norm signal whose analysis coefficients are exactly s-sparse.
 
     Draws a random cosupport of size d - s, projects a Gaussian vector onto
     the null space of the corresponding analysis rows, and normalizes.
     Returns ``(f, coeffs)`` with ``coeffs = D.T f``.  Retries with a fresh
     cosupport when the null space is trivial and raises
-    GenerationFailedError once the retry budget is exhausted.
+    GenerationFailedError after ``_MAX_RETRIES`` draws.
 
     Feasibility: for a frame in general position (every n columns linearly
     independent) d - s analysis rows annihilate a nonzero f only when
@@ -225,7 +245,7 @@ def cosparse_signal(frame: Frame, s: int, seed, max_retries: int = 50):
     if not 0 < s <= n:
         raise InvalidDimensionsError(f"sparsity {s} outside (0, n={n}]")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         cosupport = rng.choice(d, size=d - s, replace=False)
         b = frame.matrix[:, cosupport].T  # analysis rows to annihilate
         if b.shape[0] == 0:
@@ -244,7 +264,7 @@ def cosparse_signal(frame: Frame, s: int, seed, max_retries: int = 50):
         f /= norm
         return f, frame.matrix.T @ f
     raise GenerationFailedError(
-        f"no cosupport of size {d - s} with nontrivial null space after {max_retries} tries "
+        f"no cosupport of size {d - s} with nontrivial null space after {_MAX_RETRIES} tries "
         f"(n={n}, d={d}, s={s}; a frame in general position needs s > d - n = {d - n})"
     )
 

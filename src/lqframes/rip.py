@@ -23,7 +23,7 @@ from .errors import (
     EmptyKernelError,
     InvalidParametersError,
 )
-from .frames import _atoms, _check_q, _require_finite
+from .frames import _atoms, _check_q, _matrix
 
 __all__ = [
     "RipReport",
@@ -49,7 +49,7 @@ _BATCH_ENTRIES = 1 << 14
 def gaussian_moment(q: float, sigma: float = 1.0) -> float:
     """E|g|^q for g ~ N(0, sigma^2): sigma^q 2^(q/2) Gamma((q+1)/2)/sqrt(pi)."""
     _check_q(q)
-    if sigma <= 0:
+    if not sigma > 0:
         raise InvalidParametersError(f"sigma must be positive, got {sigma}")
     return sigma**q * 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
 
@@ -87,7 +87,7 @@ def measurement_bound(q: float, s: int, d: int, kappa: float = 1.0) -> float:
     _check_q(q)
     if not 1 <= s <= d:
         raise InvalidParametersError(f"need 1 <= s <= d, got s={s}, d={d}")
-    if kappa < 1.0:
+    if not kappa >= 1.0:
         raise InvalidParametersError(f"kappa must be >= 1, got {kappa}")
     t = _ceil_exact((5.0 * 2.0 ** (q / 2.0) * kappa**q) ** (2.0 / (2.0 - q)))
     return _bound_from_t(q, s, d, t)
@@ -120,7 +120,7 @@ def gaussian_failure_probability(
     delta = (eta + eps^q) / (1 - eps^q).
     """
     _check_q(q)
-    if min(eta, eps_cover, m, k, d, sigma) <= 0:
+    if not all(x > 0 for x in (eta, eps_cover, m, k, d, sigma)):
         raise InvalidParametersError("all parameters must be positive")
     if k > d:
         raise InvalidParametersError(f"need k <= d, got k={k}, d={d}")
@@ -175,9 +175,9 @@ def check_recovery_condition(
     _check_q(q)
     if not 0 < s < a:
         raise InvalidParametersError(f"need 0 < s < a, got s={s}, a={a}")
-    if kappa < 1.0:
+    if not kappa >= 1.0:
         raise InvalidParametersError(f"kappa must be >= 1, got {kappa}")
-    if delta_a < 0.0 or delta_sa < 0.0:
+    if not (delta_a >= 0.0 and delta_sa >= 0.0):
         raise InvalidParametersError("RIP constants must be nonnegative")
     if delta_sa >= 1.0:
         raise ConditionUnevaluableError(f"delta_(s+a) = {delta_sa} >= 1")
@@ -206,7 +206,7 @@ def error_constants(theta: float, rho: float, q: float, lower_bound: float, delt
     _check_q(q)
     if theta >= 1.0:
         raise ConditionUnevaluableError(f"theta = {theta} >= 1")
-    if theta < 0.0 or not 0.0 < rho < 1.0 or lower_bound <= 0.0 or delta_a < 0.0:
+    if not (theta >= 0.0 and 0.0 < rho < 1.0 and lower_bound > 0.0 and delta_a >= 0.0):
         raise InvalidParametersError("invalid theta/rho/lower_bound/delta_a")
     one_m_theta = (1.0 - theta) ** (1.0 / q)
     c1 = (2.0 * theta + 2.0 * rho ** (1.0 - q / 2.0)) ** (1.0 / q) / (math.sqrt(lower_bound) * one_m_theta)
@@ -271,7 +271,6 @@ def estimate_rip(
     mode: str = "exhaustive",
     budget: int = 32,
     seed=0,
-    max_supports: int = DEFAULT_SUPPORT_CAP,
 ) -> RipReport:
     """Estimate the q-RIP constant of A relative to dictionary D at order s.
 
@@ -281,7 +280,8 @@ def estimate_rip(
     probed with the deterministic directions plus 8 random ones.
     Per-support randomness is derived from (seed, index), so results do not
     depend on evaluation order and grow monotonically with the budget for a
-    fixed seed.
+    fixed seed.  Exhaustive mode refuses more than ``DEFAULT_SUPPORT_CAP``
+    supports.
 
     Exhaustive supports are scanned in stacked blocks, one ``rip_scan`` call
     per block of about ``_BATCH_ENTRIES`` entries of A D_S V, which keeps a
@@ -291,26 +291,14 @@ def estimate_rip(
     and one ``rip_scan`` call per sampled support is what ``lqbench``
     traces count as supports.
     """
-    _check_q(q)
-    A = np.asarray(A, dtype=float)
-    Dm = _atoms(D)
-    _require_finite(A=A, dictionary=Dm)
+    A, Dm, entropy = _operands(A, D, q, s, budget, seed)
     (m, n), d = A.shape, Dm.shape[1]
-    if not 1 <= s <= d:
-        raise InvalidParametersError(f"need 1 <= s <= d, got s={s}, d={d}")
-    if n != Dm.shape[0]:
-        raise InvalidParametersError(
-            f"A has {n} columns but dictionary ambient dimension is {Dm.shape[0]}"
-        )
-    entropy = _seed_entropy(seed)
 
     if mode == "exhaustive":
-        if budget < 0:
-            raise InvalidParametersError(f"exhaustive mode needs budget >= 0, got {budget}")
         n_supports = comb(d, s)
-        if n_supports > max_supports:
+        if n_supports > DEFAULT_SUPPORT_CAP:
             raise InvalidParametersError(
-                f"exhaustive mode would enumerate {n_supports} supports, cap is {max_supports}"
+                f"exhaustive mode would enumerate {n_supports} supports, cap is {DEFAULT_SUPPORT_CAP}"
             )
         supports = itertools.combinations(range(d), s)
         extra = budget
@@ -357,55 +345,53 @@ def estimate_rip(
     )
 
 
-def _seed_entropy(seed) -> int:
-    if isinstance(seed, np.random.SeedSequence):
-        return int(seed.generate_state(1, np.uint64)[0])
-    entropy = int(seed)
-    if entropy < 0:
-        raise InvalidParametersError(f"seed must be non-negative, got {seed}")
-    return entropy
-
-
 def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed=0) -> float:
     """Lower bound on the null-space constant of A relative to D at order s.
 
-    Samples ``budget`` random vectors from ker(A) (plus the kernel basis
-    itself) and, for each, takes the exact worst support: the ratio of the
-    s largest |coefficient|^q mass to the rest, which maximizes
-    |D_T^* h|_q^q / |D_{T^c}^* h|_q^q over all |T| <= s.  Returns inf when
-    some kernel vector has all coefficient mass on s entries.
+    Scores the kernel basis of A and ``budget`` random vectors from ker(A)
+    in one stacked product.  For each vector h it takes the exact worst
+    support: the ratio of the s largest |coefficient|^q mass of D^T h to
+    the rest, which maximizes |D_T^* h|_q^q / |D_{T^c}^* h|_q^q over all
+    |T| <= s; the ratio does not depend on the scale of h.  Returns inf
+    when some kernel vector with D^T h != 0 has all its mass on s entries.
     """
-    _check_q(q)
-    A = np.asarray(A, dtype=float)
-    Dm = _atoms(D)
-    _require_finite(A=A, dictionary=Dm)
-    d = Dm.shape[1]
-    if not 1 <= s <= d:
-        raise InvalidParametersError(f"need 1 <= s <= d, got s={s}, d={d}")
-    entropy = _seed_entropy(seed)
+    A, Dm, entropy = _operands(A, D, q, s, budget, seed)
     _, svals, vt = np.linalg.svd(A)
     rank = int(np.sum(svals > svals[0] * 1e-12)) if svals.size else 0
     null_basis = vt[rank:]
-    if null_basis.shape[0] == 0:
+    k = null_basis.shape[0]
+    if k == 0:
         raise EmptyKernelError("measurement matrix has a trivial null space")
 
-    best = 0.0
-    candidates = list(null_basis)
-    for i in range(budget):
-        rng = np.random.default_rng(np.random.SeedSequence([entropy, i]))
-        g = rng.standard_normal(null_basis.shape[0])
-        h = null_basis.T @ g
-        norm = np.linalg.norm(h)
-        if norm > 0:
-            candidates.append(h / norm)
-    for h in candidates:
-        powers = np.abs(Dm.T @ h) ** q
-        total = float(np.sum(powers))
-        if total <= 0.0:
-            continue
-        top = float(np.sum(np.partition(powers, d - s)[d - s :])) if s < d else total
-        rest = total - top
-        if rest <= 0.0:
-            return math.inf
-        best = max(best, top / rest)
-    return best
+    draws = np.array([
+        np.random.default_rng(np.random.SeedSequence([entropy, i])).standard_normal(k) for i in range(budget)
+    ]).reshape(budget, k)
+    powers = np.abs(Dm.T @ np.vstack([null_basis, draws @ null_basis]).T) ** q
+    ranked = np.partition(powers, -s, axis=0)  # the s largest last, in each column
+    top, rest = ranked[-s:].sum(axis=0), ranked[:-s].sum(axis=0)
+    live = top > 0.0
+    if np.any(rest[live] <= 0.0):
+        return math.inf
+    return float(np.max(top[live] / rest[live], initial=0.0))
+
+
+def _operands(A, D, q: float, s: int, budget: int, seed):
+    """The checked inputs of the q-RIP estimators: ``(A, atoms of D, seed entropy)``.
+
+    Requires q in (0, 1], finite 2-D A and D with as many columns in A as
+    D has rows, an integer order 1 <= s <= d, an integer budget >= 0 and a
+    non-negative seed.
+    """
+    _check_q(q)
+    A, Dm = _matrix("A", A), _atoms(D)
+    d = Dm.shape[1]
+    if not isinstance(s, (int, np.integer)) or not 1 <= s <= d:
+        raise InvalidParametersError(f"need an integer 1 <= s <= d, got s={s!r}, d={d}")
+    if A.shape[1] != Dm.shape[0]:
+        raise InvalidParametersError(f"A has {A.shape[1]} columns but the dictionary has {Dm.shape[0]} rows")
+    if not isinstance(budget, (int, np.integer)) or budget < 0:
+        raise InvalidParametersError(f"budget must be an integer >= 0, got {budget!r}")
+    entropy = int(seed.generate_state(1, np.uint64)[0]) if isinstance(seed, np.random.SeedSequence) else int(seed)
+    if entropy < 0:
+        raise InvalidParametersError(f"seed must be non-negative, got {seed}")
+    return A, Dm, entropy

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionsError, InvalidParametersError
-from .frames import Frame, _atoms, _check_q, _require_finite
+from .frames import Frame, _ambient_dim, _atoms, _check_q, _matrix, _require_finite
 from .rip import _bound_from_t, _ceil_exact
 from .solvers import LqProblem, SolverConfig, irls_analysis
 
@@ -31,13 +31,9 @@ _TIGHT_TOL = 1e-8
 
 
 def _require_unit_tight(frames) -> int:
-    """Validate shared ambient dimension and unit tight frame bounds."""
-    if not frames:
-        raise InvalidParametersError("need at least one dictionary")
-    n = frames[0].ambient_dim
+    """Validate finite 2-D atoms, a shared ambient dimension and unit tight frame bounds."""
+    n = _ambient_dim([_matrix(f"dictionary {i}", fr.matrix) for i, fr in enumerate(frames)])
     for i, fr in enumerate(frames):
-        if fr.ambient_dim != n:
-            raise InvalidDimensionsError("dictionaries must share the ambient dimension")
         if abs(fr.lower_bound - 1.0) > _TIGHT_TOL or abs(fr.upper_bound - 1.0) > _TIGHT_TOL:
             raise InvalidParametersError(
                 f"dictionary {i} is not tight with bound 1 "
@@ -64,11 +60,10 @@ class SeparationProblem:
     norm_index: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        object.__setattr__(self, "A", _matrix("A", self.A))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
-        _require_finite(A=self.A, y=self.y)
+        _require_finite(y=self.y)
         n = _require_unit_tight(self.dicts)
-        _require_finite(**{f"dictionary {i}": fr.matrix for i, fr in enumerate(self.dicts)})
         if self.A.shape[1] != n:
             raise InvalidDimensionsError(
                 f"A has {self.A.shape[1]} columns but dictionaries live in dimension {n}"
@@ -85,12 +80,7 @@ def build_stacked(dicts, A=None):
     ``a_stacked`` is None when A is.
     """
     mats = [_atoms(fr) for fr in dicts]
-    if not mats:
-        raise InvalidParametersError("need at least one dictionary")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != n:
-            raise InvalidDimensionsError("dictionaries must share the ambient dimension")
+    n = _ambient_dim(mats)
     dbar = np.concatenate(mats, axis=1)
     psi = np.zeros((n * len(mats), dbar.shape[1]))
     col = 0
@@ -99,7 +89,7 @@ def build_stacked(dicts, A=None):
         col += mat.shape[1]
     a_stacked = None
     if A is not None:
-        A = np.asarray(A, dtype=float)
+        A = _matrix("A", A)
         if A.shape[1] != n:
             raise InvalidDimensionsError(f"A has {A.shape[1]} columns, expected {n}")
         a_stacked = np.tile(A, (1, len(mats)))
@@ -175,7 +165,7 @@ def split_nsp_constant(rho: float, delta_ratio: float, U: float, q: float, iota:
     Requires U < 1.  Returns inf when the isometry amplification overflows.
     """
     _check_q(q)
-    if U >= 1.0:
+    if not U < 1.0:
         raise InvalidParametersError("cluster coherence U must be < 1")
     lam = _pow_inf(delta_ratio, 2.0 / q)
     if math.isinf(lam):
@@ -221,7 +211,7 @@ def check_separation_conditions(
         raise InvalidParametersError("need at least one component")
     if a <= s:
         raise InvalidParametersError(f"need a > total sparsity, got a={a}, s={s}")
-    if mu1 < 0.0 or delta_a < 0.0 or not 0.0 <= delta_sa < 1.0:
+    if not (mu1 >= 0.0 and delta_a >= 0.0 and 0.0 <= delta_sa < 1.0):
         raise InvalidParametersError("mu1 and the RIP constants must be admissible")
 
     rho = s / a

@@ -36,7 +36,7 @@ from .errors import (
     InvalidDimensionsError,
     InvalidParametersError,
 )
-from .frames import Frame, _atoms, _check_q, _require_finite
+from .frames import Frame, _atoms, _check_q, _matrix, _require_finite
 
 __all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_analysis", "objective"]
 
@@ -62,11 +62,11 @@ class LqProblem:
     norm_index: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        object.__setattr__(self, "A", _matrix("A", self.A))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
-        _require_finite(A=self.A, y=self.y, D=self.D.matrix)
+        _require_finite(y=self.y, D=self.D.matrix)
         _check_q(self.q)
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise InvalidParametersError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.norm_index not in (2, 2.0, math.inf):
             raise InvalidParametersError(f"norm_index must be 2 or inf, got {self.norm_index}")
@@ -105,8 +105,8 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise InvalidParametersError(f"max_outer_iters must be >= 1, got {self.max_outer_iters}")
+        if not isinstance(self.max_outer_iters, (int, np.integer)) or self.max_outer_iters < 1:
+            raise InvalidParametersError(f"max_outer_iters must be an integer >= 1, got {self.max_outer_iters!r}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise InvalidParametersError(f"tol must be finite and > 0, got {self.tol}")
 
@@ -228,9 +228,11 @@ def _wls_steps(problem: LqProblem):
     eps > 0 a QR of W^(1/2) B eliminates z, leaving min |H v + h| over the
     ball or the box of radius eps.  Each step starts from the previous
     one: the ball step from its multiplier mu, the box step from its v;
-    ``ok`` is False when the box step hit its cap.
+    ``ok`` is False when the box step hit its cap.  A row-rank deficient A,
+    which leaves R1 singular, raises InfeasibleOrDegenerateError.
     """
     A, y, Dm, eps = problem.A, problem.y, problem.D.matrix, problem.epsilon
+    _require_full_row_rank(A)
     m = A.shape[0]
     Q, R = np.linalg.qr(A.T, mode="complete")
     f0 = Q[:, :m] @ np.linalg.solve(R[:m].T, y)
@@ -314,7 +316,6 @@ def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     the feasible set at eps = 0 is the point A^-1 y, returned after one step.
     """
     config = config or SolverConfig()
-    _require_full_row_rank(problem.A)
     f0, c0, wls = _wls_steps(problem)
     exponent = problem.q / 2.0 - 1.0
     return _reweight(problem, config, f0, c0, lambda c, sigma: wls((c * c + sigma) ** exponent))
@@ -376,7 +377,6 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     """
     config = config or SolverConfig()
     A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
-    _require_full_row_rank(A)
     f0, c0, wls = _wls_steps(problem)
     k = A.shape[1] - A.shape[0]
 

@@ -7,6 +7,7 @@ import pytest
 from lqframes import (
     CellResult,
     ExperimentSpec,
+    GenerationFailedError,
     InvalidSpecError,
     cells_from_csv,
     cells_from_json,
@@ -133,7 +134,7 @@ def test_total_trials_executed_despite_errors(monkeypatch):
 
     def boom(*args, **kwargs):
         calls["n"] += 1
-        raise RuntimeError("forced trial failure")
+        raise GenerationFailedError("forced trial failure")
 
     monkeypatch.setattr(ex, "_recovery_trial", boom)
     spec = ExperimentSpec(
@@ -142,6 +143,18 @@ def test_total_trials_executed_despite_errors(monkeypatch):
     results = ex.run_phase_transition(spec)
     assert calls["n"] == 6
     assert all(r.success_rate == 0.0 for r in results)
+
+
+def test_a_trial_defect_propagates(monkeypatch):
+    import lqframes.experiments as ex
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("defect in a trial")
+
+    monkeypatch.setattr(ex, "_recovery_trial", boom)
+    spec = ExperimentSpec(kind="phase_transition", grid=[_SMALL], trials_per_cell=3, master_seed=0)
+    with pytest.raises(RuntimeError, match="defect in a trial"):
+        ex.run_phase_transition(spec)
 
 
 def test_phase_transition_single_trial_rate_is_binary():
@@ -164,6 +177,13 @@ def test_phase_transition_missing_cell_key():
             "separation_sweep",
             "_separation_trial",
             [{"n": 16, "s1": 1, "s2": 1, "m": 12, "q": 0.7}, {"n": 12, "s1": 1, "s2": 1, "m": 8, "q": 0.7}],
+        ),
+        ("phase_transition", "_recovery_trial", [_SMALL, dict(_SMALL, q=1.5)]),
+        ("phase_transition", "_recovery_trial", [_SMALL, dict(_SMALL, q=math.nan)]),
+        (
+            "separation_sweep",
+            "_separation_trial",
+            [{"n": 16, "s1": 1, "s2": 1, "m": 12, "q": q} for q in (0.7, 0.0)],
         ),
     ],
 )

@@ -48,6 +48,14 @@ def test_frame_bounds_rejects_tall_matrix():
         frame_bounds(np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_matrix_rejects_non_finite_entries(bad):
+    matrix = np.eye(3)
+    matrix[1, 2] = bad
+    with pytest.raises(InvalidParametersError, match="^matrix holds non-finite"):
+        Frame.from_matrix(matrix)
+
+
 def test_frame_condition():
     fr = Frame.from_matrix(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
     assert fr.condition == pytest.approx(2.0)
@@ -84,9 +92,9 @@ def test_canonical_dual_involution():
 
 
 def test_canonical_dual_condition_cap():
-    fr = Frame.from_matrix(np.diag([1.0, 1e-4]))
+    fr = Frame(np.diag([1.0, 1e-7]), lower_bound=1e-14, upper_bound=1.0)
     with pytest.raises(IllConditionedError):
-        canonical_dual(fr, condition_cap=1e4)
+        canonical_dual(fr)
 
 
 def test_random_tight_frame_square_is_orthogonal():
@@ -141,6 +149,11 @@ def test_mutual_coherence_symmetry_and_permutation():
 def test_mutual_coherence_rejects_mismatched_dimensions():
     with pytest.raises(InvalidDimensionsError):
         mutual_coherence([np.eye(3), np.eye(4)])
+
+
+def test_mutual_coherence_rejects_1d_dictionaries():
+    with pytest.raises(InvalidDimensionsError):
+        mutual_coherence([np.ones(3), np.ones(3)])
 
 
 def test_mutual_coherence_needs_two():
@@ -216,9 +229,9 @@ def test_cosparse_infeasible_overcompleteness_raises():
 def test_cosparse_failure_message_states_the_rule():
     fr = random_tight_frame(64, 80, 0)
     with pytest.raises(GenerationFailedError) as info:
-        cosparse_signal(fr, 8, 1, max_retries=3)
+        cosparse_signal(fr, 8, 1)
     message = str(info.value)
-    for part in ("after 3 tries", "n=64", "d=80", "s=8", "s > d - n = 16"):
+    for part in ("after 50 tries", "n=64", "d=80", "s=8", "s > d - n = 16"):
         assert part in message
 
 

@@ -1,8 +1,16 @@
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import lqframes
+from lqframes import InvalidParametersError, InvalidSpecError
+
+_NAN = math.nan
+_CELL = {"n": 20, "d": 24, "m": 14, "q": 0.7, "s": 6}
 
 
 def test_public_names_are_exported_once():
@@ -26,3 +34,34 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: lqframes.LqProblem(A=np.eye(2), y=np.ones(2), D=lqframes.Frame.from_matrix(np.eye(2)), q=0.7,
+                                    epsilon=_NAN), InvalidParametersError),
+        (lambda: lqframes.measurement_bound(0.7, 2, 8, kappa=_NAN), InvalidParametersError),
+        (lambda: lqframes.check_recovery_condition(_NAN, 0.1, 1, 4, 1.0, 0.7), InvalidParametersError),
+        (lambda: lqframes.check_recovery_condition(0.1, _NAN, 1, 4, 1.0, 0.7), InvalidParametersError),
+        (lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, _NAN, 0.7), InvalidParametersError),
+        (lambda: lqframes.check_separation_conditions(_NAN, [1, 1], 5, 0.1, 0.1, 0.7), InvalidParametersError),
+        (lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, _NAN, 0.1, 0.7), InvalidParametersError),
+        (lambda: lqframes.gaussian_moment(0.7, _NAN), InvalidParametersError),
+        (lambda: lqframes.gaussian_failure_probability(0.7, _NAN, 0.2, 1000, 5, 50), InvalidParametersError),
+        (lambda: lqframes.gaussian_failure_probability(0.7, 0.3, 0.2, _NAN, 5, 50), InvalidParametersError),
+        (lambda: lqframes.error_constants(_NAN, 0.25, 0.7, 1.0, 0.1), InvalidParametersError),
+        (lambda: lqframes.split_nsp_constant(0.5, 1.1, _NAN, 0.7, 2), InvalidParametersError),
+        (lambda: lqframes.ExperimentSpec(kind="phase_transition", grid=[_CELL], success_threshold=_NAN),
+         InvalidSpecError),
+    ],
+    ids=[
+        "problem-epsilon", "bound-kappa", "condition-delta-a", "condition-delta-sa", "condition-kappa",
+        "separation-mu1", "separation-delta-a", "moment-sigma", "failure-eta", "failure-m", "error-theta",
+        "split-U", "spec-threshold",
+    ],
+)
+def test_nan_parameters_are_refused(call, error):
+    # every range check is written as the negation of the admissible range, which NaN never meets
+    with pytest.raises(error):
+        call()

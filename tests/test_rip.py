@@ -7,6 +7,7 @@ from lqframes import (
     ConditionUnevaluableError,
     DegenerateDictionaryError,
     EmptyKernelError,
+    InvalidDimensionsError,
     InvalidParametersError,
     check_recovery_condition,
     error_constants,
@@ -131,7 +132,7 @@ def test_estimate_rip_support_cap():
     A = rng.standard_normal((5, 30))
     D = rng.standard_normal((30, 40))
     with pytest.raises(InvalidParametersError):
-        estimate_rip(A, D, 0.5, 10, mode="exhaustive", budget=1, max_supports=1000)
+        estimate_rip(A, D, 0.5, 10, mode="exhaustive", budget=1)
 
 
 def test_rip_scan_counts_exact_zero_directions():
@@ -208,12 +209,37 @@ def test_rip_rejects_non_finite_input(call):
         lambda A, D: estimate_rip(A, D, 0.7, 2, mode="sampled", budget=4, seed=-1),
         lambda A, D: estimate_nsp_theta(A, D, 0.7, 2, seed=-1),
         lambda A, D: estimate_rip(A, D, 0.7, 2, mode="exhaustive", budget=-3),
+        lambda A, D: estimate_rip(A, D, 0.7, 2, mode="exhaustive", budget=2.5),
+        lambda A, D: estimate_rip(A, D, 0.7, 2, mode="sampled", budget=2.5),
+        lambda A, D: estimate_nsp_theta(A, D, 0.7, 2, budget=2.5),
+        lambda A, D: estimate_nsp_theta(A, D, 0.7, 2, budget=-3),
     ],
-    ids=["rip-negative-seed", "nsp-negative-seed", "exhaustive-negative-budget"],
+    ids=[
+        "rip-negative-seed", "nsp-negative-seed", "exhaustive-negative-budget", "exhaustive-float-budget",
+        "sampled-float-budget", "nsp-float-budget", "nsp-negative-budget",
+    ],
 )
 def test_rip_rejects_negative_seed_and_budget(call):
     rng = np.random.default_rng(3)
     with pytest.raises(InvalidParametersError):
+        call(rng.standard_normal((4, 6)), rng.standard_normal((6, 8)))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda A, D: estimate_rip(A[0], D, 0.7, 2, mode="sampled", budget=4), InvalidDimensionsError),
+        (lambda A, D: estimate_nsp_theta(A[0], D, 0.7, 2), InvalidDimensionsError),
+        (lambda A, D: estimate_rip(A, D, 0.7, 2.5, mode="sampled", budget=4), InvalidParametersError),
+        (lambda A, D: estimate_rip(A, D, 0.7, 2.0, mode="exhaustive", budget=4), InvalidParametersError),
+        (lambda A, D: estimate_nsp_theta(A, D, 0.7, 2.5), InvalidParametersError),
+        (lambda A, D: estimate_nsp_theta(A[:, :5], D, 0.7, 2), InvalidParametersError),
+    ],
+    ids=["rip-1d-A", "nsp-1d-A", "rip-float-order", "exhaustive-float-order", "nsp-float-order", "nsp-A-D-mismatch"],
+)
+def test_rip_rejects_malformed_operands(call, error):
+    rng = np.random.default_rng(4)
+    with pytest.raises(error):
         call(rng.standard_normal((4, 6)), rng.standard_normal((6, 8)))
 
 

@@ -77,6 +77,11 @@ def test_build_stacked_rejects_mismatched_dimensions():
         build_stacked([np.eye(3), np.eye(4)])
 
 
+def test_build_stacked_rejects_1d_dictionaries():
+    with pytest.raises(InvalidDimensionsError):
+        build_stacked([np.ones(3), np.ones(3)])
+
+
 def test_psi_isometry_for_tight_blocks():
     frames = [random_tight_frame(16, 20, k) for k in range(2)]
     _, psi, _ = build_stacked(frames)

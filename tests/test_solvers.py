@@ -12,6 +12,7 @@ from lqframes import (
     Frame,
     IllConditionedError,
     InfeasibleOrDegenerateError,
+    InvalidDimensionsError,
     InvalidParametersError,
     LqProblem,
     SolverConfig,
@@ -76,6 +77,12 @@ def test_problem_rejects_bad_q():
         LqProblem(A=np.eye(3), y=np.zeros(3), D=D, q=1.5)
 
 
+def test_problem_rejects_1d_measurement_matrix():
+    D = Frame.from_matrix(np.eye(3))
+    with pytest.raises(InvalidDimensionsError, match="^A must be a 2-D matrix"):
+        LqProblem(A=np.ones(3), y=np.ones(1), D=D, q=0.5)
+
+
 def test_problem_rejects_bad_norm_index():
     D = Frame.from_matrix(np.eye(3))
     with pytest.raises(InvalidParametersError):
@@ -95,7 +102,10 @@ def test_problem_rejects_non_finite_input(field, bad):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("max_outer_iters", 0), ("tol", 0.0), ("tol", -1.0), ("tol", math.nan), ("tol", math.inf)],
+    [
+        ("max_outer_iters", 0), ("max_outer_iters", 2.5), ("tol", 0.0), ("tol", -1.0), ("tol", math.nan),
+        ("tol", math.inf),
+    ],
 )
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(InvalidParametersError, match=field):
