@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParametersError, InvalidSpecError, LqframesError
-from .frames import Frame, cosparse_signal, mutual_coherence, random_tight_frame
+from .errors import InvalidSpecError, LqframesError
+from .frames import Frame, _check_int, cosparse_signal, mutual_coherence, random_tight_frame
 from .rip import measurement_bound
 from .separation import SeparationProblem, separation_measurement_bound, solve_split_analysis
 from .solvers import LqProblem, irls_analysis
@@ -66,12 +66,10 @@ class ExperimentSpec:
             for key, value in cell.items():
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise InvalidSpecError(f"cell {ci} field {key!r} is not a number: {value!r}")
-        if self.trials_per_cell < 1:
-            raise InvalidSpecError("trials_per_cell must be >= 1")
+        _check_int("trials_per_cell", self.trials_per_cell, 1, error=InvalidSpecError)
+        _check_int("master_seed", self.master_seed, 0, error=InvalidSpecError)
         if not self.success_threshold > 0:
             raise InvalidSpecError("success_threshold must be positive")
-        if self.master_seed < 0:
-            raise InvalidSpecError(f"master_seed must be >= 0, got {self.master_seed}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -85,9 +83,9 @@ class ExperimentSpec:
             return cls(
                 kind=payload["kind"],
                 grid=payload["grid"],
-                trials_per_cell=int(payload.get("trials_per_cell", 20)),
+                trials_per_cell=payload.get("trials_per_cell", 20),
                 success_threshold=float(payload.get("success_threshold", 1e-4)),
-                master_seed=int(payload.get("master_seed", 0)),
+                master_seed=payload.get("master_seed", 0),
             )
         except KeyError as exc:
             raise InvalidSpecError(f"spec missing field {exc}") from exc
@@ -127,8 +125,7 @@ def cell_key(params: dict) -> int:
 
 def trial_seed(master_seed: int, cell_index: int, trial_index: int) -> np.random.SeedSequence:
     """Deterministic per-trial seed; cell_index is the cell's content hash."""
-    if master_seed < 0:
-        raise InvalidParametersError(f"master_seed must be >= 0, got {master_seed}")
+    _check_int("master_seed", master_seed, 0)
     return np.random.SeedSequence([int(master_seed), int(cell_index), int(trial_index)])
 
 
@@ -171,8 +168,8 @@ def _cell_fields(spec: ExperimentSpec, kind: str) -> list:
         if missing:
             raise InvalidSpecError(f"cell {ci} missing field {missing[0]!r}")
         for key in KINDS[kind]:
-            if key != "q" and (isinstance(cell[key], bool) or not isinstance(cell[key], int)):
-                raise InvalidSpecError(f"cell {ci} field {key!r} is not an integer: {cell[key]!r}")
+            if key != "q":
+                _check_int(f"cell {ci} field {key!r}", cell[key], error=InvalidSpecError)
         if not 0.0 < cell["q"] <= 1.0:
             raise InvalidSpecError(f"cell {ci}: q={cell['q']!r} is outside (0, 1]")
         if kind == "separation_sweep" and (cell["n"] < 1 or cell["n"] & (cell["n"] - 1)):

@@ -33,6 +33,7 @@ __all__ = [
 # Gram matrices with eigenvalue spread above this are refused by canonical_dual.
 DEFAULT_CONDITION_CAP = 1e12
 
+# Singular values at or below this fraction of the largest count as zero.
 _RANK_RTOL = 1e-12
 
 # Cosupport draws cosparse_signal makes before it gives up.
@@ -45,6 +46,14 @@ def _check_q(q: float) -> None:
         raise InvalidParametersError(f"q must lie in (0, 1], got {q}")
 
 
+def _check_int(name: str, value, low=-math.inf, high=math.inf, error=InvalidParametersError) -> None:
+    """Raise ``error`` unless ``value`` is an integer in [low, high]; a bool or a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} is not an integer: {value!r}")
+    if not low <= value <= high:
+        raise error(f"{name} must lie in [{low}, {high}], got {value}")
+
+
 def _require_finite(**arrays) -> None:
     """Raise InvalidParametersError naming the first array with a NaN or inf."""
     for name, arr in arrays.items():
@@ -53,12 +62,21 @@ def _require_finite(**arrays) -> None:
 
 
 def _matrix(name: str, x) -> np.ndarray:
-    """``x`` as a finite 2-D float array; errors name it ``name``."""
+    """``x`` as a finite 2-D float array with no zero dimension; errors name it ``name``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InvalidDimensionsError(f"{name} must be a 2-D matrix, got {x.ndim} dimension(s)")
+    if 0 in x.shape:
+        raise InvalidDimensionsError(f"{name} has shape {x.shape}; every dimension must be positive")
     _require_finite(**{name: x})
     return x
+
+
+def _svd(M: np.ndarray):
+    """Full SVD ``(U, s, Vt, rank)`` of M: rank counts s > s[0] * ``_RANK_RTOL``
+    (0 without rows), and ``Vt[rank:]`` is an orthonormal basis of ker M."""
+    U, s, Vt = np.linalg.svd(M)
+    return U, s, Vt, int(np.sum(s > s.max(initial=0.0) * _RANK_RTOL))
 
 
 def _ambient_dim(mats) -> int:
@@ -213,6 +231,7 @@ def hard_threshold(x: np.ndarray, s: int, q: float = 1.0) -> SparseApproximation
     which must lie in (0, 1].
     """
     _check_q(q)
+    _check_int("sparsity", s)
     x = np.asarray(x, dtype=float)
     d = x.size
     if not 0 <= s <= d:
@@ -240,24 +259,18 @@ def cosparse_signal(frame: Frame, s: int, seed):
     frames not in general position (duplicated atoms, for instance) can
     still succeed with ``s <= d - n``.
     """
-    d = frame.num_atoms
-    n = frame.ambient_dim
+    d, n = frame.num_atoms, frame.ambient_dim
+    _check_int("sparsity", s)
     if not 0 < s <= n:
         raise InvalidDimensionsError(f"sparsity {s} outside (0, n={n}]")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         cosupport = rng.choice(d, size=d - s, replace=False)
-        b = frame.matrix[:, cosupport].T  # analysis rows to annihilate
-        if b.shape[0] == 0:
-            null_basis = np.eye(n)
-        else:
-            _, svals, vt = np.linalg.svd(b, full_matrices=True)
-            rank = int(np.sum(svals > svals[0] * 1e-10)) if svals.size else 0
-            if rank >= n:
-                continue
-            null_basis = vt[rank:]
+        _, _, vt, rank = _svd(frame.matrix[:, cosupport].T)  # ker of the rows to annihilate
+        if rank >= n:
+            continue
         g = rng.standard_normal(n)
-        f = null_basis.T @ (null_basis @ g)
+        f = vt[rank:].T @ (vt[rank:] @ g)
         norm = np.linalg.norm(f)
         if norm <= 1e-12:
             continue

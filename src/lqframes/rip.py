@@ -23,7 +23,7 @@ from .errors import (
     EmptyKernelError,
     InvalidParametersError,
 )
-from .frames import _atoms, _check_q, _matrix
+from .frames import _atoms, _check_int, _check_q, _matrix, _svd
 
 __all__ = [
     "RipReport",
@@ -85,8 +85,8 @@ def measurement_bound(q: float, s: int, d: int, kappa: float = 1.0) -> float:
     internal comparison order is t = ceil((5 * 2^(q/2) * kappa^q)^(2/(2-q))).
     """
     _check_q(q)
-    if not 1 <= s <= d:
-        raise InvalidParametersError(f"need 1 <= s <= d, got s={s}, d={d}")
+    _check_int("s", s, 1)
+    _check_int("d", d, s)
     if not kappa >= 1.0:
         raise InvalidParametersError(f"kappa must be >= 1, got {kappa}")
     t = _ceil_exact((5.0 * 2.0 ** (q / 2.0) * kappa**q) ** (2.0 / (2.0 - q)))
@@ -173,8 +173,8 @@ def check_recovery_condition(
 ) -> RecoveryConditionVerdict:
     """Evaluate the q-RIP recovery condition for orders (s, s + a)."""
     _check_q(q)
-    if not 0 < s < a:
-        raise InvalidParametersError(f"need 0 < s < a, got s={s}, a={a}")
+    _check_int("s", s, 1)
+    _check_int("a", a, s + 1)
     if not kappa >= 1.0:
         raise InvalidParametersError(f"kappa must be >= 1, got {kappa}")
     if not (delta_a >= 0.0 and delta_sa >= 0.0):
@@ -356,8 +356,7 @@ def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed=0) -> floa
     when some kernel vector with D^T h != 0 has all its mass on s entries.
     """
     A, Dm, entropy = _operands(A, D, q, s, budget, seed)
-    _, svals, vt = np.linalg.svd(A)
-    rank = int(np.sum(svals > svals[0] * 1e-12)) if svals.size else 0
+    _, _, vt, rank = _svd(A)
     null_basis = vt[rank:]
     k = null_basis.shape[0]
     if k == 0:
@@ -380,18 +379,16 @@ def _operands(A, D, q: float, s: int, budget: int, seed):
 
     Requires q in (0, 1], finite 2-D A and D with as many columns in A as
     D has rows, an integer order 1 <= s <= d, an integer budget >= 0 and a
-    non-negative seed.
+    seed that is a SeedSequence or a non-negative integer.
     """
     _check_q(q)
     A, Dm = _matrix("A", A), _atoms(D)
     d = Dm.shape[1]
-    if not isinstance(s, (int, np.integer)) or not 1 <= s <= d:
-        raise InvalidParametersError(f"need an integer 1 <= s <= d, got s={s!r}, d={d}")
+    _check_int("s", s, 1, d)
     if A.shape[1] != Dm.shape[0]:
         raise InvalidParametersError(f"A has {A.shape[1]} columns but the dictionary has {Dm.shape[0]} rows")
-    if not isinstance(budget, (int, np.integer)) or budget < 0:
-        raise InvalidParametersError(f"budget must be an integer >= 0, got {budget!r}")
-    entropy = int(seed.generate_state(1, np.uint64)[0]) if isinstance(seed, np.random.SeedSequence) else int(seed)
-    if entropy < 0:
-        raise InvalidParametersError(f"seed must be non-negative, got {seed}")
-    return A, Dm, entropy
+    _check_int("budget", budget, 0)
+    if isinstance(seed, np.random.SeedSequence):
+        return A, Dm, int(seed.generate_state(1, np.uint64)[0])
+    _check_int("seed", seed, 0)
+    return A, Dm, int(seed)

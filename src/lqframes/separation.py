@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionsError, InvalidParametersError
-from .frames import Frame, _ambient_dim, _atoms, _check_q, _matrix, _require_finite
+from .frames import Frame, _ambient_dim, _atoms, _check_int, _check_q, _matrix, _require_finite
 from .rip import _bound_from_t, _ceil_exact
 from .solvers import LqProblem, SolverConfig, irls_analysis
 
@@ -178,6 +178,8 @@ def split_nsp_constant(rho: float, delta_ratio: float, U: float, q: float, iota:
 def split_nsp_condition(rho: float, delta_ratio: float, U: float, q: float, iota: int) -> bool:
     """The isometry/coherence inequality equivalent to theta_tilde < 1."""
     _check_q(q)
+    if math.isnan(U):
+        raise InvalidParametersError("cluster coherence U is NaN")
     lam = _pow_inf(delta_ratio, 2.0 / q)
     if math.isinf(lam):
         return False
@@ -202,15 +204,13 @@ def check_separation_conditions(
     coherence condition (thm3) is evaluated with the total sparsity.
     """
     _check_q(q)
-    sparsities = [int(s) for s in sparsities]
-    if any(s <= 0 for s in sparsities):
-        raise InvalidParametersError("sparsities must be positive")
-    s = sum(sparsities)
-    iota = len(sparsities)
+    sparsities = list(sparsities)
+    for s in sparsities:
+        _check_int("sparsity", s, 1)
+    s, iota = sum(sparsities), len(sparsities)
     if iota < 1:
         raise InvalidParametersError("need at least one component")
-    if a <= s:
-        raise InvalidParametersError(f"need a > total sparsity, got a={a}, s={s}")
+    _check_int("a", a, s + 1)
     if not (mu1 >= 0.0 and delta_a >= 0.0 and 0.0 <= delta_sa < 1.0):
         raise InvalidParametersError("mu1 and the RIP constants must be admissible")
 
@@ -250,7 +250,7 @@ def separation_measurement_bound(q: float, s: int, d_total: int) -> float:
     does not appear because the blocks are unit tight.
     """
     _check_q(q)
-    if not 1 <= s <= d_total:
-        raise InvalidParametersError(f"need 1 <= s <= d_total, got s={s}, d_total={d_total}")
+    _check_int("s", s, 1)
+    _check_int("d_total", d_total, s)
     t = _ceil_exact((5.0 * 2.0 ** (1.5 * q)) ** (2.0 / (2.0 - q)))
     return _bound_from_t(q, s, d_total, t)

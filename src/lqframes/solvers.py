@@ -9,17 +9,18 @@ the current iterate and a smoothing level sigma_j = max(0.7^j, 1e-10)
 that decays geometrically to a floor (Chartrand and Yin, ICASSP 2008).
 One driver, ``_reweight``, owns that outer loop, the traces and the
 stopping rule; a path supplies only its step ``step(D^T f, sigma) ->
-(f_new, D^T f_new, ok)``.  There is one inner solver, the weighted
-least-squares step of IRLS (``_wls_steps``), taken exactly over f = f0 +
-A^+ v + N z with v = A f - y: at eps = 0 it is one SPD solve in z, and for
-eps > 0 a trust-region step (l2, ``_ball_step``) or an active-set step
-(l-inf, ``_box_step``) in v, so every iterate meets the constraint in the
-given norm; the ball step starts from the previous step's multiplier, the
-box step from its v.  For eps > 0 IRL1 takes one such step per
-reweighting, on the atoms w_i d_i at q = 1: it lowers a majoriser of the
-weighted-l1 objective, which is all that majorise-minimise needs (Hunter
-and Lange, Am. Stat. 2004).  At eps = 0 the weighted-l1 step is a linear
-program, solved exactly by vertex descent (``_l1_vertex``).
+(f_new, D^T f_new, ok)``.  One SVD of A writes the feasible set as
+f = f0 + A^+ v + N z with v = A f - y, and both inner solvers work there.
+The weighted least-squares step of IRLS (``_wls_steps``) is exact: at
+eps = 0 one SPD solve in z, for eps > 0 a trust-region step (l2,
+``_ball_step``) or an active-set step (l-inf, ``_box_step``) in v, so
+every iterate meets the constraint in the given norm; the ball step starts
+from the previous step's multiplier, the box step from its v.  For eps > 0
+IRL1 takes one such step per reweighting, on the atoms w_i d_i at q = 1:
+it lowers a majoriser of the weighted-l1 objective, which is all that
+majorise-minimise needs (Hunter and Lange, Am. Stat. 2004).  At eps = 0
+the weighted-l1 step is a linear program over z, solved exactly by vertex
+descent (``_l1_vertex``).
 
 Solvers hold no shared state, so independent instances may run
 concurrently; BLAS may still use several threads inside one solve.
@@ -36,7 +37,7 @@ from .errors import (
     InvalidDimensionsError,
     InvalidParametersError,
 )
-from .frames import Frame, _atoms, _check_q, _matrix, _require_finite
+from .frames import Frame, _atoms, _check_int, _check_q, _matrix, _require_finite, _svd
 
 __all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_analysis", "objective"]
 
@@ -93,11 +94,10 @@ class SolverConfig:
 
     ``max_outer_iters`` caps the outer loop, which stops once the relative
     change of f is below ``tol`` and the smoothing sigma_j = max(0.7^j,
-    1e-10) has reached its floor.  No inner loop has a cap of its own:
-    IRLS, and IRL1 for eps > 0, take one weighted least-squares step per
-    outer step, and IRL1's vertex descent at eps = 0 ends when no pivot
-    lowers its objective.  ``converged`` is False at the cap, or when the
-    last box step hit its cap.
+    1e-10) has reached its floor.  Each outer step is one weighted
+    least-squares step or, for IRL1 at eps = 0, one vertex descent, which
+    ends when no pivot lowers its objective.  ``converged`` is False at the
+    cap, or when the last box step hit its cap.
     """
 
     max_outer_iters: int = 300
@@ -105,8 +105,7 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.max_outer_iters, (int, np.integer)) or self.max_outer_iters < 1:
-            raise InvalidParametersError(f"max_outer_iters must be an integer >= 1, got {self.max_outer_iters!r}")
+        _check_int("max_outer_iters", self.max_outer_iters, 1)
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise InvalidParametersError(f"tol must be finite and > 0, got {self.tol}")
 
@@ -124,15 +123,7 @@ class SolverResult:
 
 
 def _residual_norm(r: np.ndarray, norm_index: float) -> float:
-    if norm_index == math.inf:
-        return float(np.max(np.abs(r))) if r.size else 0.0
-    return float(np.linalg.norm(r))
-
-
-def _require_full_row_rank(A: np.ndarray) -> None:
-    svals = np.linalg.svd(A, compute_uv=False)
-    if svals.size < A.shape[0] or svals[-1] <= svals[0] * 1e-12:
-        raise InfeasibleOrDegenerateError("measurement matrix is row-rank deficient")
+    return float(np.max(np.abs(r)) if norm_index == math.inf else np.linalg.norm(r))
 
 
 def _spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,27 +207,26 @@ def _box_step(H: np.ndarray, h: np.ndarray, radius: float, v: np.ndarray):
 
 
 def _wls_steps(problem: LqProblem):
-    """The one inner solver: a weighted least-squares step on the constraint set.
+    """The feasible set in kernel coordinates, and the weighted least-squares step on it.
 
-    One complete QR of A^T = [Q1 Q2] [R1; 0] gives the least-norm solution
-    f0 = Q1 R1^-T y of A f = y, A^+ = Q1 R1^-T and an orthonormal basis
-    N = Q2 of ker A, so the constraint set is f = f0 + A^+ v + N z with
-    v = A f - y, and D^T f = c0 + P v + B z (c0 = D^T f0, P = D^T A^+,
-    B = D^T N).  Returns ``(f0, c0, step)``; ``step(weights) -> (f, D^T f,
-    ok)`` minimises sum_i weights_i <d_i, f>^2 subject to |A f - y|_r <= eps
-    (weights > 0).  At eps = 0, v = 0 and (B^T W B) z = -B^T W c0.  For
-    eps > 0 a QR of W^(1/2) B eliminates z, leaving min |H v + h| over the
-    ball or the box of radius eps.  Each step starts from the previous
-    one: the ball step from its multiplier mu, the box step from its v;
-    ``ok`` is False when the box step hit its cap.  A row-rank deficient A,
-    which leaves R1 singular, raises InfeasibleOrDegenerateError.
+    One SVD A = U [S 0] [V1 V2]^T gives A^+ = V1 S^-1 U^T, f0 = A^+ y and
+    N = V2, so f = f0 + A^+ v + N z with v = A f - y, and D^T f = c0 + P v
+    + B z (c0 = D^T f0, P = D^T A^+, B = D^T N).  Returns ``(f0, c0, N, B,
+    step)``; ``step(weights) -> (f, D^T f, ok)`` minimises sum_i weights_i
+    <d_i, f>^2 subject to |A f - y|_r <= eps (weights > 0).  At eps = 0,
+    v = 0 and (B^T W B) z = -B^T W c0.  For eps > 0 a QR of W^(1/2) B
+    eliminates z, leaving min |H v + h| over the ball or the box of radius
+    eps, started from the previous step's mu or v; ``ok`` is False when
+    the box step hit its cap.  An A of numerical rank below its row count
+    raises InfeasibleOrDegenerateError.
     """
     A, y, Dm, eps = problem.A, problem.y, problem.D.matrix, problem.epsilon
-    _require_full_row_rank(A)
     m = A.shape[0]
-    Q, R = np.linalg.qr(A.T, mode="complete")
-    f0 = Q[:, :m] @ np.linalg.solve(R[:m].T, y)
-    N = Q[:, m:]
+    U, s, Vt, rank = _svd(A)
+    if rank < m:
+        raise InfeasibleOrDegenerateError("measurement matrix is row-rank deficient")
+    pinv = (Vt[:m].T / s) @ U.T
+    f0, N = pinv @ y, Vt[m:].T
     B, c0 = Dm.T @ N, Dm.T @ f0
 
     if eps == 0.0:
@@ -245,9 +235,8 @@ def _wls_steps(problem: LqProblem):
             z = _spd_solve(bw @ B, -(bw @ c0))
             return f0 + N @ z, c0 + B @ z, True
 
-        return f0, c0, step
+        return f0, c0, N, B, step
 
-    pinv = np.linalg.solve(R[:m], Q[:, :m].T).T
     Pc = np.column_stack([Dm.T @ pinv, c0])
     v, mu = np.zeros(m), 0.0
 
@@ -266,10 +255,10 @@ def _wls_steps(problem: LqProblem):
         f = f0 + pinv @ v + N @ z
         return f, Dm.T @ f, ok
 
-    return f0, c0, step
+    return f0, c0, N, B, step
 
 
-def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step) -> SolverResult:
+def _reweight(problem: LqProblem, config: SolverConfig | None, f, coeffs, step) -> SolverResult:
     """The outer reweighting loop shared by every solver path.
 
     ``step(coeffs, sigma)`` maps D^T f of the current iterate to
@@ -278,8 +267,9 @@ def _reweight(problem: LqProblem, config: SolverConfig, f, coeffs, step) -> Solv
     f is below ``config.tol`` and sigma has reached its floor, or when the
     first step leaves f exactly unchanged (the feasible set is one point);
     ``converged`` means that rule stopped the loop, and is False when the
-    last box step hit its cap.
+    last box step hit its cap.  ``config=None`` means ``SolverConfig()``.
     """
+    config = config or SolverConfig()
     objective_trace, residual_trace = [], []
     iterates = [f.copy()] if config.keep_iterates else None
     converged = False
@@ -315,39 +305,44 @@ def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     smoothed surrogate sum_i (<d_i, f>^2 + sigma)^(q/2).  When A is square
     the feasible set at eps = 0 is the point A^-1 y, returned after one step.
     """
-    config = config or SolverConfig()
-    f0, c0, wls = _wls_steps(problem)
+    f0, c0, _, _, wls = _wls_steps(problem)
     exponent = problem.q / 2.0 - 1.0
     return _reweight(problem, config, f0, c0, lambda c, sigma: wls((c * c + sigma) ** exponent))
 
 
-def _l1_vertex(A, y, Dm, w, Z):
-    """min sum_i w_i |<d_i, f>| s.t. A f = y, by vertex descent from [A; D_Z^T] f = [y; 0].
+def _l1_vertex(B, c0, w, Z):
+    """min sum_i w_i |c_i| over c = c0 + B z, by vertex descent from B_Z z = -c0_Z.
 
-    At a vertex, multipliers u on Z with |u_i| <= w_i prove it optimal.
-    Otherwise the atom with the largest |u_i| - w_i leaves Z, and the atom
-    at which the slope along that edge turns nonnegative joins (Barrodale
-    and Roberts, SIAM J. Numer. Anal. 1973); it varies along the edge, so
-    M stays invertible.  A pivot must lower the objective by more than
-    1e-12 relative, which ends the descent at a degenerate vertex and keeps
-    any vertex from recurring.  Returns ``(f, D^T f)``, or None when Z
-    fixes no vertex.
+    In the kernel coordinates of ``_wls_steps`` every z is feasible; a
+    vertex is a set Z of k = B.shape[1] atoms with c_Z = 0, and multipliers
+    B_Z^T u = -B_S^T (w sign c)_S (S the rest) with |u_i| <= w_i prove it
+    optimal.  Otherwise atom i with the largest |u_i| - w_i leaves Z along
+    dz = B_Z^-1 e_i sign(u_i), and the atom at which the slope along that
+    edge turns nonnegative joins (Barrodale and Roberts, SIAM J. Numer.
+    Anal. 1973).  The descent ends when a pivot lowers the objective by no
+    more than 1e-12 relative, so no vertex recurs, or when B_Z is singular.
+    Returns z, or None when B_Z is singular at the start.
     """
-    m = A.shape[0]
-    M, rhs = np.vstack([A, Dm[:, Z].T]), np.concatenate([y, np.zeros(Z.size)])
     try:
-        c = Dm.T @ np.linalg.solve(M, rhs)
+        z = np.linalg.solve(B[Z], -c0[Z])
     except np.linalg.LinAlgError:
         return None
+    c = c0 + B @ z
     while True:
         S = np.ones(c.size, dtype=bool)
         S[Z] = False
-        u = np.linalg.solve(M.T, -(Dm[:, S] @ (w[S] * np.sign(c[S]))))[m:]
-        excess = np.abs(u) - w[Z]
-        i = np.argmax(excess)
-        r = Dm.T @ np.linalg.solve(M, np.eye(M.shape[0])[m + i] * np.sign(u[i]))  # d c / d step
+        try:
+            u = np.linalg.solve(B[Z].T, -(B[S].T @ (w[S] * np.sign(c[S]))))
+            excess = np.abs(u) - w[Z]
+            i = np.argmax(excess)
+            if excess[i] <= 0.0:
+                break
+            dz = np.linalg.solve(B[Z], np.eye(Z.size)[i] * np.sign(u[i]))
+        except np.linalg.LinAlgError:
+            break
+        r = B @ dz  # d c / d step
         ahead = np.flatnonzero(S & (r * c < 0.0))  # coefficients the step drives to zero
-        if excess[i] <= 0.0 or not ahead.size:
+        if not ahead.size:
             break
         alpha = -c[ahead] / r[ahead]
         order = np.argsort(alpha)
@@ -356,9 +351,8 @@ def _l1_vertex(A, y, Dm, w, Z):
         c_new = c + alpha[j] * r
         if not w @ np.abs(c_new) < (1.0 - 1e-12) * (w @ np.abs(c)):
             break
-        c, Z[i], M[m + i] = c_new, ahead[j], Dm[:, ahead[j]]
-    f = np.linalg.solve(M, rhs)
-    return f, Dm.T @ f
+        z, c, Z[i] = z + alpha[j] * dz, c_new, ahead[j]
+    return z
 
 
 def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
@@ -366,27 +360,25 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
 
     Each outer step lowers sum_i w_i |<d_i, f>| subject to |A f - y|_r <=
     eps, w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1) scaled to mean 1.  At
-    eps = 0 it reaches the minimum, a vertex where n - m coefficients
-    vanish, by ``_l1_vertex`` from the vertex of the n - m smallest
-    w_i |<d_i, f_prev>|: after the first step, f_prev's own vertex.  For
-    eps > 0, or when those atoms fix no vertex, it takes one weighted
-    least-squares step of IRLS at q = 1 on the atoms w_i d_i, with weights
-    w_i^2 / sqrt((w_i <d_i, f_prev>)^2 + s) and s = max(sigma_j^2, 1e-10):
-    s is in squared coefficient units, sigma_j in plain ones.
-    ``converged`` is False when the last box step hit its cap.
+    eps = 0 ``_l1_vertex`` reaches the minimum, a vertex where n - m
+    coefficients vanish, from the vertex of the n - m smallest
+    w_i |<d_i, f_prev>|: after the first step, f_prev's own.  For eps > 0,
+    or when those atoms fix no vertex, it takes one weighted least-squares
+    step of IRLS at q = 1 on the atoms w_i d_i, with weights
+    w_i^2 / sqrt((w_i <d_i, f_prev>)^2 + s), s = max(sigma_j^2, 1e-10) in
+    squared coefficient units.  ``converged`` is False when the last box
+    step hit its cap.
     """
-    config = config or SolverConfig()
-    A, y, Dm, q = problem.A, problem.y, problem.D.matrix, problem.q
-    f0, c0, wls = _wls_steps(problem)
-    k = A.shape[1] - A.shape[0]
+    f0, c0, N, B, wls = _wls_steps(problem)
 
     def step(coeffs, sigma):
-        w = (np.abs(coeffs) + sigma) ** (q - 1.0)
+        w = (np.abs(coeffs) + sigma) ** (problem.q - 1.0)
         w /= np.mean(w)
-        if problem.epsilon == 0.0 and k > 0:
-            vertex = _l1_vertex(A, y, Dm, w, np.argsort(w * np.abs(coeffs))[:k])
-            if vertex is not None:
-                return *vertex, True
+        if problem.epsilon == 0.0 and N.size:
+            z = _l1_vertex(B, c0, w, np.argsort(w * np.abs(coeffs))[: N.shape[1]])
+            if z is not None:
+                f = f0 + N @ z
+                return f, problem.D.matrix.T @ f, True
         return wls(w * w / np.sqrt((w * coeffs) ** 2 + max(sigma**2, _SIGMA_MIN)))
 
     return _reweight(problem, config, f0, c0, step)

@@ -89,6 +89,30 @@ def test_rip_estimate_schema(instance):
     assert set(payload["condition"]) == {"lhs", "rhs", "holds", "theta", "Delta"}
 
 
+def test_rip_estimate_evaluates_the_condition(tmp_path):
+    # with A = D = I_4 every estimated constant is finite and below 1, so the
+    # condition is evaluated rather than ruled out
+    save_matrix(tmp_path / "I.csv", np.eye(4))
+    out = tmp_path / "rip.json"
+    rc = main(
+        [
+            "rip-estimate",
+            "--matrix", str(tmp_path / "I.csv"),
+            "--dict", str(tmp_path / "I.csv"),
+            "--q", "1",
+            "--s", "1",
+            "--a", "2",
+            "--mode", "exhaustive",
+            "--budget", "8",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    condition = json.loads(out.read_text())["condition"]
+    assert all(math.isfinite(condition[key]) for key in ("lhs", "rhs", "theta", "Delta"))
+    assert condition["holds"] == (condition["lhs"] < condition["rhs"])
+
+
 def test_rip_estimate_dual_flag(instance):
     tmp, *_ = instance
     out = tmp / "rip.json"

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -52,16 +53,42 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         (lambda: lqframes.gaussian_failure_probability(0.7, 0.3, 0.2, _NAN, 5, 50), InvalidParametersError),
         (lambda: lqframes.error_constants(_NAN, 0.25, 0.7, 1.0, 0.1), InvalidParametersError),
         (lambda: lqframes.split_nsp_constant(0.5, 1.1, _NAN, 0.7, 2), InvalidParametersError),
+        (lambda: lqframes.split_nsp_condition(0.5, 1.1, _NAN, 0.7, 2), InvalidParametersError),
         (lambda: lqframes.ExperimentSpec(kind="phase_transition", grid=[_CELL], success_threshold=_NAN),
          InvalidSpecError),
     ],
     ids=[
         "problem-epsilon", "bound-kappa", "condition-delta-a", "condition-delta-sa", "condition-kappa",
         "separation-mu1", "separation-delta-a", "moment-sigma", "failure-eta", "failure-m", "error-theta",
-        "split-U", "spec-threshold",
+        "split-U", "split-condition-U", "spec-threshold",
     ],
 )
 def test_nan_parameters_are_refused(call, error):
     # every range check is written as the negation of the admissible range, which NaN never meets
     with pytest.raises(error):
+        call()
+
+
+def _spec_json(**fields):
+    return json.dumps({"kind": "phase_transition", "grid": [_CELL], **fields})
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: lqframes.hard_threshold(np.arange(4.0), 2.5), InvalidParametersError),
+        (lambda: lqframes.cosparse_signal(lqframes.random_tight_frame(4, 6, 0), 2.5, 0), InvalidParametersError),
+        (lambda: lqframes.measurement_bound(0.7, 2.5, 8), InvalidParametersError),
+        (lambda: lqframes.separation_measurement_bound(0.7, 2.5, 8), InvalidParametersError),
+        (lambda: lqframes.check_separation_conditions(0.01, [1.7, 2.2], 5, 0.1, 0.1, 0.7), InvalidParametersError),
+        (lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4.5, 1.0, 0.7), InvalidParametersError),
+        (lambda: lqframes.ExperimentSpec.from_json(_spec_json(trials_per_cell=2.7)), InvalidSpecError),
+        (lambda: lqframes.ExperimentSpec.from_json(_spec_json(master_seed=1.9)), InvalidSpecError),
+    ],
+    ids=["threshold-s", "cosparse-s", "bound-s", "separation-bound-s", "separation-sparsities", "condition-a",
+         "spec-trials", "spec-seed"],
+)
+def test_non_integer_orders_are_refused(call, error):
+    # an order, count or seed is an integer; a float is refused, never truncated
+    with pytest.raises(error, match="is not an integer"):
         call()

@@ -213,10 +213,12 @@ def test_rip_rejects_non_finite_input(call):
         lambda A, D: estimate_rip(A, D, 0.7, 2, mode="sampled", budget=2.5),
         lambda A, D: estimate_nsp_theta(A, D, 0.7, 2, budget=2.5),
         lambda A, D: estimate_nsp_theta(A, D, 0.7, 2, budget=-3),
+        lambda A, D: estimate_rip(A, D, 0.7, 2, mode="sampled", budget=4, seed=2.5),
+        lambda A, D: estimate_nsp_theta(A, D, 0.7, 2, seed=2.5),
     ],
     ids=[
         "rip-negative-seed", "nsp-negative-seed", "exhaustive-negative-budget", "exhaustive-float-budget",
-        "sampled-float-budget", "nsp-float-budget", "nsp-negative-budget",
+        "sampled-float-budget", "nsp-float-budget", "nsp-negative-budget", "rip-float-seed", "nsp-float-seed",
     ],
 )
 def test_rip_rejects_negative_seed_and_budget(call):
@@ -234,8 +236,11 @@ def test_rip_rejects_negative_seed_and_budget(call):
         (lambda A, D: estimate_rip(A, D, 0.7, 2.0, mode="exhaustive", budget=4), InvalidParametersError),
         (lambda A, D: estimate_nsp_theta(A, D, 0.7, 2.5), InvalidParametersError),
         (lambda A, D: estimate_nsp_theta(A[:, :5], D, 0.7, 2), InvalidParametersError),
+        (lambda A, D: estimate_rip(A[:0], D, 0.7, 2, mode="sampled", budget=4), InvalidDimensionsError),
+        (lambda A, D: estimate_nsp_theta(A[:0], D, 0.7, 2), InvalidDimensionsError),
     ],
-    ids=["rip-1d-A", "nsp-1d-A", "rip-float-order", "exhaustive-float-order", "nsp-float-order", "nsp-A-D-mismatch"],
+    ids=["rip-1d-A", "nsp-1d-A", "rip-float-order", "exhaustive-float-order", "nsp-float-order", "nsp-A-D-mismatch",
+         "rip-0-row-A", "nsp-0-row-A"],
 )
 def test_rip_rejects_malformed_operands(call, error):
     rng = np.random.default_rng(4)

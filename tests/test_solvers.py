@@ -83,6 +83,12 @@ def test_problem_rejects_1d_measurement_matrix():
         LqProblem(A=np.ones(3), y=np.ones(1), D=D, q=0.5)
 
 
+def test_problem_rejects_a_measurement_matrix_without_rows():
+    D = Frame.from_matrix(np.eye(3))
+    with pytest.raises(InvalidDimensionsError, match="every dimension must be positive"):
+        LqProblem(A=np.zeros((0, 3)), y=np.zeros(0), D=D, q=0.7)
+
+
 def test_problem_rejects_bad_norm_index():
     D = Frame.from_matrix(np.eye(3))
     with pytest.raises(InvalidParametersError):
@@ -176,7 +182,7 @@ def test_equality_step_matches_a_cholesky_solve():
     from scipy.linalg import cho_factor, cho_solve
 
     A, D, f = _reference_instance(0)
-    f0, c0, step = solvers._wls_steps(LqProblem(A=A, y=A @ f, D=D, q=0.7))
+    f0, c0, _, _, step = solvers._wls_steps(LqProblem(A=A, y=A @ f, D=D, q=0.7))
     weights = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, D.matrix.shape[1])
     f_step, coeffs, ok = step(weights)
     N = np.linalg.qr(A.T, mode="complete")[0][:, A.shape[0] :]
@@ -379,13 +385,13 @@ def test_irl1_takes_one_wls_step_per_reweighting(monkeypatch):
     wls_steps = solvers._wls_steps
 
     def recording(problem):
-        f0, c0, step = wls_steps(problem)
+        *parametrisation, step = wls_steps(problem)
 
         def recorded(weights):
             seen.append(weights.copy())
             return step(weights)
 
-        return f0, c0, recorded
+        return *parametrisation, recorded
 
     monkeypatch.setattr(solvers, "_wls_steps", recording)
     A, y, D = _irl1_noisy_instance()
@@ -446,10 +452,55 @@ def test_l1_vertex_reaches_the_weighted_l1_minimum(seed):
         M = np.vstack([A, Dm[:, Z].T])
         if abs(np.linalg.det(M)) > 1e-9:
             best = min(best, w @ np.abs(Dm.T @ np.linalg.solve(M, np.concatenate([y, np.zeros(3)]))))
-    f, c = solvers._l1_vertex(A, y, Dm, w, np.array([0, 1, 2]))
-    np.testing.assert_allclose(c, Dm.T @ f)
+    f0, c0, N, B, _ = solvers._wls_steps(LqProblem(A=A, y=y, D=Frame.from_matrix(Dm), q=1.0))
+    f = f0 + N @ solvers._l1_vertex(B, c0, w, np.array([0, 1, 2]))
+    c = Dm.T @ f
     assert np.linalg.norm(A @ f - y) <= 1e-12 * np.linalg.norm(y)
     assert w @ np.abs(c) == pytest.approx(best, rel=1e-10)
+
+
+def _repeated_atoms_instance(seed):
+    # a basis with its first `dup` atoms repeated; duplicate analysis rows make
+    # some vertex systems exactly singular
+    rng = np.random.default_rng(seed)
+    n = rng.integers(3, 7)
+    m, dup = rng.integers(1, n), rng.integers(1, n + 1)
+    base = np.linalg.qr(rng.standard_normal((n, n)))[0] if seed % 2 else np.eye(n)
+    D = Frame.from_matrix(np.hstack([base, base[:, :dup]]))
+    A = rng.standard_normal((m, n))
+    f = rng.standard_normal(n) * (rng.random(n) < 0.5)
+    return A, A @ f, D
+
+
+@pytest.mark.parametrize("seed", [15, 43, 45, 53, 67, 71, 73, 75, 83, 95, 99, 109, 111, 124, 127, 151, 155, 157, 169])
+def test_irl1_with_repeated_atoms_returns_a_feasible_point(seed):
+    # a vertex system that turns singular inside the descent ends it at the
+    # current point, which is feasible by construction
+    A, y, D = _repeated_atoms_instance(seed)
+    res = irl1_analysis(LqProblem(A=A, y=y, D=D, q=0.7))
+    assert np.all(np.isfinite(res.f_hat))
+    assert np.linalg.norm(A @ res.f_hat - y) <= 1e-10
+
+
+def test_irl1_falls_back_to_least_squares_when_no_vertex_is_fixed(monkeypatch):
+    # with D = [I | I] the smallest coefficients come in equal pairs, so the
+    # chosen atoms repeat one another and never fix a vertex: every outer
+    # step takes the weighted least-squares step instead
+    found = []
+    l1_vertex = solvers._l1_vertex
+
+    def recording(*args):
+        z = l1_vertex(*args)
+        found.append(z is not None)
+        return z
+
+    monkeypatch.setattr(solvers, "_l1_vertex", recording)
+    A = np.random.default_rng(0).standard_normal((2, 4))
+    y = A @ np.array([1.0, 0.0, 0.0, -2.0])
+    res = irl1_analysis(LqProblem(A=A, y=y, D=Frame.from_matrix(np.hstack([np.eye(4), np.eye(4)])), q=0.7))
+    assert len(found) == res.iterations and not any(found)
+    assert res.converged
+    assert np.linalg.norm(A @ res.f_hat - y) <= 1e-12 * np.linalg.norm(y)
 
 
 # ---------------------------------------------------------------------------
