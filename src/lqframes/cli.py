@@ -21,7 +21,7 @@ from .experiments import (
     run_phase_transition,
     run_separation_sweep,
 )
-from .frames import Frame, canonical_dual, load_matrix, mutual_coherence
+from .frames import Frame, _one_blas_thread, canonical_dual, load_matrix, mutual_coherence
 from .rip import check_recovery_condition, estimate_rip
 from .separation import SeparationProblem, build_stacked, check_separation_conditions, solve_split_analysis
 from .solvers import LqProblem, SolverConfig, irl1_analysis, irls_analysis
@@ -260,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_one_blas_thread()
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import InvalidSpecError, LqframesError
-from .frames import Frame, _check_int, cosparse_signal, mutual_coherence, random_tight_frame
+from .frames import Frame, _check_int, _one_blas_thread, cosparse_signal, mutual_coherence, random_tight_frame
 from .rip import measurement_bound
 from .separation import SeparationProblem, separation_measurement_bound, solve_split_analysis
 from .solvers import LqProblem, irls_analysis
@@ -129,6 +129,7 @@ def trial_seed(master_seed: int, cell_index: int, trial_index: int) -> np.random
     return np.random.SeedSequence([int(master_seed), int(cell_index), int(trial_index)])
 
 
+@_one_blas_thread()
 def _run_cell(params, trial_fn, fields, master_seed, trials, threshold) -> CellResult:
     """Run ``trial_fn(*fields, seed_seq)`` for each seeded trial of one cell, serially.
 
@@ -204,6 +205,8 @@ def run_figure1(
     Defaults reproduce the canonical configuration (n=100, d=110, m=50,
     q=0.7, s=25) over ``trials`` seeded instances.
     """
+    for name, value in (("trials", trials), ("n", n), ("d", d), ("m", m), ("s", s)):
+        _check_int(name, value, 1)
     params = {"n": n, "d": d, "m": m, "q": q, "s": s}
     return _run_cell(params, _recovery_trial, (n, d, m, q, s), master_seed, trials, threshold)
 

@@ -1,10 +1,15 @@
 """Frame-theoretic linear algebra: bounds, duals, coherence, sparsity utilities.
 
 All operations are pure functions of their inputs plus explicit seeds, so
-they are safe to call concurrently.
+they are safe to call concurrently.  ``_one_blas_thread`` is the package's
+one thread rule for numpy's OpenBLAS.
 """
 
+import contextlib
+import ctypes
+import importlib
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +82,61 @@ def _svd(M: np.ndarray):
     (0 without rows), and ``Vt[rank:]`` is an orthonormal basis of ker M."""
     U, s, Vt = np.linalg.svd(M)
     return U, s, Vt, int(np.sum(s > s.max(initial=0.0) * _RANK_RTOL))
+
+
+def _openblas_threads():
+    """``(set, get)`` of numpy's OpenBLAS thread count, or None on any other BLAS;
+    looked up through numpy's extension module, which links the library."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            break
+        except (ImportError, OSError):
+            continue
+    else:
+        return None
+    for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        setter, getter = (getattr(lib, name.format(verb), None) for verb in ("set", "get"))
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype, getter.restype = [ctypes.c_int], None, ctypes.c_int
+            return setter, getter
+    return None
+
+
+_OPENBLAS = _openblas_threads()
+_blas_lock = threading.Lock()
+_blas_depth = _blas_saved = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body, or each call of a function it decorates, at one OpenBLAS thread.
+
+    The work here is many small BLAS calls, between which OpenBLAS worker
+    threads spin idle: one thread halves CPU time at the same wall time.
+    The first scope to open saves the caller's count and the last to close
+    restores it, also on an exception; the lock and the depth count keep
+    that true for nested scopes and for scopes in concurrent Python threads.
+    Without OpenBLAS (``_OPENBLAS`` is None) it does nothing.
+    """
+    global _blas_depth, _blas_saved
+    if _OPENBLAS is None:
+        yield
+        return
+    setter, getter = _OPENBLAS
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = getter()
+            setter(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                setter(_blas_saved)
 
 
 def _ambient_dim(mats) -> int:
@@ -173,6 +233,8 @@ def random_tight_frame(n: int, d: int, seed) -> Frame:
 
     Draws an n-by-d standard Gaussian matrix and orthonormalizes its rows.
     """
+    _check_int("n", n, 1)
+    _check_int("d", d, 1)
     if n > d:
         raise InvalidDimensionsError(f"tight frame requires n <= d, got n={n}, d={d}")
     rng = np.random.default_rng(seed)

@@ -23,7 +23,7 @@ from .errors import (
     EmptyKernelError,
     InvalidParametersError,
 )
-from .frames import _atoms, _check_int, _check_q, _matrix, _svd
+from .frames import _atoms, _check_int, _check_q, _matrix, _one_blas_thread, _svd
 
 __all__ = [
     "RipReport",
@@ -120,10 +120,11 @@ def gaussian_failure_probability(
     delta = (eta + eps^q) / (1 - eps^q).
     """
     _check_q(q)
-    if not all(x > 0 for x in (eta, eps_cover, m, k, d, sigma)):
-        raise InvalidParametersError("all parameters must be positive")
-    if k > d:
-        raise InvalidParametersError(f"need k <= d, got k={k}, d={d}")
+    _check_int("m", m, 1)
+    _check_int("k", k, 1)
+    _check_int("d", d, k)
+    if not all(x > 0 for x in (eta, eps_cover, sigma)):
+        raise InvalidParametersError("eta, eps_cover and sigma must be positive")
     if eps_cover**q >= 1.0:
         raise InvalidParametersError(f"eps_cover^q must be < 1, got {eps_cover**q}")
     beta = tail_constant(q)
@@ -263,6 +264,7 @@ def rip_scan(ad_s, d_s, dirs, q):
     return float(np.max(np.abs(ratios - 1.0))), n_degenerate
 
 
+@_one_blas_thread()
 def estimate_rip(
     A,
     D,
@@ -273,6 +275,11 @@ def estimate_rip(
     seed=0,
 ) -> RipReport:
     """Estimate the q-RIP constant of A relative to dictionary D at order s.
+
+    A is taken as given.  The constant measures |A D_S v|_q^q against
+    |D_S v|_2^q, so it is near 0 only for an A normalised so that
+    E|A x|_q^q = |x|_2^q: an m-row Gaussian A divided by
+    (m E|g|^q)^(1/q), with E|g|^q = ``gaussian_moment(q)``.
 
     In exhaustive mode every size-s support is enumerated and probed with
     the coordinate axes, the flat direction, and ``budget`` random sphere
@@ -345,6 +352,7 @@ def estimate_rip(
     )
 
 
+@_one_blas_thread()
 def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed=0) -> float:
     """Lower bound on the null-space constant of A relative to D at order s.
 

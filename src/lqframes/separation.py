@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionsError, InvalidParametersError
-from .frames import Frame, _ambient_dim, _atoms, _check_int, _check_q, _matrix, _require_finite
+from .frames import Frame, _ambient_dim, _atoms, _check_int, _check_q, _matrix, _one_blas_thread, _require_finite
 from .rip import _bound_from_t, _ceil_exact
 from .solvers import LqProblem, SolverConfig, irls_analysis
 
@@ -96,6 +96,7 @@ def build_stacked(dicts, A=None):
     return dbar, psi, a_stacked
 
 
+@_one_blas_thread()
 def solve_split_analysis(problem: SeparationProblem, config: SolverConfig | None = None):
     """Solve the split-analysis problem; returns (components, SolverResult).
 

@@ -23,7 +23,9 @@ the weighted-l1 step is a linear program over z, solved exactly by vertex
 descent (``_l1_vertex``).
 
 Solvers hold no shared state, so independent instances may run
-concurrently; BLAS may still use several threads inside one solve.
+concurrently.  A solve runs at one OpenBLAS thread (``_one_blas_thread``):
+the scope that opened first in the process restores the caller's count
+when the last one closes, and on another BLAS the count is left alone.
 """
 
 import math
@@ -37,7 +39,7 @@ from .errors import (
     InvalidDimensionsError,
     InvalidParametersError,
 )
-from .frames import Frame, _atoms, _check_int, _check_q, _matrix, _require_finite, _svd
+from .frames import Frame, _atoms, _check_int, _check_q, _matrix, _one_blas_thread, _require_finite, _svd
 
 __all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_analysis", "objective"]
 
@@ -295,6 +297,7 @@ def _reweight(problem: LqProblem, config: SolverConfig | None, f, coeffs, step) 
     )
 
 
+@_one_blas_thread()
 def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
     """Iteratively reweighted least squares for the l_q-analysis problem.
 
@@ -355,6 +358,7 @@ def _l1_vertex(B, c0, w, Z):
     return z
 
 
+@_one_blas_thread()
 def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> SolverResult:
     """Iteratively reweighted l1 for the l_q-analysis problem.
 

@@ -269,12 +269,14 @@ def test_cli_rejects_non_finite_csv_in_one_line(instance, capsys):
         ["separate", "--dicts", "{tmp}/D.csv,{tmp}/D.csv", "--matrix", "{tmp}/A.csv", "--obs", "{tmp}/y.csv",
          "--q", "0.7", "--sparsities", "3"],
         ["figure1", "--seed", "-1"],
+        ["figure1", "--trials", "0"],
         ["solve", "--matrix", "{tmp}/A.csv", "--dict", "{tmp}/D.csv", "--obs", "{tmp}/y.csv", "--q", "0.7",
          "--tol", "-1"],
         ["phase", "--spec", "{tmp}/q_spec.json"],
     ],
     ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters", "spec-not-an-object",
-         "sparsity-count-mismatch", "figure1-negative-seed", "negative-tol", "phase-cell-q-above-one"],
+         "sparsity-count-mismatch", "figure1-negative-seed", "figure1-no-trials", "negative-tol",
+         "phase-cell-q-above-one"],
 )
 def test_cli_user_errors_exit_2_in_one_line(instance, capsys, argv):
     tmp, _, _, _ = instance

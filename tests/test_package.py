@@ -84,9 +84,13 @@ def _spec_json(**fields):
         (lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4.5, 1.0, 0.7), InvalidParametersError),
         (lambda: lqframes.ExperimentSpec.from_json(_spec_json(trials_per_cell=2.7)), InvalidSpecError),
         (lambda: lqframes.ExperimentSpec.from_json(_spec_json(master_seed=1.9)), InvalidSpecError),
+        (lambda: lqframes.random_tight_frame(4.5, 6, 0), InvalidParametersError),
+        (lambda: lqframes.run_figure1(trials=2.5), InvalidParametersError),
+        (lambda: lqframes.run_figure1(n=20.0), InvalidParametersError),
+        (lambda: lqframes.gaussian_failure_probability(0.7, 0.3, 0.2, 1000, 2.5, 50), InvalidParametersError),
     ],
     ids=["threshold-s", "cosparse-s", "bound-s", "separation-bound-s", "separation-sparsities", "condition-a",
-         "spec-trials", "spec-seed"],
+         "spec-trials", "spec-seed", "tight-frame-n", "figure1-trials", "figure1-n", "failure-k"],
 )
 def test_non_integer_orders_are_refused(call, error):
     # an order, count or seed is an integer; a float is refused, never truncated
