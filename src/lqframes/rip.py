@@ -285,10 +285,13 @@ def estimate_rip(
     the coordinate axes, the flat direction, and ``budget`` random sphere
     directions.  In sampled mode ``budget`` random supports are drawn, each
     probed with the deterministic directions plus 8 random ones.
-    Per-support randomness is derived from (seed, index), so results do not
-    depend on evaluation order and grow monotonically with the budget for a
-    fixed seed.  Exhaustive mode refuses more than ``DEFAULT_SUPPORT_CAP``
-    supports.
+    The seed gives one stream of supports and one of directions, and
+    support i reads the i-th slice of each.  So in sampled mode the first
+    b supports and their directions do not depend on the budget, and delta
+    grows with it; exhaustive mode redraws its directions when the budget
+    changes, so delta may fall.  Neither mode depends on block size or
+    evaluation order.  Exhaustive mode refuses more than
+    ``DEFAULT_SUPPORT_CAP`` supports.
 
     Exhaustive supports are scanned in stacked blocks, one ``rip_scan`` call
     per block of about ``_BATCH_ENTRIES`` entries of A D_S V, which keeps a
@@ -300,6 +303,7 @@ def estimate_rip(
     """
     A, Dm, entropy = _operands(A, D, q, s, budget, seed)
     (m, n), d = A.shape, Dm.shape[1]
+    support_rng, direction_rng = map(np.random.default_rng, np.random.SeedSequence(entropy).spawn(2))
 
     if mode == "exhaustive":
         n_supports = comb(d, s)
@@ -313,8 +317,8 @@ def estimate_rip(
     elif mode == "sampled":
         if budget < 1:
             raise InvalidParametersError("sampled mode needs budget >= 1")
-        rngs = (np.random.default_rng(np.random.SeedSequence([entropy, i, 7])) for i in range(budget))
-        supports = (np.sort(gen.choice(d, size=s, replace=False)) for gen in rngs)
+        # The s smallest of d uniforms index a uniform s-subset.
+        supports = (np.sort(np.argpartition(support_rng.random(d), s - 1)[:s]) for _ in range(budget))
         extra = 8  # random directions per sampled support
         block = 1
     else:
@@ -332,14 +336,11 @@ def estimate_rip(
         cols = np.array(batch, dtype=int)
         dirs = np.empty((len(cols), s, s + 1 + extra))
         dirs[:, :, : s + 1] = fixed
-        if extra > 0:
-            g = np.stack([
-                np.random.default_rng(np.random.SeedSequence([entropy, i])).standard_normal((s, extra))
-                for i in range(scanned, scanned + len(cols))
-            ])
-            norms = np.linalg.norm(g, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            dirs[:, :, s + 1 :] = g / norms
+        # Support i's directions are the i-th extra * s normals of the stream.
+        g = direction_rng.standard_normal((len(cols), extra, s)).transpose(0, 2, 1)
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        dirs[:, :, s + 1 :] = g / norms
         dev, ndeg = rip_scan(adT[cols].transpose(0, 2, 1), dT[cols].transpose(0, 2, 1), dirs, q)
         best = max(best, dev)
         degenerate += ndeg
@@ -370,9 +371,7 @@ def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed=0) -> floa
     if k == 0:
         raise EmptyKernelError("measurement matrix has a trivial null space")
 
-    draws = np.array([
-        np.random.default_rng(np.random.SeedSequence([entropy, i])).standard_normal(k) for i in range(budget)
-    ]).reshape(budget, k)
+    draws = np.random.default_rng(entropy).standard_normal((budget, k))
     powers = np.abs(Dm.T @ np.vstack([null_basis, draws @ null_basis]).T) ** q
     ranked = np.partition(powers, -s, axis=0)  # the s largest last, in each column
     top, rest = ranked[-s:].sum(axis=0), ranked[:-s].sum(axis=0)

@@ -96,7 +96,8 @@ class SolverConfig:
 
     ``max_outer_iters`` caps the outer loop, which stops once the relative
     change of f is below ``tol`` and the smoothing sigma_j = max(0.7^j,
-    1e-10) has reached its floor.  Each outer step is one weighted
+    1e-10) has reached its floor (IRL1 at q = 1 and eps = 0 need not wait
+    for the floor).  Each outer step is one weighted
     least-squares step or, for IRL1 at eps = 0, one vertex descent, which
     ends when no pivot lowers its objective.  ``converged`` is False at the
     cap, or when the last box step hit its cap.
@@ -260,16 +261,21 @@ def _wls_steps(problem: LqProblem):
     return f0, c0, N, B, step
 
 
-def _reweight(problem: LqProblem, config: SolverConfig | None, f, coeffs, step) -> SolverResult:
+def _reweight(
+    problem: LqProblem, config: SolverConfig | None, f, coeffs, step, settled=lambda: False
+) -> SolverResult:
     """The outer reweighting loop shared by every solver path.
 
     ``step(coeffs, sigma)`` maps D^T f of the current iterate to
     ``(f_new, D^T f_new, ok)``, with sigma = ``_sigma_at(j)``; ``ok`` is
     False when the box step hit its cap.  Stops once the relative change of
     f is below ``config.tol`` and sigma has reached its floor, or when the
-    first step leaves f exactly unchanged (the feasible set is one point);
-    ``converged`` means that rule stopped the loop, and is False when the
-    last box step hit its cap.  ``config=None`` means ``SolverConfig()``.
+    first step leaves f exactly unchanged (the feasible set is one point),
+    or when ``settled()`` says that the last step did not depend on sigma,
+    so that a step which left f unchanged would leave it so at every later
+    sigma; ``converged`` means that rule stopped the loop, and is False
+    when the last box step hit its cap.  ``config=None`` means
+    ``SolverConfig()``.
     """
     config = config or SolverConfig()
     objective_trace, residual_trace = [], []
@@ -284,7 +290,7 @@ def _reweight(problem: LqProblem, config: SolverConfig | None, f, coeffs, step) 
             iterates.append(f_new.copy())
         rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
         f = f_new
-        if rel_change < config.tol and (sigma <= _SIGMA_MIN or (j == 0 and rel_change == 0.0)):
+        if rel_change < config.tol and (sigma <= _SIGMA_MIN or (j == 0 and rel_change == 0.0) or settled()):
             converged = True
             break
     return SolverResult(
@@ -371,18 +377,22 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     step of IRLS at q = 1 on the atoms w_i d_i, with weights
     w_i^2 / sqrt((w_i <d_i, f_prev>)^2 + s), s = max(sigma_j^2, 1e-10) in
     squared coefficient units.  ``converged`` is False when the last box
-    step hit its cap.
+    step hit its cap.  At q = 1 every w_i is 1 whatever sigma is, so a
+    vertex step that leaves f unchanged is final: the loop stops there.
     """
     f0, c0, N, B, wls = _wls_steps(problem)
+    vertex = False  # the last step was a vertex descent
 
     def step(coeffs, sigma):
+        nonlocal vertex
         w = (np.abs(coeffs) + sigma) ** (problem.q - 1.0)
         w /= np.mean(w)
+        vertex = False
         if problem.epsilon == 0.0 and N.size:
             z = _l1_vertex(B, c0, w, np.argsort(w * np.abs(coeffs))[: N.shape[1]])
             if z is not None:
-                f = f0 + N @ z
+                f, vertex = f0 + N @ z, True
                 return f, problem.D.matrix.T @ f, True
         return wls(w * w / np.sqrt((w * coeffs) ** 2 + max(sigma**2, _SIGMA_MIN)))
 
-    return _reweight(problem, config, f0, c0, step)
+    return _reweight(problem, config, f0, c0, step, settled=lambda: vertex and problem.q == 1.0)

@@ -182,6 +182,54 @@ def test_exhaustive_blocks_match_one_support_per_block(monkeypatch):
     assert blocked.delta == pytest.approx(single.delta, rel=1e-12, abs=0.0)
 
 
+def test_estimators_build_the_same_few_generators_at_any_budget(monkeypatch):
+    # one stream of supports and one of directions per estimate, never one per support
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((5, 8))
+    D = rng.standard_normal((8, 12))
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    counts = {}
+    for budget in (4, 64):
+        for mode in ("sampled", "exhaustive"):
+            built.clear()
+            estimate_rip(A, D, 0.7, 2, mode=mode, budget=budget, seed=5)
+            counts[mode, budget] = len(built)
+        built.clear()
+        estimate_nsp_theta(A, D, 0.7, 2, budget=budget, seed=5)
+        counts["nsp", budget] = len(built)
+    assert counts["sampled", 4] == counts["sampled", 64] <= 2
+    assert counts["exhaustive", 4] == counts["exhaustive", 64] <= 2
+    assert counts["nsp", 4] == counts["nsp", 64] == 1
+
+
+def test_sampled_prefix_does_not_depend_on_the_budget(monkeypatch):
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((5, 8))
+    D = rng.standard_normal((8, 12))
+    scanned = []
+
+    def recording(*args):
+        scanned.append([np.array(x) for x in args[:3]])
+        return rip_scan(*args)
+
+    monkeypatch.setattr(rip, "rip_scan", recording)
+    estimate_rip(A, D, 0.7, 3, mode="sampled", budget=4, seed=5)
+    small = scanned[:]
+    scanned.clear()
+    estimate_rip(A, D, 0.7, 3, mode="sampled", budget=8, seed=5)
+    assert len(small) == 4 and len(scanned) == 8
+    for before, after in zip(small, scanned):
+        for x, y in zip(before, after):
+            np.testing.assert_array_equal(x, y)
+
+
 def _with_nan(M):
     M = np.array(M, dtype=float)
     M[0, 1] = np.nan

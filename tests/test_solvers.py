@@ -482,6 +482,12 @@ def test_irl1_with_repeated_atoms_returns_a_feasible_point(seed):
     assert np.linalg.norm(A @ res.f_hat - y) <= 1e-10
 
 
+def _fallback_problem(q):
+    A = np.random.default_rng(0).standard_normal((2, 4))
+    y = A @ np.array([1.0, 0.0, 0.0, -2.0])
+    return LqProblem(A=A, y=y, D=Frame.from_matrix(np.hstack([np.eye(4), np.eye(4)])), q=q)
+
+
 def test_irl1_falls_back_to_least_squares_when_no_vertex_is_fixed(monkeypatch):
     # with D = [I | I] the smallest coefficients come in equal pairs, so the
     # chosen atoms repeat one another and never fix a vertex: every outer
@@ -495,12 +501,57 @@ def test_irl1_falls_back_to_least_squares_when_no_vertex_is_fixed(monkeypatch):
         return z
 
     monkeypatch.setattr(solvers, "_l1_vertex", recording)
-    A = np.random.default_rng(0).standard_normal((2, 4))
-    y = A @ np.array([1.0, 0.0, 0.0, -2.0])
-    res = irl1_analysis(LqProblem(A=A, y=y, D=Frame.from_matrix(np.hstack([np.eye(4), np.eye(4)])), q=0.7))
+    problem = _fallback_problem(0.7)
+    res = irl1_analysis(problem)
     assert len(found) == res.iterations and not any(found)
     assert res.converged
-    assert np.linalg.norm(A @ res.f_hat - y) <= 1e-12 * np.linalg.norm(y)
+    assert np.linalg.norm(problem.A @ res.f_hat - problem.y) <= 1e-12 * np.linalg.norm(problem.y)
+
+
+def _irl1_without_early_exit(monkeypatch):
+    reweight = solvers._reweight
+    monkeypatch.setattr(solvers, "_reweight", lambda *args, settled=None: reweight(*args))
+
+
+def _reference_problem(q):
+    A, D, f = _reference_instance(0)
+    return LqProblem(A=A, y=A @ f, D=D, q=q)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: _reference_problem(0.5),
+        lambda: _reference_problem(0.7),
+        lambda: _reference_problem(0.99),
+        lambda: LqProblem(*_irl1_noisy_instance(), q=1.0, epsilon=0.01),
+        lambda: _fallback_problem(1.0),
+    ],
+    ids=["q0.5", "q0.7", "q0.99", "q1-noisy", "q1-no-vertex"],
+)
+def test_irl1_early_exit_leaves_other_runs_bit_identical(monkeypatch, problem):
+    # the exit applies only to vertex steps at q = 1, which ignore sigma
+    problem = problem()
+    early = irl1_analysis(problem)
+    _irl1_without_early_exit(monkeypatch)
+    full = irl1_analysis(problem)
+    assert early.iterations == full.iterations > 2
+    assert early.objective_trace == full.objective_trace
+    assert early.converged == full.converged
+    np.testing.assert_array_equal(early.f_hat, full.f_hat)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_irl1_at_q1_stops_once_the_vertex_step_settles(monkeypatch, seed):
+    # at q = 1 every weight is 1, so the second vertex step repeats the first
+    A, D, f = _reference_instance(seed)
+    problem = LqProblem(A=A, y=A @ f, D=D, q=1.0)
+    early = irl1_analysis(problem)
+    _irl1_without_early_exit(monkeypatch)
+    full = irl1_analysis(problem)
+    assert early.converged and full.converged
+    assert early.iterations == 2 < full.iterations
+    assert objective(early.f_hat, D, 1.0) == pytest.approx(objective(full.f_hat, D, 1.0), rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
