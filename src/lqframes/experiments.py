@@ -11,11 +11,11 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidSpecError, LqframesError
+from .errors import InvalidParametersError, InvalidSpecError, LqframesError
 from .frames import Frame, _check_int, _one_blas_thread, cosparse_signal, mutual_coherence, random_tight_frame
 from .rip import measurement_bound
 from .separation import SeparationProblem, separation_measurement_bound, solve_split_analysis
@@ -43,6 +43,37 @@ KINDS = {"phase_transition": ("n", "d", "m", "q", "s"), "separation_sweep": ("n"
 _METRICS = ("success_rate", "median_relative_error", "median_iterations", "wall_time_ms")
 
 
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def _check_threshold(name: str, value, error) -> None:
+    """Raise ``error`` unless the success threshold ``value`` is a positive real number."""
+    if not (_is_number(value) and value > 0):
+        raise error(f"{name} must be a positive number, got {value!r}")
+
+
+def _check_cell(cell: dict, error, where: str = "") -> None:
+    """Raise ``error`` for a cell that no trial can run; runners check every cell before any trial.
+
+    Every field but q is an integer >= 1, q lies in (0, 1], d >= n, and m,
+    s, s1 and s2 are at most n: an m x n Gaussian A with m > n is row-rank
+    deficient, and every solve refuses it.  s <= d - n stays allowed (its
+    trials fail at generation).  ``where`` prefixes each message.
+    """
+    for key, value in cell.items():
+        if key != "q":
+            _check_int(f"{where}{key}", value, 1, error=error)
+    if not (_is_number(cell["q"]) and 0.0 < cell["q"] <= 1.0):
+        raise error(f"{where}q={cell['q']!r} is outside (0, 1]")
+    n = cell["n"]
+    if cell.get("d", n) < n:
+        raise error(f"{where}d={cell['d']} is below n={n}")
+    for key in ("m", "s", "s1", "s2"):
+        if cell.get(key, n) > n:
+            raise error(f"{where}{key}={cell[key]} exceeds n={n}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A sweep description: grid cells, trial count, threshold, master seed."""
@@ -54,7 +85,7 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise InvalidSpecError(f"unknown experiment kind {self.kind!r}")
         try:
             object.__setattr__(self, "grid", tuple(dict(cell) for cell in self.grid))
@@ -64,33 +95,29 @@ class ExperimentSpec:
             raise InvalidSpecError("grid must be nonempty")
         for ci, cell in enumerate(self.grid):
             for key, value in cell.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if not _is_number(value):
                     raise InvalidSpecError(f"cell {ci} field {key!r} is not a number: {value!r}")
         _check_int("trials_per_cell", self.trials_per_cell, 1, error=InvalidSpecError)
         _check_int("master_seed", self.master_seed, 0, error=InvalidSpecError)
-        if not self.success_threshold > 0:
-            raise InvalidSpecError("success_threshold must be positive")
+        _check_threshold("success_threshold", self.success_threshold, InvalidSpecError)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
+        """Parse a spec object; an absent optional field takes its default, an unknown one is refused."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidSpecError(f"spec is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise InvalidSpecError(f"spec must be a JSON object, got {type(payload).__name__}")
-        try:
-            return cls(
-                kind=payload["kind"],
-                grid=payload["grid"],
-                trials_per_cell=payload.get("trials_per_cell", 20),
-                success_threshold=float(payload.get("success_threshold", 1e-4)),
-                master_seed=payload.get("master_seed", 0),
-            )
-        except KeyError as exc:
-            raise InvalidSpecError(f"spec missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpecError(f"spec field of the wrong type: {exc}") from exc
+        names = [f.name for f in fields(cls)]
+        for key in payload:
+            if key not in names:
+                raise InvalidSpecError(f"spec has unknown field {key!r}; the fields are {', '.join(names)}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in payload:
+                raise InvalidSpecError(f"spec missing field {f.name!r}")
+        return cls(**payload)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -168,12 +195,8 @@ def _cell_fields(spec: ExperimentSpec, kind: str) -> list:
         missing = [key for key in KINDS[kind] if key not in cell]
         if missing:
             raise InvalidSpecError(f"cell {ci} missing field {missing[0]!r}")
-        for key in KINDS[kind]:
-            if key != "q":
-                _check_int(f"cell {ci} field {key!r}", cell[key], error=InvalidSpecError)
-        if not 0.0 < cell["q"] <= 1.0:
-            raise InvalidSpecError(f"cell {ci}: q={cell['q']!r} is outside (0, 1]")
-        if kind == "separation_sweep" and (cell["n"] < 1 or cell["n"] & (cell["n"] - 1)):
+        _check_cell({key: cell[key] for key in KINDS[kind]}, InvalidSpecError, f"cell {ci}: ")
+        if kind == "separation_sweep" and cell["n"] & (cell["n"] - 1):
             raise InvalidSpecError(f"cell {ci}: n={cell['n']} is not a power of two")
     return [tuple(cell[key] for key in KINDS[kind]) for cell in spec.grid]
 
@@ -203,11 +226,14 @@ def run_figure1(
     """The reference reconstruction experiment: IRLS on a random tight frame.
 
     Defaults reproduce the canonical configuration (n=100, d=110, m=50,
-    q=0.7, s=25) over ``trials`` seeded instances.
+    q=0.7, s=25) over ``trials`` seeded instances.  The cell meets the
+    sweeps' cell rule and ``threshold > 0``, or InvalidParametersError is
+    raised before any trial.
     """
-    for name, value in (("trials", trials), ("n", n), ("d", d), ("m", m), ("s", s)):
-        _check_int(name, value, 1)
+    _check_int("trials", trials, 1)
     params = {"n": n, "d": d, "m": m, "q": q, "s": s}
+    _check_cell(params, InvalidParametersError)
+    _check_threshold("threshold", threshold, InvalidParametersError)
     return _run_cell(params, _recovery_trial, (n, d, m, q, s), master_seed, trials, threshold)
 
 

@@ -9,13 +9,15 @@ the current iterate and a smoothing level sigma_j = max(0.7^j, 1e-10)
 that decays geometrically to a floor (Chartrand and Yin, ICASSP 2008).
 One driver, ``_reweight``, owns that outer loop, the traces and the
 stopping rule; a path supplies only its step ``step(D^T f, sigma) ->
-(f_new, D^T f_new, ok)``.  One SVD of A writes the feasible set as
+(f_new, D^T f_new, ok, final)``, where ``final`` says that the step did
+not depend on sigma.  One SVD of A writes the feasible set as
 f = f0 + A^+ v + N z with v = A f - y, and both inner solvers work there.
 The weighted least-squares step of IRLS (``_wls_steps``) is exact: at
-eps = 0 one SPD solve in z, for eps > 0 a trust-region step (l2,
-``_ball_step``) or an active-set step (l-inf, ``_box_step``) in v, so
-every iterate meets the constraint in the given norm; the ball step starts
-from the previous step's multiplier, the box step from its v.  For eps > 0
+eps = 0 one SPD solve in z; for eps > 0 the R factor of one QR holds the
+reduced problem in v, solved by a trust-region step (l2, ``_ball_step``)
+or an active-set step (l-inf, ``_box_step``), so every iterate meets the
+constraint in the given norm; the ball step starts from the previous
+step's multiplier, the box step from its v.  For eps > 0
 IRL1 takes one such step per reweighting, on the atoms w_i d_i at q = 1:
 it lowers a majoriser of the weighted-l1 objective, which is all that
 majorise-minimise needs (Hunter and Lange, Am. Stat. 2004).  At eps = 0
@@ -215,13 +217,16 @@ def _wls_steps(problem: LqProblem):
     One SVD A = U [S 0] [V1 V2]^T gives A^+ = V1 S^-1 U^T, f0 = A^+ y and
     N = V2, so f = f0 + A^+ v + N z with v = A f - y, and D^T f = c0 + P v
     + B z (c0 = D^T f0, P = D^T A^+, B = D^T N).  Returns ``(f0, c0, N, B,
-    step)``; ``step(weights) -> (f, D^T f, ok)`` minimises sum_i weights_i
-    <d_i, f>^2 subject to |A f - y|_r <= eps (weights > 0).  At eps = 0,
-    v = 0 and (B^T W B) z = -B^T W c0.  For eps > 0 a QR of W^(1/2) B
-    eliminates z, leaving min |H v + h| over the ball or the box of radius
-    eps, started from the previous step's mu or v; ``ok`` is False when
-    the box step hit its cap.  An A of numerical rank below its row count
-    raises InfeasibleOrDegenerateError.
+    step)``; ``step(weights) -> (f, D^T f, ok, False)`` minimises sum_i
+    weights_i <d_i, f>^2 subject to |A f - y|_r <= eps (weights > 0).  At
+    eps = 0, v = 0 and (B^T W B) z = -B^T W c0.  For eps > 0 the objective
+    is |R [z; v; 1]|^2, with R the R factor of W^(1/2) [B P c0] (Golub and
+    Van Loan, Matrix Computations, ch. 5) and k = n - m columns of B:
+    its trailing block R[k:, k:] = [H h] leaves min |H v + h| over the ball
+    or the box of radius eps, started from the previous step's mu or v,
+    and then z solves R[:k, :k] z = -(R[:k, k:-1] v + R[:k, -1]).  ``ok``
+    is False when the box step hit its cap.  An A of numerical rank below
+    its row count raises InfeasibleOrDegenerateError.
     """
     A, y, Dm, eps = problem.A, problem.y, problem.D.matrix, problem.epsilon
     m = A.shape[0]
@@ -236,46 +241,41 @@ def _wls_steps(problem: LqProblem):
         def step(weights):
             bw = B.T * weights
             z = _spd_solve(bw @ B, -(bw @ c0))
-            return f0 + N @ z, c0 + B @ z, True
+            return f0 + N @ z, c0 + B @ z, True, False
 
         return f0, c0, N, B, step
 
-    Pc = np.column_stack([Dm.T @ pinv, c0])
+    BPc, k = np.column_stack([B, Dm.T @ pinv, c0]), N.shape[1]
     v, mu = np.zeros(m), 0.0
 
     def step(weights):
         nonlocal v, mu
-        root = np.sqrt(weights)[:, None]
-        Qb, Rb = np.linalg.qr(root * B)
-        X = root * Pc
-        C = Qb.T @ X
-        X -= Qb @ C  # [H h]: the part of W^(1/2) [P c0] that z cannot reach
+        R = np.linalg.qr(np.sqrt(weights)[:, None] * BPc, mode="r")
+        H, h = R[k:, k:-1], R[k:, -1]  # the part of W^(1/2) [P c0] that z cannot reach
         if problem.norm_index == math.inf:
-            v, ok = _box_step(X[:, :-1], X[:, -1], eps, v)
+            v, ok = _box_step(H, h, eps, v)
         else:
-            (v, mu), ok = _ball_step(X[:, :-1], X[:, -1], eps, mu), True
-        z = np.linalg.solve(Rb, -(C[:, :-1] @ v + C[:, -1]))
+            (v, mu), ok = _ball_step(H, h, eps, mu), True
+        z = np.linalg.solve(R[:k, :k], -(R[:k, k:-1] @ v + R[:k, -1]))
         f = f0 + pinv @ v + N @ z
-        return f, Dm.T @ f, ok
+        return f, Dm.T @ f, ok, False
 
     return f0, c0, N, B, step
 
 
-def _reweight(
-    problem: LqProblem, config: SolverConfig | None, f, coeffs, step, settled=lambda: False
-) -> SolverResult:
+def _reweight(problem: LqProblem, config: SolverConfig | None, f, coeffs, step) -> SolverResult:
     """The outer reweighting loop shared by every solver path.
 
     ``step(coeffs, sigma)`` maps D^T f of the current iterate to
-    ``(f_new, D^T f_new, ok)``, with sigma = ``_sigma_at(j)``; ``ok`` is
-    False when the box step hit its cap.  Stops once the relative change of
-    f is below ``config.tol`` and sigma has reached its floor, or when the
-    first step leaves f exactly unchanged (the feasible set is one point),
-    or when ``settled()`` says that the last step did not depend on sigma,
-    so that a step which left f unchanged would leave it so at every later
-    sigma; ``converged`` means that rule stopped the loop, and is False
-    when the last box step hit its cap.  ``config=None`` means
-    ``SolverConfig()``.
+    ``(f_new, D^T f_new, ok, final)``, with sigma = ``_sigma_at(j)``;
+    ``ok`` is False when the box step hit its cap, and ``final`` says that
+    the step did not depend on sigma.  Stops once the relative change of f
+    is below ``config.tol`` and sigma has reached its floor, or the step
+    was final (a step that left f unchanged would leave it so at every
+    later sigma), or it was the first and left f exactly unchanged (the
+    feasible set is one point); ``converged`` means that rule stopped the
+    loop, and is False when the last box step hit its cap.  ``config=None``
+    means ``SolverConfig()``.
     """
     config = config or SolverConfig()
     objective_trace, residual_trace = [], []
@@ -283,14 +283,14 @@ def _reweight(
     converged = False
     for j in range(config.max_outer_iters):
         sigma = _sigma_at(j)
-        f_new, coeffs, ok = step(coeffs, sigma)
+        f_new, coeffs, ok, final = step(coeffs, sigma)
         objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
         residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
         if iterates is not None:
             iterates.append(f_new.copy())
         rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
         f = f_new
-        if rel_change < config.tol and (sigma <= _SIGMA_MIN or (j == 0 and rel_change == 0.0) or settled()):
+        if rel_change < config.tol and (sigma <= _SIGMA_MIN or (j == 0 and rel_change == 0.0) or final):
             converged = True
             break
     return SolverResult(
@@ -381,18 +381,15 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     vertex step that leaves f unchanged is final: the loop stops there.
     """
     f0, c0, N, B, wls = _wls_steps(problem)
-    vertex = False  # the last step was a vertex descent
 
     def step(coeffs, sigma):
-        nonlocal vertex
         w = (np.abs(coeffs) + sigma) ** (problem.q - 1.0)
         w /= np.mean(w)
-        vertex = False
         if problem.epsilon == 0.0 and N.size:
             z = _l1_vertex(B, c0, w, np.argsort(w * np.abs(coeffs))[: N.shape[1]])
             if z is not None:
-                f, vertex = f0 + N @ z, True
-                return f, problem.D.matrix.T @ f, True
+                f = f0 + N @ z
+                return f, problem.D.matrix.T @ f, True, problem.q == 1.0  # at q = 1 the weights ignore sigma
         return wls(w * w / np.sqrt((w * coeffs) ** 2 + max(sigma**2, _SIGMA_MIN)))
 
-    return _reweight(problem, config, f0, c0, step, settled=lambda: vertex and problem.q == 1.0)
+    return _reweight(problem, config, f0, c0, step)

@@ -273,16 +273,20 @@ def test_cli_rejects_non_finite_csv_in_one_line(instance, capsys):
         ["solve", "--matrix", "{tmp}/A.csv", "--dict", "{tmp}/D.csv", "--obs", "{tmp}/y.csv", "--q", "0.7",
          "--tol", "-1"],
         ["phase", "--spec", "{tmp}/q_spec.json"],
+        ["figure1", "--trials", "1", "--threshold", "-1"],
+        ["phase", "--spec", "{tmp}/n0_spec.json"],
     ],
     ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters", "spec-not-an-object",
          "sparsity-count-mismatch", "figure1-negative-seed", "figure1-no-trials", "negative-tol",
-         "phase-cell-q-above-one"],
+         "phase-cell-q-above-one", "figure1-negative-threshold", "phase-cell-n-zero"],
 )
 def test_cli_user_errors_exit_2_in_one_line(instance, capsys, argv):
     tmp, _, _, _ = instance
     (tmp / "list_spec.json").write_text("[1, 2]")
     q_cell = {"n": 20, "d": 24, "m": 14, "q": 1.5, "s": 6}
     (tmp / "q_spec.json").write_text(json.dumps({"kind": "phase_transition", "grid": [q_cell]}))
+    n0_cell = {"n": 0, "d": 24, "m": 14, "q": 0.7, "s": 6}
+    (tmp / "n0_spec.json").write_text(json.dumps({"kind": "phase_transition", "grid": [n0_cell]}))
     rc = main([arg.format(tmp=tmp) for arg in argv])
     assert rc == 2
     err = capsys.readouterr().err

@@ -8,6 +8,7 @@ from lqframes import (
     CellResult,
     ExperimentSpec,
     GenerationFailedError,
+    InvalidParametersError,
     InvalidSpecError,
     cells_from_csv,
     cells_from_json,
@@ -58,6 +59,8 @@ def test_spec_from_json_rejects_garbage():
         ExperimentSpec.from_json(json.dumps({"grid": [_SMALL]}))
     with pytest.raises(InvalidSpecError):
         ExperimentSpec.from_json("[1, 2]")
+    with pytest.raises(InvalidSpecError, match="unknown experiment kind"):
+        ExperimentSpec.from_json(json.dumps({"kind": ["phase_transition"], "grid": [_SMALL]}))
     for grid in (5, [1]):
         with pytest.raises(InvalidSpecError):
             ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": grid}))
@@ -67,6 +70,28 @@ def test_spec_from_json_rejects_garbage():
         ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": [{**_SMALL, "label": "a"}]}))
     with pytest.raises(InvalidSpecError, match="master_seed"):
         ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": [_SMALL], "master_seed": -1}))
+
+
+@pytest.mark.parametrize("field, value", [("trials", 3), ("seed", 5), ("threshold", 1e-3)])
+def test_spec_from_json_refuses_an_unknown_field(field, value):
+    # a misspelt field would otherwise run with the default silently
+    text = json.dumps({"kind": "phase_transition", "grid": [_SMALL], field: value})
+    with pytest.raises(InvalidSpecError, match=f"unknown field '{field}'"):
+        ExperimentSpec.from_json(text)
+
+
+def test_spec_from_json_takes_the_dataclass_defaults():
+    spec = ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": [_SMALL]}))
+    assert spec == ExperimentSpec(kind="phase_transition", grid=[_SMALL])
+
+
+@pytest.mark.parametrize("threshold", ["x", "1e-3", None, True, [1e-3]])
+def test_spec_refuses_a_threshold_that_is_not_a_number(threshold):
+    with pytest.raises(InvalidSpecError, match="success_threshold"):
+        ExperimentSpec(kind="phase_transition", grid=[_SMALL], success_threshold=threshold)
+    text = json.dumps({"kind": "phase_transition", "grid": [_SMALL], "success_threshold": threshold})
+    with pytest.raises(InvalidSpecError, match="success_threshold"):
+        ExperimentSpec.from_json(text)
 
 
 def test_trial_seed_is_stable():
@@ -185,6 +210,27 @@ def test_phase_transition_missing_cell_key():
             "_separation_trial",
             [{"n": 16, "s1": 1, "s2": 1, "m": 12, "q": q} for q in (0.7, 0.0)],
         ),
+        ("phase_transition", "_recovery_trial", [_SMALL, dict(_SMALL, n=0)]),
+        ("phase_transition", "_recovery_trial", [_SMALL, dict(_SMALL, d=19)]),
+        ("phase_transition", "_recovery_trial", [_SMALL, dict(_SMALL, s=0)]),
+        ("phase_transition", "_recovery_trial", [_SMALL, dict(_SMALL, s=21)]),
+        ("phase_transition", "_recovery_trial", [_SMALL, dict(_SMALL, m=21)]),
+        ("phase_transition", "_recovery_trial", [_SMALL, dict(_SMALL, m=-3)]),
+        (
+            "separation_sweep",
+            "_separation_trial",
+            [{"n": 16, "s1": s1, "s2": 1, "m": m, "q": 0.7} for s1, m in ((1, 12), (0, 12))],
+        ),
+        (
+            "separation_sweep",
+            "_separation_trial",
+            [{"n": 16, "s1": 1, "s2": s2, "m": m, "q": 0.7} for s2, m in ((1, 12), (17, 12))],
+        ),
+        (
+            "separation_sweep",
+            "_separation_trial",
+            [{"n": 16, "s1": 1, "s2": 1, "m": m, "q": 0.7} for m in (12, 17)],
+        ),
     ],
 )
 def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch, kind, trial, grid):
@@ -196,6 +242,23 @@ def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch, kind, trial
     runner = ex.run_phase_transition if kind == "phase_transition" else ex.run_separation_sweep
     with pytest.raises(InvalidSpecError, match="cell 1"):
         runner(spec)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(q=1.5), dict(q=0.0), dict(q=math.nan), dict(d=19), dict(m=21), dict(s=0), dict(n=0), dict(threshold=0.0),
+     dict(threshold=-1.0), dict(threshold=math.nan)],
+    ids=["q-above-one", "q-zero", "q-nan", "d-below-n", "m-above-n", "s-zero", "n-zero", "threshold-zero",
+         "threshold-negative", "threshold-nan"],
+)
+def test_figure1_checks_its_cell_before_the_first_trial(monkeypatch, kwargs):
+    import lqframes.experiments as ex
+
+    calls = []
+    monkeypatch.setattr(ex, "_recovery_trial", lambda *args: calls.append(args) or (0.0, 1))
+    with pytest.raises(InvalidParametersError):
+        ex.run_figure1(trials=2, **{**_SMALL, **kwargs})
     assert calls == []
 
 

@@ -184,12 +184,12 @@ def test_equality_step_matches_a_cholesky_solve():
     A, D, f = _reference_instance(0)
     f0, c0, _, _, step = solvers._wls_steps(LqProblem(A=A, y=A @ f, D=D, q=0.7))
     weights = 10.0 ** np.random.default_rng(0).uniform(-2.0, 2.0, D.matrix.shape[1])
-    f_step, coeffs, ok = step(weights)
+    f_step, coeffs, ok, final = step(weights)
     N = np.linalg.qr(A.T, mode="complete")[0][:, A.shape[0] :]
     B = D.matrix.T @ N
     bw = B.T * weights
     f_ref = f0 + N @ cho_solve(cho_factor(bw @ B), -(bw @ c0))
-    assert ok
+    assert ok and not final
     assert np.linalg.norm(f_step - f_ref) <= 1e-10 * np.linalg.norm(f_ref)
     assert np.linalg.norm(coeffs - D.matrix.T @ f_ref) <= 1e-10 * np.linalg.norm(D.matrix.T @ f_ref)
 
@@ -509,8 +509,13 @@ def test_irl1_falls_back_to_least_squares_when_no_vertex_is_fixed(monkeypatch):
 
 
 def _irl1_without_early_exit(monkeypatch):
+    # every step reports that it depended on sigma, so only the floor stops the loop
     reweight = solvers._reweight
-    monkeypatch.setattr(solvers, "_reweight", lambda *args, settled=None: reweight(*args))
+
+    def without(problem, config, f, coeffs, step):
+        return reweight(problem, config, f, coeffs, lambda c, sigma: (*step(c, sigma)[:3], False))
+
+    monkeypatch.setattr(solvers, "_reweight", without)
 
 
 def _reference_problem(q):
@@ -581,6 +586,83 @@ def test_traces_describe_the_kept_iterates(solver, epsilon, norm_index):
 # ---------------------------------------------------------------------------
 # the exact noisy steps
 # ---------------------------------------------------------------------------
+
+def _explicit_q_step(problem, weights):
+    """The noisy step through an explicit Q, the reference for the R-only step.
+
+    An explicit Q of W^(1/2) B splits W^(1/2) [P c0] into C = Q^T X and the
+    part [H h] = X - Q C that z cannot reach; then v solves the ball or box
+    problem from a cold start and z solves R z = -(C_P v + C_c).
+    """
+    A, y, Dm, eps = problem.A, problem.y, problem.D.matrix, problem.epsilon
+    m = A.shape[0]
+    U, s, Vt = np.linalg.svd(A)
+    pinv = (Vt[:m].T / s) @ U.T
+    f0, N = pinv @ y, Vt[m:].T
+    root = np.sqrt(weights)[:, None]
+    Qb, Rb = np.linalg.qr(root * (Dm.T @ N))
+    X = root * np.column_stack([Dm.T @ pinv, Dm.T @ f0])
+    C = Qb.T @ X
+    X -= Qb @ C
+    if problem.norm_index == math.inf:
+        v, ok = _box_step(X[:, :-1], X[:, -1], eps, np.zeros(m))
+        assert ok
+    else:
+        v = _ball_step(X[:, :-1], X[:, -1], eps)[0]
+    return f0 + pinv @ v + N @ np.linalg.solve(Rb, -(C[:, :-1] @ v + C[:, -1]))
+
+
+@pytest.mark.parametrize("norm_index", [2.0, math.inf])
+@pytest.mark.parametrize("instance", ["small", "reference"])
+def test_noisy_step_matches_the_explicit_q_step(instance, norm_index):
+    # one R factor of W^(1/2) [B P c0] holds what the explicit Q and its two
+    # projections computed; the step runs warm, the reference cold
+    if instance == "small":
+        A, y, D = _irl1_noisy_instance()
+    else:
+        A, D, f = _reference_instance(1)
+        y = A @ f + 0.01 * np.random.default_rng(1).standard_normal(A.shape[0]) / math.sqrt(A.shape[0])
+    problem = LqProblem(A=A, y=y, D=D, q=0.7, epsilon=0.01, norm_index=norm_index)
+    *_, step = solvers._wls_steps(problem)
+    rng = np.random.default_rng(2)
+    for _ in range(4):
+        weights = 10.0 ** rng.uniform(-2.0, 4.0, D.matrix.shape[1])
+        f, coeffs, ok, final = step(weights)
+        f_ref = _explicit_q_step(problem, weights)
+        assert ok and not final
+        assert np.linalg.norm(f - f_ref) <= 1e-10 * np.linalg.norm(f_ref)
+        c_ref = D.matrix.T @ f_ref
+        assert np.linalg.norm(coeffs - c_ref) <= 1e-10 * np.linalg.norm(c_ref)
+
+
+def _hard_noisy_instance(seed):
+    # duplicated atoms scaled by 10^U(-3, 3); at seed 3 mod 4 with m > 1 a
+    # repeated row of A, which every solve must refuse
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    m, dup = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+    Dm = rng.standard_normal((n, n))
+    Dm = np.hstack([Dm, Dm[:, :dup]]) * 10.0 ** rng.uniform(-3.0, 3.0, n + dup)
+    A = rng.standard_normal((m, n))
+    if seed % 4 == 3 and m > 1:
+        A[-1] = A[0]
+    y = A @ (rng.standard_normal(n) * (rng.random(n) < 0.5)) + 0.1 * rng.standard_normal(m)
+    return A, y, Frame.from_matrix(Dm), float(10.0 ** rng.uniform(-3.0, 0.0))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_noisy_solves_on_hard_atoms_return_a_feasible_point_or_refuse(seed):
+    A, y, D, eps = _hard_noisy_instance(seed)
+    for norm_index in (2.0, math.inf):
+        problem = LqProblem(A=A, y=y, D=D, q=0.5, epsilon=eps, norm_index=norm_index)
+        for solver in (irls_analysis, irl1_analysis):
+            try:
+                res = solver(problem, SolverConfig(max_outer_iters=100))
+            except lqframes.LqframesError:
+                continue
+            assert np.all(np.isfinite(res.f_hat))
+            assert np.linalg.norm(A @ res.f_hat - y, ord=norm_index) <= eps * (1.0 + 1e-8)
+
 
 def _step_instance(seed, d=30, m=8):
     rng = np.random.default_rng(seed)
