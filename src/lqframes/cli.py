@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ConditionUnevaluableError, InvalidDimensionsError, LqframesError
 from .experiments import (
     ExperimentSpec,
+    _csv_text,
+    _json_safe,
     cells_to_csv,
     cells_to_json,
     run_bounds_table,
@@ -37,50 +39,24 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_json_safe(float(v)) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return _json_safe(float(value))
-    return value
-
-
 def _cmd_figure1(args):
     cell = run_figure1(master_seed=args.seed, trials=args.trials, threshold=args.threshold)
     _write_text(args.out, json.dumps(_json_safe(cell.to_dict()), indent=2))
     return 0
 
 
-def _cmd_phase(args):
+def _cmd_sweep(args):
     with open(args.spec, "r", encoding="ascii") as fh:
         spec = ExperimentSpec.from_json(fh.read())
-    cells = run_phase_transition(spec)
-    _write_text(args.out, cells_to_csv(cells))
+    cells = args.run(spec)
+    _write_text(args.out, cells_to_json(cells) if args.format == "json" else cells_to_csv(cells))
     return 0
 
 
 def _cmd_bounds(args):
     q_list = [float(tok) for tok in args.q.split(",") if tok.strip()]
     rows = run_bounds_table(q_list, args.s, args.d, args.kappa)
-    lines = ["q,m_min,m_min_separation"]
-    for row in rows:
-        lines.append(f"{row['q']!r},{row['m_min']!r},{row['m_min_separation']!r}")
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_separate_sweep(args):
-    with open(args.spec, "r", encoding="ascii") as fh:
-        spec = ExperimentSpec.from_json(fh.read())
-    cells = run_separation_sweep(spec)
-    out = cells_to_json(cells) if args.format == "json" else cells_to_csv(cells)
-    _write_text(args.out, out)
+    _write_text(args.out, _csv_text(("q", "m_min", "m_min_separation"), rows))
     return 0
 
 
@@ -202,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="phase-transition sweep from a JSON spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_phase)
+    p.set_defaults(func=_cmd_sweep, run=run_phase_transition, format="csv")
 
     p = sub.add_parser("bounds", help="measurement lower-bound table")
     p.add_argument("--q", required=True, help="comma-separated q values")
@@ -216,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_separate_sweep)
+    p.set_defaults(func=_cmd_sweep, run=run_separation_sweep)
 
     p = sub.add_parser("rip-estimate", help="estimate a q-RIP constant")
     p.add_argument("--matrix", required=True)

@@ -7,7 +7,6 @@ as unsuccessful; other exceptions propagate.  Wall time is informational only.
 """
 
 import hashlib
-import io
 import json
 import math
 import time
@@ -139,9 +138,13 @@ class CellResult:
 
     @classmethod
     def from_dict(cls, row: dict) -> "CellResult":
-        """Inverse of ``to_dict``: every key outside ``_METRICS`` is a parameter."""
-        params = {k: v for k, v in row.items() if k not in _METRICS}
-        return cls(params=params, **{k: float(row[k]) for k in _METRICS})
+        """Inverse of ``to_dict``: every key outside ``_METRICS`` is a parameter, and a null metric is inf."""
+        try:
+            params = {k: v for k, v in row.items() if k not in _METRICS}
+            metrics = {k: math.inf if row[k] is None else float(row[k]) for k in _METRICS}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"malformed cell row {row!r}: {exc!r}") from exc
+        return cls(params=params, **metrics)
 
 
 def cell_key(params: dict) -> int:
@@ -187,8 +190,8 @@ def _run_cell(params, trial_fn, fields, master_seed, trials, threshold) -> CellR
     )
 
 
-def _cell_fields(spec: ExperimentSpec, kind: str) -> list:
-    """Each cell's ``KINDS[kind]`` values; every cell is checked before any trial runs."""
+def _run_sweep(spec: ExperimentSpec, kind: str, trial_fn) -> list:
+    """Run each cell of a ``kind`` spec through ``_run_cell``; every cell is checked before any trial runs."""
     if spec.kind != kind:
         raise InvalidSpecError(f"expected kind {kind}, got {spec.kind!r}")
     for ci, cell in enumerate(spec.grid):
@@ -198,7 +201,8 @@ def _cell_fields(spec: ExperimentSpec, kind: str) -> list:
         _check_cell({key: cell[key] for key in KINDS[kind]}, InvalidSpecError, f"cell {ci}: ")
         if kind == "separation_sweep" and cell["n"] & (cell["n"] - 1):
             raise InvalidSpecError(f"cell {ci}: n={cell['n']} is not a power of two")
-    return [tuple(cell[key] for key in KINDS[kind]) for cell in spec.grid]
+    settings = (spec.master_seed, spec.trials_per_cell, spec.success_threshold)
+    return [_run_cell(cell, trial_fn, tuple(cell[key] for key in KINDS[kind]), *settings) for cell in spec.grid]
 
 
 def _recovery_trial(n, d, m, q, s, seed_seq) -> tuple:
@@ -239,12 +243,8 @@ def run_figure1(
 
 def run_phase_transition(spec: ExperimentSpec) -> list:
     """Success-rate sweep over (n, d, m, q, s) cells, sorted by (q, s, m)."""
-    results = [
-        _run_cell(cell, _recovery_trial, fields, spec.master_seed, spec.trials_per_cell, spec.success_threshold)
-        for cell, fields in zip(spec.grid, _cell_fields(spec, "phase_transition"))
-    ]
-    results.sort(key=lambda r: (r.params["q"], r.params["s"], r.params["m"]))
-    return results
+    results = _run_sweep(spec, "phase_transition", _recovery_trial)
+    return sorted(results, key=lambda r: (r.params["q"], r.params["s"], r.params["m"]))
 
 
 def run_bounds_table(q_list, s: int, d: int, kappa: float = 1.0) -> list:
@@ -289,13 +289,10 @@ def run_separation_sweep(spec: ExperimentSpec) -> list:
     (1/sqrt(n)) is reported alongside the parameters.
     """
     results = []
-    for cell, fields in zip(spec.grid, _cell_fields(spec, "separation_sweep")):
-        n = fields[0]
+    for r in _run_sweep(spec, "separation_sweep", _separation_trial):
+        n = r.params["n"]
         mu1 = mutual_coherence([np.eye(n), _hadamard(n) / math.sqrt(n)])
-        result = _run_cell(
-            cell, _separation_trial, fields, spec.master_seed, spec.trials_per_cell, spec.success_threshold
-        )
-        results.append(replace(result, params={**cell, "mu1": mu1}))
+        results.append(replace(r, params={**r.params, "mu1": mu1}))
     return results
 
 
@@ -320,33 +317,51 @@ def _parse_number(token: str):
         return float(token)
 
 
+def _json_safe(value):
+    """``value`` with NaN and inf as None and numpy values as Python ones, so JSON stays strict."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, (np.ndarray, np.floating, np.integer)):
+        return _json_safe(np.asarray(value, dtype=float).tolist())
+    return value
+
+
+def _csv_text(columns, rows) -> str:
+    """A header of ``columns`` and one line per row mapping, each number as ``_format_number`` writes it."""
+    lines = [",".join(columns)] + [",".join(_format_number(row[k]) for k in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cells_to_csv(cells) -> str:
-    """Render cell results as CSV (header row, comma separated, '.' decimal)."""
+    """Render cell results as CSV (header row, comma separated, '.' decimal, inf as ``inf``)."""
     if not cells:
         return "\n"
     param_keys = sorted(cells[0].params.keys())
     for cell in cells:
         if sorted(cell.params.keys()) != param_keys:
             raise InvalidSpecError("cells with differing parameter keys cannot share a CSV")
-    out = io.StringIO()
-    out.write(",".join(list(param_keys) + list(_METRICS)) + "\n")
-    for cell in cells:
-        row = [cell.params[k] for k in param_keys] + [getattr(cell, k) for k in _METRICS]
-        out.write(",".join(_format_number(v) for v in row) + "\n")
-    return out.getvalue()
+    return _csv_text(param_keys + list(_METRICS), [cell.to_dict() for cell in cells])
 
 
 def cells_from_csv(text: str) -> list:
+    """Inverse of ``cells_to_csv``; a row that does not fit the header raises InvalidSpecError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return []
-    header = lines[0].split(",")
-    rows = (dict(zip(header, map(_parse_number, line.split(",")))) for line in lines[1:])
+    try:
+        rows = [dict(zip(lines[0].split(","), map(_parse_number, ln.split(",")), strict=True)) for ln in lines[1:]]
+    except ValueError as exc:
+        raise InvalidSpecError(f"a CSV row does not fit the header {lines[0]!r}: {exc}") from exc
     return [CellResult.from_dict(row) for row in rows]
 
 
 def cells_to_json(cells) -> str:
-    return json.dumps([cell.to_dict() for cell in cells], indent=2)
+    """Render cell results as strict JSON: NaN and inf are written as null."""
+    return json.dumps(_json_safe([cell.to_dict() for cell in cells]), indent=2)
 
 
 def cells_from_json(text: str) -> list:

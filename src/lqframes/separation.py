@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidDimensionsError, InvalidParametersError
 from .frames import Frame, _ambient_dim, _atoms, _check_int, _check_q, _matrix, _one_blas_thread, _require_finite
 from .rip import _bound_from_t, _ceil_exact
-from .solvers import LqProblem, SolverConfig, irls_analysis
+from .solvers import LqProblem, SolverConfig, _check_constraint, irls_analysis
 
 __all__ = [
     "SeparationProblem",
@@ -63,6 +63,7 @@ class SeparationProblem:
         object.__setattr__(self, "A", _matrix("A", self.A))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
         _require_finite(y=self.y)
+        _check_constraint(self.q, self.epsilon, self.norm_index)
         n = _require_unit_tight(self.dicts)
         if self.A.shape[1] != n:
             raise InvalidDimensionsError(

@@ -51,6 +51,15 @@ def objective(f, D, q: float) -> float:
     return float(np.sum(np.abs(_atoms(D).T @ f) ** q))
 
 
+def _check_constraint(q, epsilon, norm_index) -> None:
+    """Raise InvalidParametersError unless q is in (0, 1], epsilon >= 0 and the residual norm is 2 or inf."""
+    _check_q(q)
+    if not epsilon >= 0.0:
+        raise InvalidParametersError(f"epsilon must be >= 0, got {epsilon}")
+    if norm_index not in (2, 2.0, math.inf):
+        raise InvalidParametersError(f"norm_index must be 2 or inf, got {norm_index}")
+
+
 @dataclass(frozen=True)
 class LqProblem:
     """One constrained l_q-analysis instance.
@@ -70,11 +79,7 @@ class LqProblem:
         object.__setattr__(self, "A", _matrix("A", self.A))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
         _require_finite(y=self.y, D=self.D.matrix)
-        _check_q(self.q)
-        if not self.epsilon >= 0.0:
-            raise InvalidParametersError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.norm_index not in (2, 2.0, math.inf):
-            raise InvalidParametersError(f"norm_index must be 2 or inf, got {self.norm_index}")
+        _check_constraint(self.q, self.epsilon, self.norm_index)
         m, n = self.A.shape
         if self.y.size != m:
             raise InvalidDimensionsError(f"y has length {self.y.size}, expected {m}")

@@ -219,6 +219,12 @@ def test_separate_sweep_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2
     assert "mu1" in lines[0]
+    out_json = tmp_path / "sweep.json"
+    rc = main(["separate-sweep", "--spec", str(spec_path), "--format", "json", "--out", str(out_json)])
+    assert rc == 0
+    (cell,) = json.loads(out_json.read_text())
+    assert sorted(cell) == sorted(lines[0].split(","))
+    assert cell["mu1"] == 0.25 and cell["s1"] == 1
 
 
 def test_cli_reports_domain_errors(tmp_path, capsys):

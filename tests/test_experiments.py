@@ -346,6 +346,34 @@ def test_cell_serialization_round_trips_losslessly():
         # True == 1, so == alone would accept a bool read back as an int
         assert [type(cell.params["tight"]) for cell in back] == [bool, bool]
 
+    def refuse(token):
+        raise AssertionError(f"cells_to_json wrote the non-JSON token {token}")
+
+    # strict JSON: the infinite error is written as null
+    assert json.loads(cells_to_json(cells), parse_constant=refuse)[1]["median_relative_error"] is None
+
+
+_CSV_HEADER = "n,q,success_rate,median_relative_error,median_iterations,wall_time_ms\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "20,0.7,1.0,1e-06,10.0,5.0,99",  # one value too many
+        "20,0.7,1.0,1e-06,10.0",  # one value too few
+        "20,0.7,high,1e-06,10.0,5.0",  # a token that is not a number
+    ],
+)
+def test_cells_from_csv_refuses_a_malformed_row(row):
+    assert len(cells_from_csv(_CSV_HEADER + "20,0.7,1.0,1e-06,10.0,5.0\n")) == 1
+    with pytest.raises(InvalidSpecError, match="does not fit the header"):
+        cells_from_csv(_CSV_HEADER + row + "\n")
+
+
+def test_cells_from_json_refuses_a_row_without_its_metrics():
+    with pytest.raises(InvalidSpecError, match="malformed cell row"):
+        cells_from_json('[{"n": 20, "success_rate": 1.0}]')
+
 
 def test_cells_csv_header():
     cell = CellResult(

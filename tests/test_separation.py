@@ -115,6 +115,22 @@ def test_problem_rejects_non_finite_input(field):
         SeparationProblem(dicts=dicts, q=0.7, **args)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"q": 1.5}, "q must lie in"),
+        ({"q": 0.0}, "q must lie in"),
+        ({"q": 0.7, "epsilon": -1.0}, "epsilon must be >= 0"),
+        ({"q": 0.7, "epsilon": math.nan}, "epsilon must be >= 0"),
+        ({"q": 0.7, "norm_index": 3}, "norm_index must be 2 or inf"),
+        ({"q": 1.5, "epsilon": -1.0, "norm_index": 3}, "q must lie in"),
+    ],
+)
+def test_problem_checks_q_epsilon_and_norm_at_construction(kwargs, message):
+    with pytest.raises(InvalidParametersError, match=message):
+        SeparationProblem(dicts=[_spikes(2), _waves(2)], A=np.eye(2), y=np.ones(2), **kwargs)
+
+
 def test_split_recovers_both_components():
     n, m = 16, 12
     spikes, waves = _spikes(n), _waves(n)
