@@ -103,12 +103,7 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
         """Parse a spec object; an absent optional field takes its default, an unknown one is refused."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpecError(f"spec is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise InvalidSpecError(f"spec must be a JSON object, got {type(payload).__name__}")
+        payload = _json_document(text, "spec", dict)
         names = [f.name for f in fields(cls)]
         for key in payload:
             if key not in names:
@@ -365,4 +360,17 @@ def cells_to_json(cells) -> str:
 
 
 def cells_from_json(text: str) -> list:
-    return [CellResult.from_dict(row) for row in json.loads(text)]
+    """Inverse of ``cells_to_json``; text that is not a JSON list of cell rows raises InvalidSpecError."""
+    return [CellResult.from_dict(row) for row in _json_document(text, "cell results", list)]
+
+
+def _json_document(text: str, what: str, kind: type):
+    """``text`` parsed as JSON, refused with InvalidSpecError unless it parses to a ``kind``."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidSpecError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, kind):
+        name = {dict: "object", list: "list"}[kind]
+        raise InvalidSpecError(f"{what} must be a JSON {name}, got {type(payload).__name__}")
+    return payload

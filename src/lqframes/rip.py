@@ -223,8 +223,11 @@ class RipReport:
 
     ``delta`` is a certified lower bound on the true constant (the maximum
     deviation seen over the evaluated support/direction pairs).  ``trials``
-    counts evaluated pairs; ``degenerate`` counts skipped directions whose
-    dictionary combination was exactly zero.
+    counts those pairs, every coordinate axis of every support included,
+    though each atom's axis ratio is computed once.  ``degenerate`` counts
+    the skipped pairs whose dictionary combination D_S v was exactly zero:
+    the axis of a zero atom once for each support holding it, and each flat
+    or random direction that cancels.
     """
 
     order: int
@@ -254,14 +257,14 @@ def rip_scan(ad_s, d_s, dirs, q):
     """
     y = ad_s @ dirs
     z = d_s @ dirs
-    den_sq = np.sum(z * z, axis=-2)
+    dev, good = _deviations(np.sum(np.abs(y) ** q, axis=-2), np.sum(z * z, axis=-2), q)
+    return float(np.max(dev, initial=-1.0)), good.size - int(np.count_nonzero(good))
+
+
+def _deviations(num, den_sq, q):
+    """|num / den_sq^(q/2) - 1| where den_sq > 0, and the mask of those entries."""
     good = den_sq > 0.0
-    n_degenerate = int(np.sum(~good))
-    if not np.any(good):
-        return -1.0, n_degenerate
-    num = np.sum(np.abs(y) ** q, axis=-2)[good]
-    ratios = num / den_sq[good] ** (q / 2.0)
-    return float(np.max(np.abs(ratios - 1.0))), n_degenerate
+    return np.abs(num[good] / den_sq[good] ** (q / 2.0) - 1.0), good
 
 
 @_one_blas_thread()
@@ -293,17 +296,25 @@ def estimate_rip(
     evaluation order.  Exhaustive mode refuses more than
     ``DEFAULT_SUPPORT_CAP`` supports.
 
-    Exhaustive supports are scanned in stacked blocks, one ``rip_scan`` call
-    per block of about ``_BATCH_ENTRIES`` entries of A D_S V, which keeps a
-    block in cache and the per-support Python cost out of the enumeration.
-    Sampled supports are scanned one at a time: at sampled orders a single
-    support's arrays are already near that size, larger stacks ran slower,
-    and one ``rip_scan`` call per sampled support is what ``lqbench``
-    traces count as supports.
+    A coordinate axis of a support S gives D_S e_i = d_i, the atom itself,
+    so each axis ratio |(A D)_i|_q^q / |d_i|_2^q is computed once per atom.
+    Delta takes the largest axis deviation over the atoms that some scanned
+    support holds, and a zero atom counts as one degenerate direction for
+    each scanned support holding it.  Each support is then scanned with the
+    flat direction and its random ones.  Supports come in chunks of about
+    ``_BATCH_ENTRIES`` entries of A D_S V, and each chunk draws its support
+    uniforms and its normals with one call per stream.  An exhaustive chunk
+    is one stacked ``rip_scan`` call, which keeps the per-support Python cost
+    out of the enumeration.  A sampled chunk gathers and scans its supports
+    one at a time: at sampled orders one support's D_S already holds
+    thousands of entries, and one ``rip_scan`` call per sampled support is
+    what ``lqbench`` traces count as supports.
     """
     A, Dm, entropy = _operands(A, D, q, s, budget, seed)
     (m, n), d = A.shape, Dm.shape[1]
     support_rng, direction_rng = map(np.random.default_rng, np.random.SeedSequence(entropy).spawn(2))
+    extra = budget if mode == "exhaustive" else 8  # random directions per sampled support
+    block = max(1, _BATCH_ENTRIES // ((1 + extra) * max(m, n)))
 
     if mode == "exhaustive":
         n_supports = comb(d, s)
@@ -311,41 +322,54 @@ def estimate_rip(
             raise InvalidParametersError(
                 f"exhaustive mode would enumerate {n_supports} supports, cap is {DEFAULT_SUPPORT_CAP}"
             )
-        supports = itertools.combinations(range(d), s)
-        extra = budget
-        block = max(1, _BATCH_ENTRIES // ((s + 1 + extra) * max(m, n)))
+        enumerated = itertools.combinations(range(d), s)
+        chunks = map(np.array, iter(lambda: list(itertools.islice(enumerated, block)), []))
     elif mode == "sampled":
         if budget < 1:
             raise InvalidParametersError("sampled mode needs budget >= 1")
         # The s smallest of d uniforms index a uniform s-subset.
-        supports = (np.sort(np.argpartition(support_rng.random(d), s - 1)[:s]) for _ in range(budget))
-        extra = 8  # random directions per sampled support
-        block = 1
+        chunks = (
+            np.sort(np.argpartition(support_rng.random((k, d)), s - 1, axis=1)[:, :s], axis=1)
+            for k in (min(block, budget - i) for i in range(0, budget, block))
+        )
     else:
         raise InvalidParametersError(f"unknown mode {mode!r}")
 
+    AD = A @ Dm
+    # D_S e_i = d_i whatever S holds atom i, so each axis ratio is computed
+    # once per atom.  np.sum adds row by row only over a C-ordered array more
+    # than one column wide, as rip_scan's products are; running sums add row
+    # by row at any layout and width, so each ratio is bit for bit the one a
+    # scan of that axis beside other directions gives.
+    axis_dev, live = _deviations(np.add.accumulate(np.abs(AD) ** q)[-1], np.add.accumulate(Dm * Dm)[-1], q)
     # Rows are atoms, so adT[cols] and dT[cols] are contiguous gathers.
-    adT = np.ascontiguousarray((A @ Dm).T)
+    adT = np.ascontiguousarray(AD.T)
     dT = np.ascontiguousarray(Dm.T)
-    # Coordinate axes and the flat direction, then random points on the sphere.
-    fixed = np.concatenate([np.eye(s), np.full((s, 1), 1.0 / math.sqrt(s))], axis=1)
+    held = np.zeros(d, dtype=np.int64)  # scanned supports holding each atom
     best = -1.0
     degenerate = 0
     scanned = 0
-    while batch := list(itertools.islice(supports, block)):
-        cols = np.array(batch, dtype=int)
-        dirs = np.empty((len(cols), s, s + 1 + extra))
-        dirs[:, :, : s + 1] = fixed
+    step = block if mode == "exhaustive" else 1
+    for cols in chunks:
+        held += np.bincount(cols.ravel(), minlength=d)
+        # The flat direction, then random points on the sphere.
+        dirs = np.empty((len(cols), s, 1 + extra))
+        dirs[:, :, 0] = 1.0 / math.sqrt(s)
         # Support i's directions are the i-th extra * s normals of the stream.
         g = direction_rng.standard_normal((len(cols), extra, s)).transpose(0, 2, 1)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        dirs[:, :, s + 1 :] = g / norms
-        dev, ndeg = rip_scan(adT[cols].transpose(0, 2, 1), dT[cols].transpose(0, 2, 1), dirs, q)
-        best = max(best, dev)
-        degenerate += ndeg
+        dirs[:, :, 1:] = g / norms
+        for i in range(0, len(cols), step):
+            part = cols[i : i + step]
+            ad_s, d_s = adT[part].transpose(0, 2, 1), dT[part].transpose(0, 2, 1)
+            dev, ndeg = rip_scan(ad_s, d_s, dirs[i : i + step], q)
+            best = max(best, dev)
+            degenerate += ndeg
         scanned += len(cols)
 
+    best = max(best, float(np.max(axis_dev[held[live] > 0], initial=-1.0)))
+    degenerate += int(np.sum(held[~live]))
     if best < 0.0:
         raise DegenerateDictionaryError("every sampled sparse combination of dictionary columns was zero")
     return RipReport(

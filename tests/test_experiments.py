@@ -375,6 +375,20 @@ def test_cells_from_json_refuses_a_row_without_its_metrics():
         cells_from_json('[{"n": 20, "success_rate": 1.0}]')
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("[", "cell results is not valid JSON"),
+        ('{"a": 1}', "cell results must be a JSON list, got dict"),
+        ("5", "cell results must be a JSON list, got int"),
+    ],
+    ids=["not-json", "object", "number"],
+)
+def test_cells_from_json_refuses_a_document_that_is_not_a_list(text, match):
+    with pytest.raises(InvalidSpecError, match=match):
+        cells_from_json(text)
+
+
 def test_cells_csv_header():
     cell = CellResult(
         params={"q": 0.7, "m": 14},

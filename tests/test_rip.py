@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from lqframes import (
     tail_constant,
 )
 from lqframes import rip
+from lqframes.frames import _one_blas_thread
 from lqframes.rip import rip_scan
 
 
@@ -161,7 +163,9 @@ def test_exhaustive_blocks_match_one_support_per_block(monkeypatch):
     rng = np.random.default_rng(8)
     A = rng.standard_normal((6, 10))
     D = rng.standard_normal((10, 16))
-    D[:, 5] = 0.0  # supports holding atom 5 are spread over several blocks
+    # Half the atoms are zero, so all-zero supports, whose flat and random
+    # directions are degenerate inside rip_scan, fall in several blocks.
+    D[:, ::2] = 0.0
     calls = []
 
     def counting_scan(*args):
@@ -180,6 +184,97 @@ def test_exhaustive_blocks_match_one_support_per_block(monkeypatch):
     assert blocked.trials == single.trials == math.comb(16, 3) * 9
     assert blocked.degenerate == single.degenerate > 0
     assert blocked.delta == pytest.approx(single.delta, rel=1e-12, abs=0.0)
+
+
+def _reference_scan(ad_s, d_s, dirs, q):
+    # rip_scan as it stood when every direction went through it
+    y = ad_s @ dirs
+    z = d_s @ dirs
+    den_sq = np.sum(z * z, axis=-2)
+    good = den_sq > 0.0
+    n_degenerate = int(np.sum(~good))
+    if not np.any(good):
+        return -1.0, n_degenerate
+    num = np.sum(np.abs(y) ** q, axis=-2)[good]
+    ratios = num / den_sq[good] ** (q / 2.0)
+    return float(np.max(np.abs(ratios - 1.0))), n_degenerate
+
+
+@_one_blas_thread()  # as estimate_rip runs: BLAS threads may split the sums differently
+def _reference_estimate(A, D, q, s, mode, budget, seed):
+    """(delta, trials, degenerate) from one scan per support over its s axes,
+    the flat direction and its random ones, drawn from estimate_rip's streams."""
+    d = D.shape[1]
+    support_rng, direction_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    if mode == "exhaustive":
+        supports, extra = itertools.combinations(range(d), s), budget
+    else:
+        supports = (np.sort(np.argpartition(support_rng.random(d), s - 1)[:s]) for _ in range(budget))
+        extra = 8
+    adT, dT = np.ascontiguousarray((A @ D).T), np.ascontiguousarray(D.T)
+    fixed = np.concatenate([np.eye(s), np.full((s, 1), 1.0 / math.sqrt(s))], axis=1)
+    best, degenerate, scanned = -1.0, 0, 0
+    for support in supports:
+        cols = np.array([support], dtype=int)
+        g = direction_rng.standard_normal((1, extra, s)).transpose(0, 2, 1)
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        dirs = np.concatenate([fixed[None], g / norms], axis=2)
+        dev, ndeg = _reference_scan(adT[cols].transpose(0, 2, 1), dT[cols].transpose(0, 2, 1), dirs, q)
+        best, degenerate, scanned = max(best, dev), degenerate + ndeg, scanned + 1
+    return best, scanned * (s + 1 + extra), degenerate
+
+
+def _small_pair(kind):
+    rng = np.random.default_rng(12)
+    A, D = rng.standard_normal((5, 7)), rng.standard_normal((7, 9))
+    if kind == "zero-atom":
+        D[:, 3] = 0.0
+    elif kind == "duplicated-atom":
+        D[:, 1] = D[:, 0]
+        D[:, 2] = -D[:, 0]  # supports holding atoms 0 and 2 cancel on the flat direction
+    return A, D
+
+
+@pytest.mark.parametrize("kind", ["zero-atom", "duplicated-atom"])
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("mode, budget", [("exhaustive", 4), ("sampled", 24)])
+def test_axis_ratios_per_atom_match_the_per_support_scan(kind, s, mode, budget):
+    A, D = _small_pair(kind)
+    report = estimate_rip(A, D, 0.7, s, mode=mode, budget=budget, seed=3)
+    assert (report.delta, report.trials, report.degenerate) == _reference_estimate(A, D, 0.7, s, mode, budget, 3)
+
+
+def test_axis_ratios_count_only_atoms_of_scanned_supports():
+    rng = np.random.default_rng(14)
+    A, D = rng.standard_normal((6, 12)), np.eye(12)
+    A[:, 0] *= 50.0  # atom 0 has by far the largest axis deviation
+    top = abs(np.sum(np.abs(A[:, 0]) ** 0.7) - 1.0)
+    deltas = []
+    for seed in range(4):
+        report = estimate_rip(A, D, 0.7, 2, mode="sampled", budget=1, seed=seed)
+        assert (report.delta, report.trials, report.degenerate) == _reference_estimate(
+            A, D, 0.7, 2, "sampled", 1, seed
+        )
+        deltas.append(report.delta)
+    assert max(deltas) < top  # no support at these seeds holds atom 0, so its axis does not count
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_axis_ratios_per_atom_match_the_per_support_scan_at_benchmark_shapes(seed):
+    # the rip benchmark's pairs: a normalised Gaussian A on a 100 x 110 tight
+    # frame at orders 25, 50 and 75, and a 10 x 16 A on 16 x 20 exhaustively at order 4
+    q = 0.7
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for m, n, d in ((50, 100, 110), (10, 16, 20)):
+        A = rng.standard_normal((m, n)) / (m * gaussian_moment(q)) ** (1.0 / q)
+        D = np.linalg.qr(rng.standard_normal((d, n)))[0].T
+        pairs.append((A, D))
+    cases = [(pairs[0], s, "sampled", 64) for s in (25, 50, 75)] + [(pairs[1], 4, "exhaustive", 32)]
+    for (A, D), s, mode, budget in cases:
+        report = estimate_rip(A, D, q, s, mode=mode, budget=budget, seed=seed)
+        assert (report.delta, report.trials, report.degenerate) == _reference_estimate(A, D, q, s, mode, budget, seed)
 
 
 def test_estimators_build_the_same_few_generators_at_any_budget(monkeypatch):
