@@ -35,8 +35,8 @@ __all__ = [
     "cells_from_json",
 ]
 
-# The spec-driven runners' kinds, each with the fields its cells carry;
-# run_figure1 and run_bounds_table take no spec.
+# The spec-driven runners' kinds, each with the fields its cells carry, the
+# names its trial takes them by; run_figure1 and run_bounds_table take no spec.
 KINDS = {"phase_transition": ("n", "d", "m", "q", "s"), "separation_sweep": ("n", "s1", "s2", "m", "q")}
 
 _METRICS = ("success_rate", "median_relative_error", "median_iterations", "wall_time_ms")
@@ -52,30 +52,40 @@ def _check_threshold(name: str, value, error) -> None:
         raise error(f"{name} must be a positive number, got {value!r}")
 
 
-def _check_cell(cell: dict, error, where: str = "") -> None:
-    """Raise ``error`` for a cell that no trial can run; runners check every cell before any trial.
+def _check_cell(kind: str, cell: dict, error, where: str = "") -> dict:
+    """The one rule for a ``kind`` cell: ``cell`` with numpy scalars as the equal Python ones, or ``error``.
 
-    Every field but q is an integer >= 1, q lies in (0, 1], d >= n, and m,
-    s, s1 and s2 are at most n: an m x n Gaussian A with m > n is row-rank
-    deficient, and every solve refuses it.  s <= d - n stays allowed (its
-    trials fail at generation).  ``where`` prefixes each message.
+    A cell holds exactly the ``KINDS[kind]`` fields.  Every field but q is an
+    integer >= 1, q lies in (0, 1], d >= n, m, s, s1 and s2 are at most n (an
+    m x n Gaussian A with m > n is row-rank deficient, and every solve
+    refuses it), and a separation n is a power of two, for its Hadamard
+    dictionary.  s <= d - n stays allowed (its trials fail at generation).
+    Python values pass unchanged: an integer q = 1 still hashes as 1.
     """
+    names = KINDS[kind]
+    for key in (*cell, *names):
+        if key not in names or key not in cell:
+            raise error(f"{where}field {key!r} is " + ("missing" if key in names else f"not a {kind} field"))
+    cell = {key: value.item() if isinstance(value, np.generic) else value for key, value in cell.items()}
     for key, value in cell.items():
         if key != "q":
             _check_int(f"{where}{key}", value, 1, error=error)
     if not (_is_number(cell["q"]) and 0.0 < cell["q"] <= 1.0):
-        raise error(f"{where}q={cell['q']!r} is outside (0, 1]")
+        raise error(f"{where}q={cell['q']!r} is not a number in (0, 1]")
     n = cell["n"]
     if cell.get("d", n) < n:
         raise error(f"{where}d={cell['d']} is below n={n}")
     for key in ("m", "s", "s1", "s2"):
         if cell.get(key, n) > n:
             raise error(f"{where}{key}={cell[key]} exceeds n={n}")
+    if kind == "separation_sweep" and n & (n - 1):
+        raise error(f"{where}n={n} is not a power of two")
+    return cell
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A sweep description: grid cells, trial count, threshold, master seed."""
+    """A sweep description: grid cells, each stored as ``_check_cell`` returns it, trials, threshold, seed."""
 
     kind: str
     grid: tuple
@@ -87,15 +97,13 @@ class ExperimentSpec:
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise InvalidSpecError(f"unknown experiment kind {self.kind!r}")
         try:
-            object.__setattr__(self, "grid", tuple(dict(cell) for cell in self.grid))
+            grid = [dict(cell) for cell in self.grid]
         except (TypeError, ValueError) as exc:
             raise InvalidSpecError(f"grid must be a list of objects: {exc}") from exc
-        if not self.grid:
+        if not grid:
             raise InvalidSpecError("grid must be nonempty")
-        for ci, cell in enumerate(self.grid):
-            for key, value in cell.items():
-                if not _is_number(value):
-                    raise InvalidSpecError(f"cell {ci} field {key!r} is not a number: {value!r}")
+        checked = (_check_cell(self.kind, cell, InvalidSpecError, f"cell {ci} ") for ci, cell in enumerate(grid))
+        object.__setattr__(self, "grid", tuple(checked))
         _check_int("trials_per_cell", self.trials_per_cell, 1, error=InvalidSpecError)
         _check_int("master_seed", self.master_seed, 0, error=InvalidSpecError)
         _check_threshold("success_threshold", self.success_threshold, InvalidSpecError)
@@ -155,29 +163,28 @@ def trial_seed(master_seed: int, cell_index: int, trial_index: int) -> np.random
 
 
 @_one_blas_thread()
-def _run_cell(params, trial_fn, fields, master_seed, trials, threshold) -> CellResult:
-    """Run ``trial_fn(*fields, seed_seq)`` for each seeded trial of one cell, serially.
+def _run_cell(cell, trial_fn, master_seed, trials, threshold) -> CellResult:
+    """Run ``trial_fn(**cell, seed_seq=...)`` for each seeded trial of one ``_check_cell`` cell, serially.
 
     A trial returns (relative error, iterations); one that raises an
     LqframesError or LinAlgError counts as a failure with infinite error.
     Any other exception is a defect and propagates.  A bad master seed is
     the caller's error and raises before any trial.
     """
-    ck = cell_key(params)
+    ck = cell_key(cell)
     start = time.perf_counter()
     outcomes = []
     for t in range(trials):
         seed_seq = trial_seed(master_seed, ck, t)
         try:
-            outcomes.append(trial_fn(*fields, seed_seq))
+            outcomes.append(trial_fn(**cell, seed_seq=seed_seq))
         except (LqframesError, np.linalg.LinAlgError):
             outcomes.append((math.inf, 0))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    errors = [err for err, _ in outcomes]
-    iters = [it for _, it in outcomes]
+    errors, iters = zip(*outcomes)
     successes = sum(1 for err in errors if err <= threshold)
     return CellResult(
-        params=dict(params),
+        params=dict(cell),
         success_rate=successes / len(outcomes),
         median_relative_error=float(np.median(errors)),
         median_iterations=float(np.median(iters)),
@@ -186,18 +193,11 @@ def _run_cell(params, trial_fn, fields, master_seed, trials, threshold) -> CellR
 
 
 def _run_sweep(spec: ExperimentSpec, kind: str, trial_fn) -> list:
-    """Run each cell of a ``kind`` spec through ``_run_cell``; every cell is checked before any trial runs."""
+    """Run each cell of a ``kind`` spec through ``_run_cell``; the spec checked every cell when it was built."""
     if spec.kind != kind:
         raise InvalidSpecError(f"expected kind {kind}, got {spec.kind!r}")
-    for ci, cell in enumerate(spec.grid):
-        missing = [key for key in KINDS[kind] if key not in cell]
-        if missing:
-            raise InvalidSpecError(f"cell {ci} missing field {missing[0]!r}")
-        _check_cell({key: cell[key] for key in KINDS[kind]}, InvalidSpecError, f"cell {ci}: ")
-        if kind == "separation_sweep" and cell["n"] & (cell["n"] - 1):
-            raise InvalidSpecError(f"cell {ci}: n={cell['n']} is not a power of two")
     settings = (spec.master_seed, spec.trials_per_cell, spec.success_threshold)
-    return [_run_cell(cell, trial_fn, tuple(cell[key] for key in KINDS[kind]), *settings) for cell in spec.grid]
+    return [_run_cell(cell, trial_fn, *settings) for cell in spec.grid]
 
 
 def _recovery_trial(n, d, m, q, s, seed_seq) -> tuple:
@@ -230,10 +230,9 @@ def run_figure1(
     raised before any trial.
     """
     _check_int("trials", trials, 1)
-    params = {"n": n, "d": d, "m": m, "q": q, "s": s}
-    _check_cell(params, InvalidParametersError)
+    cell = _check_cell("phase_transition", {"n": n, "d": d, "m": m, "q": q, "s": s}, InvalidParametersError)
     _check_threshold("threshold", threshold, InvalidParametersError)
-    return _run_cell(params, _recovery_trial, (n, d, m, q, s), master_seed, trials, threshold)
+    return _run_cell(cell, _recovery_trial, master_seed, trials, threshold)
 
 
 def run_phase_transition(spec: ExperimentSpec) -> list:

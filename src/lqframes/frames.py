@@ -214,18 +214,17 @@ class Frame:
 def canonical_dual(frame: Frame) -> Frame:
     """Canonical dual of a frame: (D D.T)^{-1} D, with bounds (1/upper, 1/lower).
 
-    Raises IllConditionedError when the Gram matrix eigenvalue spread
-    exceeds ``DEFAULT_CONDITION_CAP``.  ``Frame.from_matrix`` never builds
-    such a frame, because ``frame_bounds`` refuses a spread of 1/``_RANK_RTOL``
-    = 1e12 or more; the cap guards frames built from given bounds.
+    Raises IllConditionedError unless upper <= ``DEFAULT_CONDITION_CAP`` *
+    lower, so a zero or NaN lower bound is refused too.  ``Frame.from_matrix``
+    never builds such a frame, because ``frame_bounds`` refuses a spread of
+    1/``_RANK_RTOL`` = 1e12 or more; the cap guards frames built from given bounds.
     """
-    if frame.upper_bound / frame.lower_bound > DEFAULT_CONDITION_CAP:
-        raise IllConditionedError(
-            f"Gram condition {frame.upper_bound / frame.lower_bound:.3e} exceeds cap {DEFAULT_CONDITION_CAP:.3e}"
-        )
+    lower, upper = frame.lower_bound, frame.upper_bound
+    if not upper <= DEFAULT_CONDITION_CAP * lower:
+        raise IllConditionedError(f"Gram bounds ({lower:.3e}, {upper:.3e}) spread beyond {DEFAULT_CONDITION_CAP:.3e}")
     gram = frame.matrix @ frame.matrix.T
     dual = np.linalg.solve(gram, frame.matrix)
-    return Frame(matrix=dual, lower_bound=1.0 / frame.upper_bound, upper_bound=1.0 / frame.lower_bound)
+    return Frame(matrix=dual, lower_bound=1.0 / upper, upper_bound=1.0 / lower)
 
 
 def random_tight_frame(n: int, d: int, seed) -> Frame:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lqframes import (
     GenerationFailedError,
     InvalidParametersError,
     InvalidSpecError,
+    cell_key,
     cells_from_csv,
     cells_from_json,
     cells_to_csv,
@@ -25,6 +27,7 @@ from lqframes import (
 
 # feasible desk-scale cell: exact analysis sparsity requires s > d - n
 _SMALL = {"n": 20, "d": 24, "m": 14, "q": 0.7, "s": 6}
+_SEPARATION = {"n": 16, "s1": 1, "s2": 1, "m": 12, "q": 0.7}
 
 
 def test_spec_rejects_empty_grid():
@@ -189,9 +192,8 @@ def test_phase_transition_single_trial_rate_is_binary():
 
 
 def test_phase_transition_missing_cell_key():
-    spec = ExperimentSpec(kind="phase_transition", grid=[{"n": 8}], trials_per_cell=1)
     with pytest.raises(InvalidSpecError):
-        run_phase_transition(spec)
+        run_phase_transition(ExperimentSpec(kind="phase_transition", grid=[{"n": 8}], trials_per_cell=1))
 
 
 @pytest.mark.parametrize(
@@ -238,11 +240,60 @@ def test_sweep_checks_every_cell_before_the_first_trial(monkeypatch, kind, trial
 
     calls = []
     monkeypatch.setattr(ex, trial, lambda *args: calls.append(args) or (0.0, 1))
-    spec = ExperimentSpec(kind=kind, grid=grid, trials_per_cell=5)
     runner = ex.run_phase_transition if kind == "phase_transition" else ex.run_separation_sweep
     with pytest.raises(InvalidSpecError, match="cell 1"):
-        runner(spec)
+        runner(ExperimentSpec(kind=kind, grid=grid, trials_per_cell=5))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kind, cell, field", [("phase_transition", _SMALL, "trials"), ("separation_sweep", _SEPARATION, "mu1")]
+)
+def test_spec_refuses_a_cell_field_its_kind_does_not_have(kind, cell, field):
+    # such a field would change every trial seed through cell_key, and mu1 is the runner's to report
+    grid = [cell, {**cell, field: 3}]
+    with pytest.raises(InvalidSpecError, match=f"cell 1 field '{field}'"):
+        ExperimentSpec(kind=kind, grid=grid)
+    with pytest.raises(InvalidSpecError, match=f"cell 1 field '{field}'"):
+        ExperimentSpec.from_json(json.dumps({"kind": kind, "grid": grid}))
+
+
+@pytest.mark.parametrize("odd_cell", [dict(_SMALL, label=1), {k: v for k, v in _SMALL.items() if k != "d"}],
+                         ids=["extra-key", "missing-key"])
+def test_a_grid_whose_cells_differ_in_keys_is_refused_before_any_trial(monkeypatch, odd_cell):
+    import lqframes.experiments as ex
+
+    calls = []
+    monkeypatch.setattr(ex, "_recovery_trial", lambda **kwargs: calls.append(kwargs) or (0.0, 1))
+    with pytest.raises(InvalidSpecError, match="cell 1 field"):
+        ex.run_phase_transition(ExperimentSpec(kind="phase_transition", grid=[_SMALL, odd_cell], trials_per_cell=2))
+    assert calls == []
+
+
+@pytest.mark.parametrize("field, value", [("n", np.int64(20)), ("d", np.int32(24)), ("q", np.float32(0.5))])
+def test_figure1_takes_a_numpy_scalar_as_the_equal_python_value(field, value):
+    kwargs = dict(master_seed=3, trials=2, **dict(_SMALL, q=0.5))
+    want = run_figure1(**kwargs)
+    got = run_figure1(**{**kwargs, field: value})
+    assert replace(got, wall_time_ms=0.0) == replace(want, wall_time_ms=0.0)
+    assert [type(v) for v in got.params.values()] == [int, int, int, float, int]
+
+
+def test_spec_with_numpy_scalars_round_trips_through_json():
+    cell = {"n": np.int64(20), "d": np.int32(24), "m": np.uint8(14), "q": np.float64(0.7), "s": np.int16(6)}
+    spec = ExperimentSpec(kind="phase_transition", grid=[cell], trials_per_cell=3)
+    assert spec == ExperimentSpec(kind="phase_transition", grid=[_SMALL], trials_per_cell=3)
+    assert [type(v) for v in spec.grid[0].values()] == [int, int, int, float, int]
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+
+def test_an_integer_q_keeps_its_cell_key():
+    # the key of this cell before numpy scalars were converted: a Python 1 still hashes as 1, not 1.0
+    grid = [dict(_SMALL, q=1)]
+    built = ExperimentSpec(kind="phase_transition", grid=grid)
+    parsed = ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": grid}))
+    assert cell_key(built.grid[0]) == cell_key(parsed.grid[0]) == 1565141820717563671
+    assert cell_key(dict(_SMALL, q=1.0)) != 1565141820717563671
 
 
 @pytest.mark.parametrize(
@@ -319,9 +370,8 @@ def test_separation_sweep_reports_coherence_and_is_deterministic():
 
 def test_separation_sweep_requires_power_of_two():
     grid = [{"n": 12, "s1": 1, "s2": 1, "m": 8, "q": 0.7}]
-    spec = ExperimentSpec(kind="separation_sweep", grid=grid, trials_per_cell=1)
     with pytest.raises(InvalidSpecError):
-        run_separation_sweep(spec)
+        run_separation_sweep(ExperimentSpec(kind="separation_sweep", grid=grid, trials_per_cell=1))
 
 
 def test_cell_serialization_round_trips_losslessly():

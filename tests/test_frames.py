@@ -97,6 +97,18 @@ def test_canonical_dual_condition_cap():
         canonical_dual(fr)
 
 
+def test_canonical_dual_refuses_a_zero_lower_bound():
+    fr = Frame(np.diag([1.0, 0.0]), lower_bound=0.0, upper_bound=1.0)
+    with pytest.raises(IllConditionedError):
+        canonical_dual(fr)
+
+
+def test_canonical_dual_refuses_a_nan_lower_bound():
+    fr = Frame(np.eye(2), lower_bound=float("nan"), upper_bound=1.0)
+    with pytest.raises(IllConditionedError):
+        canonical_dual(fr)
+
+
 def test_random_tight_frame_square_is_orthogonal():
     fr = random_tight_frame(2, 2, 5)
     np.testing.assert_allclose(fr.matrix @ fr.matrix.T, np.eye(2), atol=1e-12)
