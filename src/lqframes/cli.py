@@ -5,7 +5,7 @@ separate.  Matrices travel as headerless CSV; results as JSON or CSV.
 """
 
 import argparse
-import json
+import functools
 import math
 import sys
 
@@ -15,7 +15,7 @@ from .errors import ConditionUnevaluableError, InvalidDimensionsError, LqframesE
 from .experiments import (
     ExperimentSpec,
     _csv_text,
-    _json_safe,
+    _json_text,
     cells_to_csv,
     cells_to_json,
     run_bounds_table,
@@ -41,7 +41,7 @@ def _write_text(path, text):
 
 def _cmd_figure1(args):
     cell = run_figure1(master_seed=args.seed, trials=args.trials, threshold=args.threshold)
-    _write_text(args.out, json.dumps(_json_safe(cell.to_dict()), indent=2))
+    _write_text(args.out, _json_text(cell.to_dict()))
     return 0
 
 
@@ -65,25 +65,19 @@ def _cmd_rip_estimate(args):
     D = load_matrix(args.dict)
     frame = Frame.from_matrix(D)
     target = canonical_dual(frame).matrix if args.dual else D
-    report = estimate_rip(A, target, args.q, args.s, mode=args.mode, budget=args.budget, seed=args.seed)
-    payload = report.to_dict()
-    payload["condition"] = None
+    rip = functools.partial(estimate_rip, A, target, args.q, mode=args.mode, budget=args.budget, seed=args.seed)
+    payload = {**rip(args.s).to_dict(), "condition": None}
     if args.a is not None:
-        rep_a = estimate_rip(A, target, args.q, args.a, mode=args.mode, budget=args.budget, seed=args.seed)
-        rep_sa = estimate_rip(
-            A, target, args.q, args.s + args.a, mode=args.mode, budget=args.budget, seed=args.seed
-        )
+        rep_a, rep_sa = rip(args.a), rip(args.s + args.a)
         try:
-            verdict = check_recovery_condition(
-                rep_a.delta, rep_sa.delta, args.s, args.a, frame.condition, args.q
-            )
+            verdict = check_recovery_condition(rep_a.delta, rep_sa.delta, args.s, args.a, frame.condition, args.q)
             payload["condition"] = verdict.to_dict()
         except ConditionUnevaluableError:
             # the estimated constant already rules the condition out
             payload["condition"] = {
                 "lhs": None, "rhs": 1.0 - rep_sa.delta, "holds": False, "theta": None, "Delta": None
             }
-    _write_text(args.out, json.dumps(_json_safe(payload), indent=2))
+    _write_text(args.out, _json_text(payload))
     return 0
 
 
@@ -107,7 +101,7 @@ def _cmd_solve(args):
         "objective_trace": result.objective_trace,
         "residual_trace": result.residual_trace,
     }
-    _write_text(args.out, json.dumps(_json_safe(payload), indent=2))
+    _write_text(args.out, _json_text(payload))
     return 0
 
 
@@ -145,17 +139,11 @@ def _cmd_separate(args):
     a = args.a if args.a is not None else 2 * s_total
     dbar, _, _ = build_stacked(dicts)
     d_total = dbar.shape[1]
-    rep_a = estimate_rip(
-        A, dbar, args.q, min(a, d_total), mode="sampled", budget=args.rip_budget, seed=args.seed
-    )
-    rep_sa = estimate_rip(
-        A, dbar, args.q, min(s_total + a, d_total), mode="sampled", budget=args.rip_budget, seed=args.seed
-    )
-    verdict = check_separation_conditions(
-        mu1, sparsities, a, rep_a.delta, min(rep_sa.delta, 1.0 - 1e-12), args.q
-    )
+    rip = functools.partial(estimate_rip, A, dbar, args.q, mode="sampled", budget=args.rip_budget, seed=args.seed)
+    rep_a, rep_sa = rip(min(a, d_total)), rip(min(s_total + a, d_total))
+    verdict = check_separation_conditions(mu1, sparsities, a, rep_a.delta, min(rep_sa.delta, 1.0 - 1e-12), args.q)
     payload = {"components": list(components), "verdict": verdict.to_dict()}
-    _write_text(args.out, json.dumps(_json_safe(payload), indent=2))
+    _write_text(args.out, _json_text(payload))
     return 0
 
 

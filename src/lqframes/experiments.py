@@ -15,7 +15,9 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import numpy as np
 
 from .errors import InvalidParametersError, InvalidSpecError, LqframesError
-from .frames import Frame, _check_int, _one_blas_thread, cosparse_signal, mutual_coherence, random_tight_frame
+from .frames import (
+    Frame, _check_int, _check_q, _is_number, _one_blas_thread, cosparse_signal, mutual_coherence, random_tight_frame
+)
 from .rip import measurement_bound
 from .separation import SeparationProblem, separation_measurement_bound, solve_split_analysis
 from .solvers import LqProblem, irls_analysis
@@ -42,12 +44,12 @@ KINDS = {"phase_transition": ("n", "d", "m", "q", "s"), "separation_sweep": ("n"
 _METRICS = ("success_rate", "median_relative_error", "median_iterations", "wall_time_ms")
 
 
-def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float))
+def _python_scalar(value):
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _check_threshold(name: str, value, error) -> None:
-    """Raise ``error`` unless the success threshold ``value`` is a positive real number."""
+    """Raise ``error`` unless the success threshold ``value`` is a positive number (``frames._is_number``)."""
     if not (_is_number(value) and value > 0):
         raise error(f"{name} must be a positive number, got {value!r}")
 
@@ -66,12 +68,11 @@ def _check_cell(kind: str, cell: dict, error, where: str = "") -> dict:
     for key in (*cell, *names):
         if key not in names or key not in cell:
             raise error(f"{where}field {key!r} is " + ("missing" if key in names else f"not a {kind} field"))
-    cell = {key: value.item() if isinstance(value, np.generic) else value for key, value in cell.items()}
+    cell = {key: _python_scalar(value) for key, value in cell.items()}
     for key, value in cell.items():
         if key != "q":
             _check_int(f"{where}{key}", value, 1, error=error)
-    if not (_is_number(cell["q"]) and 0.0 < cell["q"] <= 1.0):
-        raise error(f"{where}q={cell['q']!r} is not a number in (0, 1]")
+    _check_q(cell["q"], error, f"{where}q")
     n = cell["n"]
     if cell.get("d", n) < n:
         raise error(f"{where}d={cell['d']} is below n={n}")
@@ -85,7 +86,7 @@ def _check_cell(kind: str, cell: dict, error, where: str = "") -> dict:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A sweep description: grid cells, each stored as ``_check_cell`` returns it, trials, threshold, seed."""
+    """A sweep description: grid cells, each stored as ``_check_cell`` returns it, and Python scalars."""
 
     kind: str
     grid: tuple
@@ -104,6 +105,8 @@ class ExperimentSpec:
             raise InvalidSpecError("grid must be nonempty")
         checked = (_check_cell(self.kind, cell, InvalidSpecError, f"cell {ci} ") for ci, cell in enumerate(grid))
         object.__setattr__(self, "grid", tuple(checked))
+        for name in ("trials_per_cell", "success_threshold", "master_seed"):
+            object.__setattr__(self, name, _python_scalar(getattr(self, name)))
         _check_int("trials_per_cell", self.trials_per_cell, 1, error=InvalidSpecError)
         _check_int("master_seed", self.master_seed, 0, error=InvalidSpecError)
         _check_threshold("success_threshold", self.success_threshold, InvalidSpecError)
@@ -312,16 +315,21 @@ def _parse_number(token: str):
 
 
 def _json_safe(value):
-    """``value`` with NaN and inf as None and numpy values as Python ones, so JSON stays strict."""
+    """``value`` with numpy values as Python ones by ``.tolist()`` and NaN and inf as None, so JSON stays strict."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, float) and not math.isfinite(value):
         return None
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (np.ndarray, np.floating, np.integer)):
-        return _json_safe(np.asarray(value, dtype=float).tolist())
     return value
+
+
+def _json_text(value) -> str:
+    """The one JSON writer: ``_json_safe(value)`` as indented strict JSON (a NaN left over raises)."""
+    return json.dumps(_json_safe(value), indent=2, allow_nan=False)
 
 
 def _csv_text(columns, rows) -> str:
@@ -355,7 +363,7 @@ def cells_from_csv(text: str) -> list:
 
 def cells_to_json(cells) -> str:
     """Render cell results as strict JSON: NaN and inf are written as null."""
-    return json.dumps(_json_safe([cell.to_dict() for cell in cells]), indent=2)
+    return _json_text([cell.to_dict() for cell in cells])
 
 
 def cells_from_json(text: str) -> list:

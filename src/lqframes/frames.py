@@ -45,10 +45,15 @@ _RANK_RTOL = 1e-12
 _MAX_RETRIES = 50
 
 
-def _check_q(q: float) -> None:
-    """Raise InvalidParametersError unless the exponent q lies in (0, 1]."""
-    if not 0.0 < q <= 1.0:
-        raise InvalidParametersError(f"q must lie in (0, 1], got {q}")
+def _is_number(value) -> bool:
+    """True for a Python or numpy integer or float; a bool, a string or None is not a number."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _check_q(q: float, error=InvalidParametersError, name: str = "q") -> None:
+    """Raise ``error`` unless the exponent q is a number in (0, 1]."""
+    if not (_is_number(q) and 0.0 < q <= 1.0):
+        raise error(f"{name} must lie in (0, 1], got {q!r}")
 
 
 def _check_int(name: str, value, low=-math.inf, high=math.inf, error=InvalidParametersError) -> None:
@@ -344,33 +349,26 @@ def cosparse_signal(frame: Frame, s: int, seed):
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a dense matrix from headerless CSV; rejects ragged rows and nan/inf."""
-    rows = []
+    """Read a dense matrix from headerless ASCII CSV by ``np.loadtxt``, skipping blank lines.
+
+    ``#`` starts no comment.  An empty file, a ragged row, a non-number (``1_000`` too) or NaN or inf
+    raises InvalidDimensionsError naming the path, and for NaN or inf the line."""
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise InvalidDimensionsError(f"{path}:{lineno}: non-numeric entry") from exc
-            if not all(math.isfinite(v) for v in row):
-                raise InvalidDimensionsError(f"{path}:{lineno}: non-finite entry (nan or inf)")
-            if rows and len(row) != len(rows[0]):
-                raise InvalidDimensionsError(
-                    f"{path}:{lineno}: ragged row of length {len(row)}, expected {len(rows[0])}"
-                )
-            rows.append(row)
-    if not rows:
+        numbered = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if not numbered:
         raise InvalidDimensionsError(f"{path}: empty matrix file")
-    return np.asarray(rows, dtype=float)
+    linenos, lines = zip(*numbered)
+    try:
+        matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise InvalidDimensionsError(f"{path}: not a numeric matrix: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise InvalidDimensionsError(f"{path}:{linenos[bad[0]]}: non-finite entry (nan or inf)")
+    return matrix
 
 
 def save_matrix(path, matrix) -> None:
-    """Write a dense matrix as headerless CSV with full float precision."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    """Write a dense matrix as headerless CSV, each entry in its shortest round-trip form."""
     with open(path, "w", encoding="ascii") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        np.savetxt(fh, np.atleast_2d(np.asarray(matrix, dtype=float)), fmt="%s", delimiter=",")

@@ -154,6 +154,11 @@ class SeparationVerdict:
         }
 
 
+def _comparison_order(q: float) -> int:
+    """The separation comparison order t = ceil((5 * 2^(3q/2))^(2/(2-q)))."""
+    return _ceil_exact((5.0 * 2.0 ** (1.5 * q)) ** (2.0 / (2.0 - q)))
+
+
 def _pow_inf(base: float, expo: float) -> float:
     try:
         return base**expo
@@ -220,7 +225,7 @@ def check_separation_conditions(
     delta_ratio = (1.0 + delta_a) / (1.0 - delta_sa)
     U = mu1 * (s + a) / 2.0
 
-    t3 = _ceil_exact((2.0 ** (1.5 * q) * 5.0) ** (2.0 / (2.0 - q)))
+    t3 = _comparison_order(q)
     small = math.exp(-(math.log(8.0) + (2.0 / q) * math.log(5.0)))
     thm3_lhs = mu1 * s * (t3 + 1.0) * (small + 1.0)
     thm3_holds = thm3_lhs < 1.0
@@ -254,5 +259,4 @@ def separation_measurement_bound(q: float, s: int, d_total: int) -> float:
     _check_q(q)
     _check_int("s", s, 1)
     _check_int("d_total", d_total, s)
-    t = _ceil_exact((5.0 * 2.0 ** (1.5 * q)) ** (2.0 / (2.0 - q)))
-    return _bound_from_t(q, s, d_total, t)
+    return _bound_from_t(q, s, d_total, _comparison_order(q))

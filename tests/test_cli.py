@@ -318,3 +318,18 @@ def test_cli_refuses_a_non_integer_count(tmp_path, capsys, command, cell):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "is not an integer" in err
     assert "Traceback" not in err
+
+
+def test_solve_reads_crlf_csv_and_refuses_ragged_or_empty_files(instance, capsys):
+    tmp, A, D, f = instance
+    argv = ["solve", "--matrix", str(tmp / "A2.csv"), "--dict", str(tmp / "D.csv"), "--obs", str(tmp / "y.csv"),
+            "--q", "0.7", "--out", str(tmp / "out.json")]
+    lines = (tmp / "A.csv").read_text().splitlines()
+    (tmp / "A2.csv").write_bytes(("\r\n".join(lines[:2] + [" \t"] + lines[2:]) + "\r\n").encode("ascii"))
+    assert main(argv) == 0
+    assert json.loads((tmp / "out.json").read_text())["f_hat"] == pytest.approx(f, abs=1e-4)
+    for text in ("1.0,2.0\n3.0\n", ""):
+        (tmp / "A2.csv").write_text(text)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "A2.csv" in err

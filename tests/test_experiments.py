@@ -449,3 +449,31 @@ def test_cells_csv_header():
     )
     header = cells_to_csv([cell]).splitlines()[0]
     assert header == "m,q,success_rate,median_relative_error,median_iterations,wall_time_ms"
+
+
+def test_spec_stores_numpy_settings_as_python_scalars():
+    spec = ExperimentSpec(kind="phase_transition", grid=[_SMALL], trials_per_cell=np.int64(3),
+                          success_threshold=np.float32(1e-3), master_seed=np.uint16(7))
+    assert [type(v) for v in (spec.trials_per_cell, spec.success_threshold, spec.master_seed)] == [int, float, int]
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+
+def test_figure1_takes_a_numpy_threshold():
+    kwargs = dict(master_seed=3, trials=2, **_SMALL)
+    got = run_figure1(threshold=np.float32(1e-4), **kwargs)
+    want = run_figure1(threshold=float(np.float32(1e-4)), **kwargs)
+    assert replace(got, wall_time_ms=0.0) == replace(want, wall_time_ms=0.0)
+
+
+def test_cells_json_keeps_numpy_integers_and_bools():
+    cell = CellResult(
+        params={"n": np.int64(12), "q": np.float32(0.5), "tight": np.bool_(True)},
+        success_rate=np.float64(1.0),
+        median_relative_error=np.float64(math.nan),
+        median_iterations=np.int64(7),
+        wall_time_ms=1.0,
+    )
+    (back,) = cells_from_json(cells_to_json([cell]))
+    assert back.params == {"n": 12, "q": 0.5, "tight": True}
+    assert [type(v) for v in back.params.values()] == [int, float, bool]
+    assert math.isinf(back.median_relative_error) and back.median_iterations == 7.0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -295,3 +297,51 @@ def test_csv_rejects_non_finite(tmp_path, token):
     path.write_text(f"1.0,2.0\n3.0,{token}\n")
     with pytest.raises(InvalidDimensionsError, match=r"bad\.csv:2: non-finite"):
         load_matrix(path)
+
+
+def test_save_matrix_writes_each_value_as_its_shortest_repr(tmp_path):
+    values = [-0.0, 0.0, 5e-324, 1e16, 1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1, 1 / 3]
+    M = np.array([values, values[::-1]])
+    path = tmp_path / "m.csv"
+    save_matrix(path, M)
+    want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in M)
+    assert path.read_bytes() == want.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1.0,2.0\r\n3.0,4.0\r\n", "1.0,2.0\n \t\n\n3.0,4.0\n", "1.0, 2.0\n3.0,4.0", "\n1.0,2.0\r\n\t\r\n3.0,4.0"],
+    ids=["crlf", "whitespace-lines", "no-final-newline", "mixed"],
+)
+def test_load_matrix_skips_blank_lines_at_any_line_ending(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("ascii"))
+    np.testing.assert_array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n \t\r\n", "1_0,2\n", "1,0x1\n", "1,#2\n", "1,,2\n", "1,2\n3,4,5\n"],
+    ids=["empty", "blank", "digit-group", "hex", "comment", "empty-token", "ragged"],
+)
+def test_load_matrix_refuses_a_file_that_is_no_matrix_in_one_line_naming_it(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(InvalidDimensionsError) as info:
+        load_matrix(path)
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+
+def test_load_matrix_names_the_file_line_of_a_non_finite_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("1.0,2.0\n\n  \n3.0,1e400\n")
+    with pytest.raises(InvalidDimensionsError, match=r"bad\.csv:4: non-finite"):
+        load_matrix(path)
+
+
+def test_load_matrix_reads_one_row_and_one_column_as_2d(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1.5,2.5,3.5\n")
+    assert load_matrix(path).shape == (1, 3)
+    path.write_text("1.5\n2.5\n")
+    assert load_matrix(path).shape == (2, 1)

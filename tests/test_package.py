@@ -96,3 +96,31 @@ def test_non_integer_orders_are_refused(call, error):
     # an order, count or seed is an integer; a float is refused, never truncated
     with pytest.raises(error, match="is not an integer"):
         call()
+
+
+_EYE_FRAME = lqframes.Frame.from_matrix(np.eye(2))
+
+_NUMBER_PARAMETERS = {
+    "problem-q": lambda v: lqframes.LqProblem(A=np.eye(2), y=np.ones(2), D=_EYE_FRAME, q=v),
+    "problem-epsilon": lambda v: lqframes.LqProblem(A=np.eye(2), y=np.ones(2), D=_EYE_FRAME, q=0.7, epsilon=v),
+    "config-tol": lambda v: lqframes.SolverConfig(tol=v),
+    "rip-q": lambda v: lqframes.estimate_rip(np.eye(2), np.eye(2), v, 1),
+    "moment-q": lambda v: lqframes.gaussian_moment(v),
+    "threshold-q": lambda v: lqframes.hard_threshold(np.arange(4.0), 1, v),
+    "figure1-threshold": lambda v: lqframes.run_figure1(trials=1, threshold=v),
+    "spec-threshold": lambda v: lqframes.ExperimentSpec(kind="phase_transition", grid=[_CELL], success_threshold=v),
+}
+
+
+@pytest.mark.parametrize("value", ["0.7", None, True], ids=["string", "none", "bool"])
+@pytest.mark.parametrize("entry", list(_NUMBER_PARAMETERS))
+def test_a_scalar_parameter_that_is_not_a_number_is_refused(entry, value):
+    # one rule (frames._is_number): a Python or numpy int or float, never a bool
+    with pytest.raises(lqframes.LqframesError):
+        _NUMBER_PARAMETERS[entry](value)
+
+
+@pytest.mark.parametrize("entry", [e for e in _NUMBER_PARAMETERS if not e.startswith("figure1")])
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int64(1)], ids=["f32", "f64", "i64"])
+def test_a_numpy_real_is_a_number(entry, value):
+    _NUMBER_PARAMETERS[entry](value)
