@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParametersError, InvalidSpecError, LqframesError
 from .frames import (
-    Frame, _check_int, _check_q, _is_number, _one_blas_thread, cosparse_signal, mutual_coherence, random_tight_frame
+    Frame, _check_int, _check_q, _check_real, _one_blas_thread, cosparse_signal, mutual_coherence, random_tight_frame
 )
 from .rip import measurement_bound
 from .separation import SeparationProblem, separation_measurement_bound, solve_split_analysis
@@ -46,12 +46,6 @@ _METRICS = ("success_rate", "median_relative_error", "median_iterations", "wall_
 
 def _python_scalar(value):
     return value.item() if isinstance(value, np.generic) else value
-
-
-def _check_threshold(name: str, value, error) -> None:
-    """Raise ``error`` unless the success threshold ``value`` is a positive number (``frames._is_number``)."""
-    if not (_is_number(value) and value > 0):
-        raise error(f"{name} must be a positive number, got {value!r}")
 
 
 def _check_cell(kind: str, cell: dict, error, where: str = "") -> dict:
@@ -86,7 +80,10 @@ def _check_cell(kind: str, cell: dict, error, where: str = "") -> dict:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A sweep description: grid cells, each stored as ``_check_cell`` returns it, and Python scalars."""
+    """A sweep description: grid cells, each stored as ``_check_cell`` returns it, and Python scalars.
+
+    ``trials_per_cell`` is at least 1, ``master_seed`` at least 0 and ``success_threshold`` lies in (0, inf).
+    """
 
     kind: str
     grid: tuple
@@ -109,7 +106,7 @@ class ExperimentSpec:
             object.__setattr__(self, name, _python_scalar(getattr(self, name)))
         _check_int("trials_per_cell", self.trials_per_cell, 1, error=InvalidSpecError)
         _check_int("master_seed", self.master_seed, 0, error=InvalidSpecError)
-        _check_threshold("success_threshold", self.success_threshold, InvalidSpecError)
+        _check_real("success_threshold", self.success_threshold, "(0, inf)", InvalidSpecError)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -125,7 +122,7 @@ class ExperimentSpec:
         return cls(**payload)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return _json_text(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -229,12 +226,12 @@ def run_figure1(
 
     Defaults reproduce the canonical configuration (n=100, d=110, m=50,
     q=0.7, s=25) over ``trials`` seeded instances.  The cell meets the
-    sweeps' cell rule and ``threshold > 0``, or InvalidParametersError is
-    raised before any trial.
+    sweeps' cell rule and ``threshold`` lies in (0, inf), or
+    InvalidParametersError is raised before any trial.
     """
     _check_int("trials", trials, 1)
     cell = _check_cell("phase_transition", {"n": n, "d": d, "m": m, "q": q, "s": s}, InvalidParametersError)
-    _check_threshold("threshold", threshold, InvalidParametersError)
+    _check_real("threshold", threshold, "(0, inf)")
     return _run_cell(cell, _recovery_trial, master_seed, trials, threshold)
 
 
@@ -245,13 +242,13 @@ def run_phase_transition(spec: ExperimentSpec) -> list:
 
 
 def run_bounds_table(q_list, s: int, d: int, kappa: float = 1.0) -> list:
-    """Tabulate the measurement lower bounds across q values."""
-    return [
-        dict(
-            q=float(q), m_min=measurement_bound(q, s, d, kappa), m_min_separation=separation_measurement_bound(q, s, d)
-        )
-        for q in q_list
-    ]
+    """Tabulate the measurement lower bounds across q values, each q in (0, 1] and ``kappa`` in [1, inf)."""
+    rows = []
+    for q in q_list:
+        _check_q(q)
+        rows.append(dict(q=float(q), m_min=measurement_bound(q, s, d, kappa),
+                         m_min_separation=separation_measurement_bound(q, s, d)))
+    return rows
 
 
 def _hadamard(n: int) -> np.ndarray:

@@ -45,15 +45,21 @@ _RANK_RTOL = 1e-12
 _MAX_RETRIES = 50
 
 
-def _is_number(value) -> bool:
-    """True for a Python or numpy integer or float; a bool, a string or None is not a number."""
-    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+def _check_real(name: str, value, interval: str, error=InvalidParametersError) -> None:
+    """Raise ``error`` unless ``value`` is a Python or numpy int or float, never a bool, in ``interval``,
+    written as the message prints it: ``"(0, 1]"``, ``"[0, inf)"``, or ``"[0, inf]"`` where inf is allowed."""
+    low, high = interval[1:-1].split(", ")
+    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    if real and (value >= float(low) if interval[0] == "[" else value > float(low)) and (
+            value <= float(high) if interval[-1] == "]" else value < float(high)):
+        return  # NaN fails every comparison
+    half_line = f"be {'>=' if interval[0] == '[' else '>'} {low}" + ("" if interval[-1] == "]" else " and finite")
+    raise error(f"{name} must {half_line if high == 'inf' else 'lie in ' + interval}, got {value!r}")
 
 
 def _check_q(q: float, error=InvalidParametersError, name: str = "q") -> None:
     """Raise ``error`` unless the exponent q is a number in (0, 1]."""
-    if not (_is_number(q) and 0.0 < q <= 1.0):
-        raise error(f"{name} must lie in (0, 1], got {q!r}")
+    _check_real(name, q, "(0, 1]", error)
 
 
 def _check_int(name: str, value, low=-math.inf, high=math.inf, error=InvalidParametersError) -> None:

@@ -23,7 +23,7 @@ from .errors import (
     EmptyKernelError,
     InvalidParametersError,
 )
-from .frames import _atoms, _check_int, _check_q, _matrix, _one_blas_thread, _svd
+from .frames import _atoms, _check_int, _check_q, _check_real, _matrix, _one_blas_thread, _svd
 
 __all__ = [
     "RipReport",
@@ -47,10 +47,9 @@ _BATCH_ENTRIES = 1 << 14
 
 
 def gaussian_moment(q: float, sigma: float = 1.0) -> float:
-    """E|g|^q for g ~ N(0, sigma^2): sigma^q 2^(q/2) Gamma((q+1)/2)/sqrt(pi)."""
+    """E|g|^q for g ~ N(0, sigma^2): sigma^q 2^(q/2) Gamma((q+1)/2)/sqrt(pi), for sigma in (0, inf]."""
     _check_q(q)
-    if not sigma > 0:
-        raise InvalidParametersError(f"sigma must be positive, got {sigma}")
+    _check_real("sigma", sigma, "(0, inf]")
     return sigma**q * 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
@@ -72,9 +71,13 @@ def _ceil_exact(x: float) -> int:
 
 
 def _bound_from_t(q: float, s: int, d: int, t: int) -> float:
+    """The measurement bound at comparison order t; a dictionary size d (>= s) past the float range raises."""
     b2 = tail_constant(q) ** 2
-    log_ed_s = 1.0 + math.log(d / s)
-    bracket = (t + 1) * (math.log(3.0) - math.log(t + 1.0)) * s + math.log(2.0) + (t + 2) * s * log_ed_s
+    try:
+        log_ed_s = 1.0 + math.log(d / s)
+        bracket = (t + 1) * (math.log(3.0) - math.log(t + 1.0)) * s + math.log(2.0) + (t + 2) * s * log_ed_s
+    except OverflowError:
+        raise InvalidParametersError("the dictionary size (d or d_total) overflows a float") from None
     return 6.25 * q * b2 * bracket + 17.6 * b2 * (t + 1) * s
 
 
@@ -83,13 +86,17 @@ def measurement_bound(q: float, s: int, d: int, kappa: float = 1.0) -> float:
 
     Returns the bound as a real number; callers take the ceiling.  The
     internal comparison order is t = ceil((5 * 2^(q/2) * kappa^q)^(2/(2-q))).
+    q lies in (0, 1], kappa in [1, inf), and integers s >= 1 and d >= s; a
+    kappa or d whose bound overflows a float raises InvalidParametersError.
     """
     _check_q(q)
     _check_int("s", s, 1)
     _check_int("d", d, s)
-    if not kappa >= 1.0:
-        raise InvalidParametersError(f"kappa must be >= 1, got {kappa}")
-    t = _ceil_exact((5.0 * 2.0 ** (q / 2.0) * kappa**q) ** (2.0 / (2.0 - q)))
+    _check_real("kappa", kappa, "[1, inf)")
+    try:
+        t = _ceil_exact((5.0 * 2.0 ** (q / 2.0) * kappa**q) ** (2.0 / (2.0 - q)))
+    except OverflowError:
+        raise InvalidParametersError("kappa overflows a float in the comparison order t") from None
     return _bound_from_t(q, s, d, t)
 
 
@@ -117,16 +124,18 @@ def gaussian_failure_probability(
 
     Evaluates min(1, 2 (3 e d / (eps k))^k exp(-eta^2 m / (2 q beta_q^2)))
     in log space, together with the isometry constant it certifies,
-    delta = (eta + eps^q) / (1 - eps^q).
+    delta = (eta + eps^q) / (1 - eps^q).  eta and sigma lie in (0, inf],
+    eps_cover in (0, 1), and eps_cover^q, which rounds to 1 for an eps_cover
+    just below 1 at small q, in (0, 1).
     """
     _check_q(q)
     _check_int("m", m, 1)
     _check_int("k", k, 1)
     _check_int("d", d, k)
-    if not all(x > 0 for x in (eta, eps_cover, sigma)):
-        raise InvalidParametersError("eta, eps_cover and sigma must be positive")
-    if eps_cover**q >= 1.0:
-        raise InvalidParametersError(f"eps_cover^q must be < 1, got {eps_cover**q}")
+    _check_real("eta", eta, "(0, inf]")
+    _check_real("eps_cover", eps_cover, "(0, 1)")
+    _check_real("sigma", sigma, "(0, inf]")
+    _check_real("eps_cover^q", eps_cover**q, "(0, 1)")
     beta = tail_constant(q)
     log_cover = k * (math.log(3.0) + 1.0 + math.log(d) - math.log(eps_cover) - math.log(k))
     log_p = math.log(2.0) + log_cover - eta * eta * m / (2.0 * q * beta * beta)
@@ -172,16 +181,18 @@ class RecoveryConditionVerdict:
 def check_recovery_condition(
     delta_a: float, delta_sa: float, s: int, a: int, kappa: float, q: float
 ) -> RecoveryConditionVerdict:
-    """Evaluate the q-RIP recovery condition for orders (s, s + a)."""
+    """Evaluate the q-RIP recovery condition for orders (s, s + a).
+
+    kappa lies in [1, inf] and delta_a and delta_sa in [0, inf]; a delta_sa
+    of 1 or more raises ConditionUnevaluableError.
+    """
     _check_q(q)
     _check_int("s", s, 1)
     _check_int("a", a, s + 1)
-    if not kappa >= 1.0:
-        raise InvalidParametersError(f"kappa must be >= 1, got {kappa}")
-    if not (delta_a >= 0.0 and delta_sa >= 0.0):
-        raise InvalidParametersError("RIP constants must be nonnegative")
-    if delta_sa >= 1.0:
-        raise ConditionUnevaluableError(f"delta_(s+a) = {delta_sa} >= 1")
+    _check_real("kappa", kappa, "[1, inf]")
+    _check_real("delta_a", delta_a, "[0, inf]")
+    _check_real("delta_sa", delta_sa, "[0, inf]")
+    _check_real("delta_sa", delta_sa, "[0, 1)", ConditionUnevaluableError)
     rho = s / a
     lhs = rho ** (1.0 - q / 2.0) * (rho ** (2.0 / q - 1.0) + 1.0) ** (q / 2.0) * kappa**q * (1.0 + delta_a)
     rhs = 1.0 - delta_sa
@@ -202,13 +213,16 @@ def error_constants(theta: float, rho: float, q: float, lower_bound: float, delt
     """Error amplification constants (C1, C2) of the recovery guarantee.
 
     C1 multiplies the best-s-term analysis residual, C2 the noise level.
-    Requires theta < 1.
+    theta lies in [0, inf], and one of 1 or more raises
+    ConditionUnevaluableError; rho lies in (0, 1), lower_bound in (0, inf]
+    and delta_a in [0, inf].
     """
     _check_q(q)
-    if theta >= 1.0:
-        raise ConditionUnevaluableError(f"theta = {theta} >= 1")
-    if not (theta >= 0.0 and 0.0 < rho < 1.0 and lower_bound > 0.0 and delta_a >= 0.0):
-        raise InvalidParametersError("invalid theta/rho/lower_bound/delta_a")
+    _check_real("theta", theta, "[0, inf]")
+    _check_real("theta", theta, "[0, 1)", ConditionUnevaluableError)
+    _check_real("rho", rho, "(0, 1)")
+    _check_real("lower_bound", lower_bound, "(0, inf]")
+    _check_real("delta_a", delta_a, "[0, inf]")
     one_m_theta = (1.0 - theta) ** (1.0 / q)
     c1 = (2.0 * theta + 2.0 * rho ** (1.0 - q / 2.0)) ** (1.0 / q) / (math.sqrt(lower_bound) * one_m_theta)
     c2 = (2.0 * theta + 2.0 * theta * rho ** (q / 2.0 - 1.0)) ** (1.0 / q) / (
@@ -325,8 +339,7 @@ def estimate_rip(
         enumerated = itertools.combinations(range(d), s)
         chunks = map(np.array, iter(lambda: list(itertools.islice(enumerated, block)), []))
     elif mode == "sampled":
-        if budget < 1:
-            raise InvalidParametersError("sampled mode needs budget >= 1")
+        _check_int("sampled mode budget", budget, 1)
         # The s smallest of d uniforms index a uniform s-subset.
         chunks = (
             np.sort(np.argpartition(support_rng.random((k, d)), s - 1, axis=1)[:, :s], axis=1)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionsError, InvalidParametersError
-from .frames import Frame, _ambient_dim, _atoms, _check_int, _check_q, _matrix, _one_blas_thread, _require_finite
+from .frames import Frame, _ambient_dim, _atoms, _check_int, _check_q, _check_real, _matrix, _one_blas_thread
+from .frames import _require_finite
 from .rip import _bound_from_t, _ceil_exact
 from .solvers import LqProblem, SolverConfig, _check_constraint, irls_analysis
 
@@ -166,14 +167,23 @@ def _pow_inf(base: float, expo: float) -> float:
         return math.inf
 
 
+def _check_split(rho, delta_ratio, U, q, iota, U_interval: str) -> None:
+    """The arguments of ``split_nsp_constant`` and ``split_nsp_condition``, which differ in U's interval only."""
+    _check_q(q)
+    _check_real("rho", rho, "(0, 1)")
+    _check_real("delta_ratio", delta_ratio, "[1, inf]")
+    _check_real("U", U, U_interval)
+    _check_int("iota", iota, 1)
+
+
 def split_nsp_constant(rho: float, delta_ratio: float, U: float, q: float, iota: int) -> float:
     """Split null-space constant theta_tilde from (rho, Delta, U, q, iota).
 
-    Requires U < 1.  Returns inf when the isometry amplification overflows.
+    rho lies in (0, 1), delta_ratio in [1, inf], U in [0, 1), q in (0, 1]
+    and iota is an integer >= 1.  Returns inf when the isometry
+    amplification overflows.
     """
-    _check_q(q)
-    if not U < 1.0:
-        raise InvalidParametersError("cluster coherence U must be < 1")
+    _check_split(rho, delta_ratio, U, q, iota, "[0, 1)")
     lam = _pow_inf(delta_ratio, 2.0 / q)
     if math.isinf(lam):
         return math.inf
@@ -183,10 +193,11 @@ def split_nsp_constant(rho: float, delta_ratio: float, U: float, q: float, iota:
 
 
 def split_nsp_condition(rho: float, delta_ratio: float, U: float, q: float, iota: int) -> bool:
-    """The isometry/coherence inequality equivalent to theta_tilde < 1."""
-    _check_q(q)
-    if math.isnan(U):
-        raise InvalidParametersError("cluster coherence U is NaN")
+    """The isometry/coherence inequality equivalent to theta_tilde < 1.
+
+    The arguments are those of ``split_nsp_constant``, with U in [0, inf].
+    """
+    _check_split(rho, delta_ratio, U, q, iota, "[0, inf]")
     lam = _pow_inf(delta_ratio, 2.0 / q)
     if math.isinf(lam):
         return False
@@ -208,18 +219,19 @@ def check_separation_conditions(
     dictionary, so the component count iota is ``len(sparsities)``; ``a`` is
     the comparison order (a > sum s_k); the deltas are q-RIP constants of the
     concatenated dictionary at orders a and s + a.  The two-dictionary
-    coherence condition (thm3) is evaluated with the total sparsity.
+    coherence condition (thm3) is evaluated with the total sparsity.  mu1
+    and delta_a lie in [0, inf], delta_sa in [0, 1).
     """
     _check_q(q)
     sparsities = list(sparsities)
     for s in sparsities:
         _check_int("sparsity", s, 1)
     s, iota = sum(sparsities), len(sparsities)
-    if iota < 1:
-        raise InvalidParametersError("need at least one component")
+    _check_int("number of components", iota, 1)
     _check_int("a", a, s + 1)
-    if not (mu1 >= 0.0 and delta_a >= 0.0 and 0.0 <= delta_sa < 1.0):
-        raise InvalidParametersError("mu1 and the RIP constants must be admissible")
+    _check_real("mu1", mu1, "[0, inf]")
+    _check_real("delta_a", delta_a, "[0, inf]")
+    _check_real("delta_sa", delta_sa, "[0, 1)")
 
     rho = s / a
     delta_ratio = (1.0 + delta_a) / (1.0 - delta_sa)

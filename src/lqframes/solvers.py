@@ -41,7 +41,7 @@ from .errors import (
     InvalidDimensionsError,
     InvalidParametersError,
 )
-from .frames import Frame, _atoms, _check_int, _check_q, _is_number, _matrix, _one_blas_thread, _require_finite, _svd
+from .frames import Frame, _atoms, _check_int, _check_q, _check_real, _matrix, _one_blas_thread, _require_finite, _svd
 
 __all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_analysis", "objective"]
 
@@ -52,10 +52,9 @@ def objective(f, D, q: float) -> float:
 
 
 def _check_constraint(q, epsilon, norm_index) -> None:
-    """Raise InvalidParametersError unless q is in (0, 1], epsilon is a number >= 0 and the norm is 2 or inf."""
+    """Raise InvalidParametersError unless q is in (0, 1], epsilon in [0, inf] and the norm is 2 or inf."""
     _check_q(q)
-    if not (_is_number(epsilon) and epsilon >= 0.0):
-        raise InvalidParametersError(f"epsilon must be >= 0, got {epsilon!r}")
+    _check_real("epsilon", epsilon, "[0, inf]")
     if norm_index not in (2, 2.0, math.inf):
         raise InvalidParametersError(f"norm_index must be 2 or inf, got {norm_index}")
 
@@ -116,8 +115,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_int("max_outer_iters", self.max_outer_iters, 1)
-        if not (_is_number(self.tol) and math.isfinite(self.tol) and self.tol > 0.0):
-            raise InvalidParametersError(f"tol must be finite and > 0, got {self.tol!r}")
+        _check_real("tol", self.tol, "(0, inf)")
 
 
 @dataclass

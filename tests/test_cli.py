@@ -281,10 +281,15 @@ def test_cli_rejects_non_finite_csv_in_one_line(instance, capsys):
         ["phase", "--spec", "{tmp}/q_spec.json"],
         ["figure1", "--trials", "1", "--threshold", "-1"],
         ["phase", "--spec", "{tmp}/n0_spec.json"],
+        ["bounds", "--q", "1", "--s", "5", "--d", "20", "--kappa", "1e200"],
+        ["bounds", "--q", "1", "--s", "5", "--d", "20", "--kappa", "inf"],
+        ["bounds", "--q", "0.5", "--s", "5", "--d", "1" + "0" * 400],
+        ["figure1", "--trials", "1", "--threshold", "inf"],
     ],
     ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters", "spec-not-an-object",
          "sparsity-count-mismatch", "figure1-negative-seed", "figure1-no-trials", "negative-tol",
-         "phase-cell-q-above-one", "figure1-negative-threshold", "phase-cell-n-zero"],
+         "phase-cell-q-above-one", "figure1-negative-threshold", "phase-cell-n-zero", "bounds-kappa-overflow",
+         "bounds-kappa-inf", "bounds-d-overflow", "figure1-infinite-threshold"],
 )
 def test_cli_user_errors_exit_2_in_one_line(instance, capsys, argv):
     tmp, _, _, _ = instance

@@ -55,6 +55,13 @@ def test_spec_json_round_trip():
     assert again == spec
 
 
+@pytest.mark.parametrize("threshold", [5e-324, 1.7976931348623157e308, 2])
+def test_spec_json_round_trips_at_the_ends_of_the_threshold_interval(threshold):
+    # thresholds are finite, so to_json (the one strict writer, _json_text) has no inf to write
+    spec = ExperimentSpec(kind="phase_transition", grid=[_SMALL], success_threshold=threshold)
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+
 def test_spec_from_json_rejects_garbage():
     with pytest.raises(InvalidSpecError):
         ExperimentSpec.from_json("{not json")

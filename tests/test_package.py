@@ -56,11 +56,26 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         (lambda: lqframes.split_nsp_condition(0.5, 1.1, _NAN, 0.7, 2), InvalidParametersError),
         (lambda: lqframes.ExperimentSpec(kind="phase_transition", grid=[_CELL], success_threshold=_NAN),
          InvalidSpecError),
+        (lambda: lqframes.SolverConfig(tol=_NAN), InvalidParametersError),
+        (lambda: lqframes.run_figure1(trials=1, threshold=_NAN), InvalidParametersError),
+        (lambda: lqframes.gaussian_failure_probability(0.7, 0.3, _NAN, 1000, 5, 50), InvalidParametersError),
+        (lambda: lqframes.gaussian_failure_probability(0.7, 0.3, 0.2, 1000, 5, 50, sigma=_NAN),
+         InvalidParametersError),
+        (lambda: lqframes.error_constants(0.5, _NAN, 0.7, 1.0, 0.1), InvalidParametersError),
+        (lambda: lqframes.error_constants(0.5, 0.25, 0.7, _NAN, 0.1), InvalidParametersError),
+        (lambda: lqframes.error_constants(0.5, 0.25, 0.7, 1.0, _NAN), InvalidParametersError),
+        (lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, 0.1, _NAN, 0.7), InvalidParametersError),
+        (lambda: lqframes.split_nsp_constant(_NAN, 1.1, 0.1, 0.7, 2), InvalidParametersError),
+        (lambda: lqframes.split_nsp_constant(0.5, _NAN, 0.1, 0.7, 2), InvalidParametersError),
+        (lambda: lqframes.split_nsp_condition(_NAN, 1.1, 0.1, 0.7, 2), InvalidParametersError),
+        (lambda: lqframes.split_nsp_condition(0.5, _NAN, 0.1, 0.7, 2), InvalidParametersError),
     ],
     ids=[
         "problem-epsilon", "bound-kappa", "condition-delta-a", "condition-delta-sa", "condition-kappa",
         "separation-mu1", "separation-delta-a", "moment-sigma", "failure-eta", "failure-m", "error-theta",
-        "split-U", "split-condition-U", "spec-threshold",
+        "split-U", "split-condition-U", "spec-threshold", "config-tol", "figure1-threshold", "failure-eps-cover",
+        "failure-sigma", "error-rho", "error-lower-bound", "error-delta-a", "separation-delta-sa", "split-rho",
+        "split-delta-ratio", "split-condition-rho", "split-condition-delta-ratio",
     ],
 )
 def test_nan_parameters_are_refused(call, error):
@@ -109,18 +124,112 @@ _NUMBER_PARAMETERS = {
     "threshold-q": lambda v: lqframes.hard_threshold(np.arange(4.0), 1, v),
     "figure1-threshold": lambda v: lqframes.run_figure1(trials=1, threshold=v),
     "spec-threshold": lambda v: lqframes.ExperimentSpec(kind="phase_transition", grid=[_CELL], success_threshold=v),
+    "bound-kappa": lambda v: lqframes.measurement_bound(0.7, 2, 8, kappa=v),
+    "moment-sigma": lambda v: lqframes.gaussian_moment(0.7, v),
+    "failure-eta": lambda v: lqframes.gaussian_failure_probability(0.7, v, 0.2, 1000, 5, 50),
+    "failure-eps-cover": lambda v: lqframes.gaussian_failure_probability(0.7, 0.3, v, 1000, 5, 50),
+    "failure-sigma": lambda v: lqframes.gaussian_failure_probability(0.7, 0.3, 0.2, 1000, 5, 50, sigma=v),
+    "condition-kappa": lambda v: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, v, 0.7),
+    "condition-delta-a": lambda v: lqframes.check_recovery_condition(v, 0.1, 1, 4, 1.0, 0.7),
+    "condition-delta-sa": lambda v: lqframes.check_recovery_condition(0.1, v, 1, 4, 1.0, 0.7),
+    "error-theta": lambda v: lqframes.error_constants(v, 0.25, 0.7, 1.0, 0.1),
+    "error-rho": lambda v: lqframes.error_constants(0.5, v, 0.7, 1.0, 0.1),
+    "error-lower-bound": lambda v: lqframes.error_constants(0.5, 0.25, 0.7, v, 0.1),
+    "error-delta-a": lambda v: lqframes.error_constants(0.5, 0.25, 0.7, 1.0, v),
+    "separation-mu1": lambda v: lqframes.check_separation_conditions(v, [1, 1], 5, 0.1, 0.1, 0.7),
+    "separation-delta-a": lambda v: lqframes.check_separation_conditions(0.01, [1, 1], 5, v, 0.1, 0.7),
+    "separation-delta-sa": lambda v: lqframes.check_separation_conditions(0.01, [1, 1], 5, 0.1, v, 0.7),
+    "split-rho": lambda v: lqframes.split_nsp_constant(v, 1.1, 0.1, 0.5, 2),
+    "split-delta-ratio": lambda v: lqframes.split_nsp_constant(0.5, v, 0.1, 0.5, 2),
+    "split-U": lambda v: lqframes.split_nsp_constant(0.5, 1.1, v, 0.5, 2),
+    "split-condition-rho": lambda v: lqframes.split_nsp_condition(v, 1.1, 0.1, 0.5, 2),
+    "split-condition-delta-ratio": lambda v: lqframes.split_nsp_condition(0.5, v, 0.1, 0.5, 2),
+    "split-condition-U": lambda v: lqframes.split_nsp_condition(0.5, 1.1, v, 0.5, 2),
 }
+
+# Each entry's interval, as its function declares it to frames._check_real.  theta and delta_sa
+# of the recovery condition admit [0, inf] but raise ConditionUnevaluableError from 1 on.
+_INTERVALS = {
+    "problem-q": "(0, 1]", "problem-epsilon": "[0, inf]", "config-tol": "(0, inf)", "rip-q": "(0, 1]",
+    "moment-q": "(0, 1]", "threshold-q": "(0, 1]", "figure1-threshold": "(0, inf)", "spec-threshold": "(0, inf)",
+    "bound-kappa": "[1, inf)", "moment-sigma": "(0, inf]", "failure-eta": "(0, inf]", "failure-eps-cover": "(0, 1)",
+    "failure-sigma": "(0, inf]", "condition-kappa": "[1, inf]", "condition-delta-a": "[0, inf]",
+    "condition-delta-sa": "[0, inf]", "error-theta": "[0, inf]", "error-rho": "(0, 1)",
+    "error-lower-bound": "(0, inf]", "error-delta-a": "[0, inf]", "separation-mu1": "[0, inf]",
+    "separation-delta-a": "[0, inf]", "separation-delta-sa": "[0, 1)", "split-rho": "(0, 1)",
+    "split-delta-ratio": "[1, inf]", "split-U": "[0, 1)", "split-condition-rho": "(0, 1)",
+    "split-condition-delta-ratio": "[1, inf]", "split-condition-U": "[0, inf]",
+}
+_UNEVALUABLE_FROM_ONE = {"condition-delta-sa", "error-theta"}
 
 
 @pytest.mark.parametrize("value", ["0.7", None, True], ids=["string", "none", "bool"])
 @pytest.mark.parametrize("entry", list(_NUMBER_PARAMETERS))
 def test_a_scalar_parameter_that_is_not_a_number_is_refused(entry, value):
-    # one rule (frames._is_number): a Python or numpy int or float, never a bool
+    # one rule (frames._check_real): a Python or numpy int or float, never a bool
     with pytest.raises(lqframes.LqframesError):
         _NUMBER_PARAMETERS[entry](value)
 
 
-@pytest.mark.parametrize("entry", [e for e in _NUMBER_PARAMETERS if not e.startswith("figure1")])
+def _ends(interval):
+    return tuple(float(end) for end in interval[1:-1].split(", "))
+
+
+def _holds_half_and_one(entry):
+    (low, high), closed_high = _ends(_INTERVALS[entry]), _INTERVALS[entry][-1] == "]"
+    return entry not in _UNEVALUABLE_FROM_ONE and low < 0.5 and (1 < high or (1 == high and closed_high))
+
+
+# An entry whose interval leaves out 0.5 or 1 takes its numpy reals in the interval test below instead.
+@pytest.mark.parametrize(
+    "entry", [e for e in _NUMBER_PARAMETERS if not e.startswith("figure1") and _holds_half_and_one(e)]
+)
 @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int64(1)], ids=["f32", "f64", "i64"])
 def test_a_numpy_real_is_a_number(entry, value):
     _NUMBER_PARAMETERS[entry](value)
+
+
+@pytest.mark.parametrize("entry", list(_INTERVALS))
+def test_a_real_argument_just_past_its_interval_is_refused(entry):
+    # frames._check_real refuses a value just past each finite end, and inf where the interval is open there
+    interval, call = _INTERVALS[entry], _NUMBER_PARAMETERS[entry]
+    (low, high), closed_low, closed_high = _ends(interval), interval[0] == "[", interval[-1] == "]"
+    past = [math.nextafter(low, -math.inf) if closed_low else low]
+    if high < math.inf:
+        past.append(math.nextafter(high, math.inf) if closed_high else high)
+    elif not closed_high:
+        past.append(math.inf)
+    for value in past:
+        with pytest.raises(InvalidSpecError if entry.startswith("spec") else InvalidParametersError, match="must "):
+            call(value)
+    inside = [np.float32(low + 0.5 if high == math.inf else (low + high) / 2)]
+    inside += [low, np.int64(low)] if closed_low else []
+    inside += [high] if closed_high else []
+    for value in [] if entry.startswith("figure1") else inside:  # an admitted threshold would run a trial
+        try:
+            call(value)
+        except lqframes.ConditionUnevaluableError:
+            assert entry in _UNEVALUABLE_FROM_ONE and value >= 1
+    if entry in _UNEVALUABLE_FROM_ONE:
+        with pytest.raises(lqframes.ConditionUnevaluableError):
+            call(1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lqframes.split_nsp_constant(-0.5, 1.1, 0.1, 0.5, 2),  # was the complex number (-0.600+0.600j)
+        lambda: lqframes.split_nsp_constant(0.5, 1.1, 0.1, 0.5, 0),
+        lambda: lqframes.split_nsp_condition(0.5, 1.1, 0.1, 0.5, 0),  # was True
+        lambda: lqframes.measurement_bound(1.0, 5, 20, kappa=1e200),  # its comparison order overflowed
+        lambda: lqframes.measurement_bound(1.0, 5, 20, kappa=10**400),
+        lambda: lqframes.measurement_bound(0.5, 5, 10**400),  # d / s overflowed
+        lambda: lqframes.separation_measurement_bound(0.5, 5, 10**400),
+        lambda: lqframes.measurement_bound(0.5, 10**400, 10**400),
+    ],
+    ids=["split-negative-rho", "split-no-component", "split-condition-no-component", "bound-kappa-overflow",
+         "bound-integer-kappa-overflow", "bound-d-overflow", "separation-bound-d-overflow", "bound-s-overflow"],
+)
+def test_a_calculator_that_returned_or_overflowed_outside_its_domain_refuses(call):
+    with pytest.raises(InvalidParametersError):
+        call()
