@@ -9,6 +9,7 @@ import contextlib
 import ctypes
 import importlib
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -46,15 +47,25 @@ _MAX_RETRIES = 50
 
 
 def _check_real(name: str, value, interval: str, error=InvalidParametersError) -> None:
-    """Raise ``error`` unless ``value`` is a Python or numpy int or float, never a bool, in ``interval``,
-    written as the message prints it: ``"(0, 1]"``, ``"[0, inf)"``, or ``"[0, inf]"`` where inf is allowed."""
+    """Raise ``error`` unless ``value`` is a Python or numpy int or float, never a bool nor an int past the float
+    range, in ``interval``, written as the message prints it: ``"(0, 1]"``, ``"[0, inf)"``, or ``"[0, inf]"`` where
+    inf is allowed."""
     low, high = interval[1:-1].split(", ")
     real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    if real and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise error(f"{name} must fit a float, got {_shown(value)}")
     if real and (value >= float(low) if interval[0] == "[" else value > float(low)) and (
             value <= float(high) if interval[-1] == "]" else value < float(high)):
         return  # NaN fails every comparison
     half_line = f"be {'>=' if interval[0] == '[' else '>'} {low}" + ("" if interval[-1] == "]" else " and finite")
     raise error(f"{name} must {half_line if high == 'inf' else 'lie in ' + interval}, got {value!r}")
+
+
+def _shown(x) -> str:
+    """``str(x)``, but an int past the float range as ``~10**k``: Python refuses the digits of one past 4300."""
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        return f"{'-' if x < 0 else ''}~10**{math.floor(math.log10(abs(x)))}"
+    return str(x)
 
 
 def _check_q(q: float, error=InvalidParametersError, name: str = "q") -> None:
@@ -67,7 +78,7 @@ def _check_int(name: str, value, low=-math.inf, high=math.inf, error=InvalidPara
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} is not an integer: {value!r}")
     if not low <= value <= high:
-        raise error(f"{name} must lie in [{low}, {high}], got {value}")
+        raise error(f"{name} must lie in [{_shown(low)}, {_shown(high)}], got {_shown(value)}")
 
 
 def _require_finite(**arrays) -> None:

@@ -7,15 +7,14 @@ summed l_q analysis objective under the shared measurement constraint.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidDimensionsError, InvalidParametersError
-from .frames import Frame, _ambient_dim, _atoms, _check_int, _check_q, _check_real, _matrix, _one_blas_thread
-from .frames import _require_finite
+from .frames import Frame, _ambient_dim, _check_int, _check_q, _check_real, _matrix
 from .rip import _bound_from_t, _ceil_exact
-from .solvers import LqProblem, SolverConfig, _check_constraint, irls_analysis
+from .solvers import LqProblem, SolverConfig, irls_analysis
 
 __all__ = [
     "SeparationProblem",
@@ -31,18 +30,6 @@ __all__ = [
 _TIGHT_TOL = 1e-8
 
 
-def _require_unit_tight(frames) -> int:
-    """Validate finite 2-D atoms, a shared ambient dimension and unit tight frame bounds."""
-    n = _ambient_dim([_matrix(f"dictionary {i}", fr.matrix) for i, fr in enumerate(frames)])
-    for i, fr in enumerate(frames):
-        if abs(fr.lower_bound - 1.0) > _TIGHT_TOL or abs(fr.upper_bound - 1.0) > _TIGHT_TOL:
-            raise InvalidParametersError(
-                f"dictionary {i} is not tight with bound 1 "
-                f"(bounds {fr.lower_bound:.6g}, {fr.upper_bound:.6g})"
-            )
-    return n
-
-
 @dataclass(frozen=True)
 class SeparationProblem:
     """A joint-recovery instance over unit tight dictionaries.
@@ -51,6 +38,9 @@ class SeparationProblem:
     ``y`` observes the sum of one component per dictionary, within
     ``epsilon`` in the ``norm_index`` norm.  Sparsity budgets belong to the
     condition check, ``check_separation_conditions``, not to the instance.
+    ``stacked`` is the equivalent l_q-analysis instance, built and checked
+    once here: the block diagonal of the dictionaries as its unit tight
+    frame and [A | ... | A] as its measurement.
     """
 
     dicts: list
@@ -59,17 +49,21 @@ class SeparationProblem:
     q: float
     epsilon: float = 0.0
     norm_index: float = 2.0
+    stacked: LqProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _matrix("A", self.A))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
-        _require_finite(y=self.y)
-        _check_constraint(self.q, self.epsilon, self.norm_index)
-        n = _require_unit_tight(self.dicts)
-        if self.A.shape[1] != n:
-            raise InvalidDimensionsError(
-                f"A has {self.A.shape[1]} columns but dictionaries live in dimension {n}"
-            )
+        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        _, psi, a_stacked = build_stacked(self.dicts, self.A)
+        for i, fr in enumerate(self.dicts):
+            if abs(fr.lower_bound - 1.0) > _TIGHT_TOL or abs(fr.upper_bound - 1.0) > _TIGHT_TOL:
+                raise InvalidParametersError(
+                    f"dictionary {i} is not tight with bound 1 (bounds {fr.lower_bound:.6g}, {fr.upper_bound:.6g})"
+                )
+        psi_frame = Frame(matrix=psi, lower_bound=1.0, upper_bound=1.0)
+        stacked = LqProblem(A=a_stacked, y=self.y, D=psi_frame, q=self.q, epsilon=self.epsilon,
+                            norm_index=self.norm_index)
+        object.__setattr__(self, "y", stacked.y)
+        object.__setattr__(self, "stacked", stacked)
 
 
 def build_stacked(dicts, A=None):
@@ -81,7 +75,7 @@ def build_stacked(dicts, A=None):
     (m x iota*n) so that a_stacked @ stack(f_k) = A @ sum(f_k).
     ``a_stacked`` is None when A is.
     """
-    mats = [_atoms(fr) for fr in dicts]
+    mats = [_matrix(f"dictionary {i}", fr.matrix if isinstance(fr, Frame) else fr) for i, fr in enumerate(dicts)]
     n = _ambient_dim(mats)
     dbar = np.concatenate(mats, axis=1)
     psi = np.zeros((n * len(mats), dbar.shape[1]))
@@ -98,31 +92,17 @@ def build_stacked(dicts, A=None):
     return dbar, psi, a_stacked
 
 
-@_one_blas_thread()
 def solve_split_analysis(problem: SeparationProblem, config: SolverConfig | None = None):
     """Solve the split-analysis problem; returns (components, SolverResult).
 
-    Delegates to the IRLS analysis solver on the stacked system: the block
+    Runs the IRLS analysis solver on ``problem.stacked``: the block
     diagonal of the dictionaries is itself a unit tight frame for the
     stacked signal space, and the stacked measurement applies A to the sum
     of the components.  With a single dictionary this reduces exactly to
     the plain solver.
     """
-    n = problem.dicts[0].ambient_dim
-    iota = len(problem.dicts)
-    _, psi, a_stacked = build_stacked(problem.dicts, problem.A)
-    psi_frame = Frame(matrix=psi, lower_bound=1.0, upper_bound=1.0)
-    stacked = LqProblem(
-        A=a_stacked,
-        y=problem.y,
-        D=psi_frame,
-        q=problem.q,
-        epsilon=problem.epsilon,
-        norm_index=problem.norm_index,
-    )
-    result = irls_analysis(stacked, config)
-    components = [result.f_hat[k * n : (k + 1) * n] for k in range(iota)]
-    return components, result
+    result = irls_analysis(problem.stacked, config)
+    return np.split(result.f_hat, len(problem.dicts)), result
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import lqframes.cli as cli
 import lqframes.experiments as experiments
 import lqframes.frames as frames
 import lqframes.rip as rip
-import lqframes.separation as separation
 import lqframes.solvers as solvers
 from lqframes import InfeasibleOrDegenerateError, LqProblem, cosparse_signal, random_tight_frame, save_matrix
 
@@ -68,7 +67,7 @@ ENTRIES = [
     ("irl1_analysis", (solvers, "_wls_steps"), lambda tmp: lqframes.irl1_analysis(_problem())),
     ("run_cell", (experiments, "random_tight_frame"),
      lambda tmp: lqframes.run_figure1(trials=2, n=20, d=24, m=12, s=8)),
-    ("solve_split_analysis", (separation, "build_stacked"), lambda tmp: lqframes.solve_split_analysis(_split())),
+    ("solve_split_analysis", (solvers, "_wls_steps"), lambda tmp: lqframes.solve_split_analysis(_split())),
     ("estimate_rip", (rip, "rip_scan"),
      lambda tmp: lqframes.estimate_rip(_problem().A, _problem().D, 0.7, 3, mode="sampled", budget=4)),
     ("estimate_nsp_theta", (rip, "_svd"), lambda tmp: lqframes.estimate_nsp_theta(_problem().A, _problem().D, 0.7, 3)),

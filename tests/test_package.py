@@ -226,9 +226,16 @@ def test_a_real_argument_just_past_its_interval_is_refused(entry):
         lambda: lqframes.measurement_bound(0.5, 5, 10**400),  # d / s overflowed
         lambda: lqframes.separation_measurement_bound(0.5, 5, 10**400),
         lambda: lqframes.measurement_bound(0.5, 10**400, 10**400),
+        lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, 10**400, 0.7),  # leaked OverflowError
+        lambda: lqframes.gaussian_moment(0.7, 10**400),
+        lambda: lqframes.error_constants(0.5, 0.25, 0.7, 10**400, 0.1),
+        lambda: lqframes.gaussian_moment(0.7, -10**5000),  # its message raised ValueError: past 4300 digits
+        lambda: lqframes.measurement_bound(0.7, 10**5000, 5),
     ],
     ids=["split-negative-rho", "split-no-component", "split-condition-no-component", "bound-kappa-overflow",
-         "bound-integer-kappa-overflow", "bound-d-overflow", "separation-bound-d-overflow", "bound-s-overflow"],
+         "bound-integer-kappa-overflow", "bound-d-overflow", "separation-bound-d-overflow", "bound-s-overflow",
+         "condition-integer-kappa-overflow", "moment-integer-sigma-overflow", "error-integer-lower-bound-overflow",
+         "moment-sigma-past-4300-digits", "bound-s-past-4300-digits"],
 )
 def test_a_calculator_that_returned_or_overflowed_outside_its_domain_refuses(call):
     with pytest.raises(InvalidParametersError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,9 +78,17 @@ def test_build_stacked_rejects_mismatched_dimensions():
         build_stacked([np.eye(3), np.eye(4)])
 
 
-def test_build_stacked_rejects_1d_dictionaries():
-    with pytest.raises(InvalidDimensionsError):
-        build_stacked([np.ones(3), np.ones(3)])
+@pytest.mark.parametrize(
+    "second, error, message",
+    [
+        (np.ones(3), InvalidDimensionsError, "^dictionary 1 must be a 2-D matrix"),
+        (np.full((3, 3), math.nan), InvalidParametersError, "^dictionary 1 holds non-finite"),
+    ],
+    ids=["1-d", "non-finite"],
+)
+def test_build_stacked_names_the_bad_dictionary(second, error, message):
+    with pytest.raises(error, match=message):
+        build_stacked([np.eye(3), second])
 
 
 def test_psi_isometry_for_tight_blocks():
@@ -129,6 +138,20 @@ def test_problem_rejects_non_finite_input(field):
 def test_problem_checks_q_epsilon_and_norm_at_construction(kwargs, message):
     with pytest.raises(InvalidParametersError, match=message):
         SeparationProblem(dicts=[_spikes(2), _waves(2)], A=np.eye(2), y=np.ones(2), **kwargs)
+
+
+@pytest.mark.parametrize("change", [{"q": 0.5}, {"y": np.array([3.0, -1.0])}], ids=["q", "y"])
+def test_replace_rebuilds_the_stacked_instance(change):
+    # stacked is derived in __post_init__, so a replaced problem can never keep the old one
+    problem = replace(SeparationProblem(dicts=[_spikes(2), _waves(2)], A=np.eye(2), y=np.ones(2), q=0.7), **change)
+    _, psi, a_stacked = build_stacked(problem.dicts, problem.A)
+    stacked = problem.stacked
+    for name, value in change.items():
+        np.testing.assert_array_equal(getattr(stacked, name), value)
+    assert (stacked.q, stacked.epsilon, stacked.norm_index) == (problem.q, problem.epsilon, problem.norm_index)
+    np.testing.assert_array_equal(stacked.y, problem.y)
+    np.testing.assert_array_equal(stacked.A, a_stacked)
+    np.testing.assert_array_equal(stacked.D.matrix, psi)
 
 
 def test_split_recovers_both_components():
