@@ -317,8 +317,7 @@ def hard_threshold(x: np.ndarray, s: int, q: float = 1.0) -> SparseApproximation
     _check_int("sparsity", s)
     x = np.asarray(x, dtype=float)
     d = x.size
-    if not 0 <= s <= d:
-        raise InvalidDimensionsError(f"sparsity {s} outside [0, {d}]")
+    _check_int("sparsity", s, 0, d, error=InvalidDimensionsError)
     order = np.argsort(-np.abs(x), kind="stable")
     support = np.sort(order[:s])
     dropped = x[order[s:]]
@@ -344,8 +343,7 @@ def cosparse_signal(frame: Frame, s: int, seed):
     """
     d, n = frame.num_atoms, frame.ambient_dim
     _check_int("sparsity", s)
-    if not 0 < s <= n:
-        raise InvalidDimensionsError(f"sparsity {s} outside (0, n={n}]")
+    _check_int("sparsity", s, 1, n, error=InvalidDimensionsError)
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         cosupport = rng.choice(d, size=d - s, replace=False)

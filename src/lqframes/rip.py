@@ -64,40 +64,42 @@ def tail_constant(q: float) -> float:
     return (31.0 / 40.0) ** 0.25 * (1.13 + math.sqrt(q) * math.exp(-log_ratio / q))
 
 
-def _ceil_exact(x: float) -> int:
+def _comparison_order(q: float, kappa: float) -> int:
+    """The comparison order t = ceil((5 * 2^(q/2) * kappa^q)^(2/(2-q))) of the q-RIP recovery condition."""
+    x = (5.0 * 2.0 ** (q / 2.0) * kappa**q) ** (2.0 / (2.0 - q))
     # Absorbs float roundoff when the exact value is an integer,
     # e.g. (5*2**0.5)**2 = 50.00000000000001.
-    return int(math.ceil(x - 1e-9 * max(1.0, abs(x))))
+    return int(math.ceil(x - 1e-9 * max(1.0, x)))
 
 
-def _bound_from_t(q: float, s: int, d: int, t: int) -> float:
-    """The measurement bound at comparison order t; a dictionary size d (>= s) past the float range raises."""
-    b2 = tail_constant(q) ** 2
-    try:
-        log_ed_s = 1.0 + math.log(d / s)
-        bracket = (t + 1) * (math.log(3.0) - math.log(t + 1.0)) * s + math.log(2.0) + (t + 2) * s * log_ed_s
-    except OverflowError:
-        raise InvalidParametersError("the dictionary size (d or d_total) overflows a float") from None
-    return 6.25 * q * b2 * bracket + 17.6 * b2 * (t + 1) * s
+def _log_union(d: int, k: int) -> float:
+    """Stirling's k log(e d / k) >= log C(d, k), the log count of the order-k supports among d atoms."""
+    return k * (1.0 + math.log(d) - math.log(k))
 
 
 def measurement_bound(q: float, s: int, d: int, kappa: float = 1.0) -> float:
     """Gaussian measurement count sufficient for the q-RIP recovery condition.
 
-    Returns the bound as a real number; callers take the ceiling.  The
-    internal comparison order is t = ceil((5 * 2^(q/2) * kappa^q)^(2/(2-q))).
-    q lies in (0, 1], kappa in [1, inf), and integers s >= 1 and d >= s; a
-    kappa or d whose bound overflows a float raises InvalidParametersError.
+    Returns the real number 6.25 q beta_q^2 L + 17.6 beta_q^2 k, which callers
+    round up, where t = ceil((5 * 2^(q/2) * kappa^q)^(2/(2-q))), k = (t + 1) s
+    and L = log 2 + k log 3 + u log(e d / u) + s log(e d / s).  The union term
+    stops at u = min(k, d), as a q-RIP of an order above d is the one of
+    order d; k log 3 and 17.6 beta_q^2 k keep k.  q lies in (0, 1], kappa in
+    [1, inf), and integers s >= 1 and d >= s; a kappa or d whose bound
+    overflows a float raises InvalidParametersError.
     """
     _check_q(q)
     _check_int("s", s, 1)
     _check_int("d", d, s)
+    _check_real("d", d, "[1, inf)")
     _check_real("kappa", kappa, "[1, inf)")
+    b2 = tail_constant(q) ** 2
     try:
-        t = _ceil_exact((5.0 * 2.0 ** (q / 2.0) * kappa**q) ** (2.0 / (2.0 - q)))
+        k = (_comparison_order(q, kappa) + 1) * s
+        bracket = math.log(2.0) + k * math.log(3.0) + _log_union(d, min(k, d)) + _log_union(d, s)
     except OverflowError:
-        raise InvalidParametersError("kappa overflows a float in the comparison order t") from None
-    return _bound_from_t(q, s, d, t)
+        raise InvalidParametersError("kappa overflows a float in the measurement bound") from None
+    return 6.25 * q * b2 * bracket + 17.6 * b2 * k
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def gaussian_failure_probability(
     _check_real("sigma", sigma, "(0, inf]")
     _check_real("eps_cover^q", eps_cover**q, "(0, 1)")
     beta = tail_constant(q)
-    log_cover = k * (math.log(3.0) + 1.0 + math.log(d) - math.log(eps_cover) - math.log(k))
+    log_cover = k * (math.log(3.0) - math.log(eps_cover)) + _log_union(d, k)
     log_p = math.log(2.0) + log_cover - eta * eta * m / (2.0 * q * beta * beta)
     prob = 1.0 if log_p >= 0.0 else math.exp(log_p)
     delta = (eta + eps_cover**q) / (1.0 - eps_cover**q)

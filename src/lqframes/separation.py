@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidDimensionsError, InvalidParametersError
 from .frames import Frame, _ambient_dim, _check_int, _check_q, _check_real, _matrix
-from .rip import _bound_from_t, _ceil_exact
+from .rip import _comparison_order, measurement_bound
 from .solvers import LqProblem, SolverConfig, irls_analysis
 
 __all__ = [
@@ -135,11 +135,6 @@ class SeparationVerdict:
         }
 
 
-def _comparison_order(q: float) -> int:
-    """The separation comparison order t = ceil((5 * 2^(3q/2))^(2/(2-q)))."""
-    return _ceil_exact((5.0 * 2.0 ** (1.5 * q)) ** (2.0 / (2.0 - q)))
-
-
 def _pow_inf(base: float, expo: float) -> float:
     try:
         return base**expo
@@ -217,7 +212,7 @@ def check_separation_conditions(
     delta_ratio = (1.0 + delta_a) / (1.0 - delta_sa)
     U = mu1 * (s + a) / 2.0
 
-    t3 = _comparison_order(q)
+    t3 = _comparison_order(q, 2.0)  # ceil((5 * 2^(3q/2))^(2/(2-q)))
     small = math.exp(-(math.log(8.0) + (2.0 / q) * math.log(5.0)))
     thm3_lhs = mu1 * s * (t3 + 1.0) * (small + 1.0)
     thm3_holds = thm3_lhs < 1.0
@@ -244,11 +239,11 @@ def check_separation_conditions(
 def separation_measurement_bound(q: float, s: int, d_total: int) -> float:
     """Gaussian measurement count sufficient for the separation condition.
 
-    Same structure as the single-dictionary bound with the comparison order
-    t = ceil((5 * 2^(3q/2))^(2/(2-q))); the dictionary condition number
-    does not appear because the blocks are unit tight.
+    ``measurement_bound`` over all d_total atoms at kappa = 2, whose order
+    is the separation order ceil((5 * 2^(3q/2))^(2/(2-q))); the union term
+    stops at d_total.  The blocks are unit tight, so no condition number of
+    theirs enters.
     """
-    _check_q(q)
     _check_int("s", s, 1)
     _check_int("d_total", d_total, s)
-    return _bound_from_t(q, s, d_total, _comparison_order(q))
+    return measurement_bound(q, s, d_total, 2.0)

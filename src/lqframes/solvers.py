@@ -51,20 +51,13 @@ def objective(f, D, q: float) -> float:
     return float(np.sum(np.abs(_atoms(D).T @ f) ** q))
 
 
-def _check_constraint(q, epsilon, norm_index) -> None:
-    """Raise InvalidParametersError unless q is in (0, 1], epsilon in [0, inf] and the norm is 2 or inf."""
-    _check_q(q)
-    _check_real("epsilon", epsilon, "[0, inf]")
-    if norm_index not in (2, 2.0, math.inf):
-        raise InvalidParametersError(f"norm_index must be 2 or inf, got {norm_index}")
-
-
 @dataclass(frozen=True)
 class LqProblem:
     """One constrained l_q-analysis instance.
 
     ``norm_index`` selects the residual norm of the constraint: 2 or
-    math.inf.  ``epsilon = 0`` means the equality constraint A f = y.
+    math.inf.  q lies in (0, 1] and epsilon in [0, inf]; ``epsilon = 0``
+    means the equality constraint A f = y.
     """
 
     A: np.ndarray
@@ -78,7 +71,10 @@ class LqProblem:
         object.__setattr__(self, "A", _matrix("A", self.A))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
         _require_finite(y=self.y, D=self.D.matrix)
-        _check_constraint(self.q, self.epsilon, self.norm_index)
+        _check_q(self.q)
+        _check_real("epsilon", self.epsilon, "[0, inf]")
+        if self.norm_index not in (2, 2.0, math.inf):
+            raise InvalidParametersError(f"norm_index must be 2 or inf, got {self.norm_index}")
         m, n = self.A.shape
         if self.y.size != m:
             raise InvalidDimensionsError(f"y has length {self.y.size}, expected {m}")

@@ -346,10 +346,10 @@ def test_bounds_table_delegates():
 
 def test_bounds_table_d_equals_s_row():
     (row,) = run_bounds_table([1.0], 10, 10, kappa=1.0)
-    # ln(e d / s) = 1 when d = s
+    # k = 51 * 10 = 510 > d: the union term stops at u = d, and ln(e d / u) = ln(e d / s) = 1 when d = s
     b2 = (31.0 / 40.0) ** 0.5 * (1.13 + math.sqrt(math.pi)) ** 2
     assert row["m_min"] == pytest.approx(
-        6.25 * b2 * (51 * (math.log(3.0) - math.log(51.0)) * 10 + math.log(2.0) + 52 * 10) + 17.6 * b2 * 510,
+        6.25 * b2 * (510 * math.log(3.0) + math.log(2.0) + 10 + 10) + 17.6 * b2 * 510,
         rel=1e-12,
     )
 

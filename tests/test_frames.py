@@ -225,6 +225,18 @@ def test_cosparse_reference_dims_exact_sparsity():
     assert np.linalg.norm(tail) <= 1e-10
 
 
+@pytest.mark.parametrize("s", [10**5000, 5, -1], ids=["past-4300-digits", "one-past-the-size", "negative"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda s: hard_threshold(np.arange(4.0), s), lambda s: cosparse_signal(random_tight_frame(4, 6, 0), s, 0)],
+    ids=["hard_threshold", "cosparse_signal"],
+)
+def test_sparsity_outside_its_range_is_a_dimension_error(call, s):
+    # 5 is one past both x.size and the frame's n = 4
+    with pytest.raises(InvalidDimensionsError, match="^sparsity must lie in"):
+        call(s)
+
+
 def test_cosparse_deterministic():
     fr = random_tight_frame(12, 14, 3)
     f1, _ = cosparse_signal(fr, 5, 77)

@@ -550,6 +550,20 @@ def test_measurement_bound_rejects_bad_kappa():
         measurement_bound(0.5, 2, 10, 0.9)
 
 
+def test_measurement_bound_is_nonnegative_and_nondecreasing_where_k_crosses_d():
+    # k = (t + 1) s runs from 51 s (q = 1, kappa = 1) to 1251 s (q = 1, kappa = 5);
+    # past k = d the union term stops at d, so the grid holds d on both sides of k
+    kappas = (1.0, 1.5, 2.0, 3.0, 5.0)
+    for q in (0.5, 0.7, 1.0):
+        for s in (1, 5, 25):
+            ds = sorted({s * 2**j for j in range(12)} | {51 * s - 1, 51 * s, 51 * s + 1})
+            grid = np.array([[measurement_bound(q, s, d, kappa) for d in ds] for kappa in kappas])
+            assert np.all(grid >= 0.0)
+            assert np.all(np.diff(grid, axis=0) >= 0.0)
+            assert np.all(np.diff(grid, axis=1) >= 0.0)
+    assert measurement_bound(1.0, 5, 20, kappa=5.0) == pytest.approx(1136464.426154814, rel=1e-12)  # was -240284
+
+
 # ---------------------------------------------------------------------------
 # estimate_nsp_theta
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from lqframes import (
     split_nsp_condition,
     split_nsp_constant,
 )
+from lqframes.rip import _comparison_order
 from lqframes.solvers import LqProblem
 
 
@@ -275,14 +276,22 @@ def test_split_nsp_constant_rejects_large_U():
 # ---------------------------------------------------------------------------
 
 def test_separation_bound_hand_evaluation():
-    # q=1: t = ceil((5 * 2^{3/2})^2) = 200; independent expansion below
+    # q=1: t = ceil((5 * 2^{3/2})^2) = 200, so k = 201 s = 2010 > d and the
+    # union term stops at u = d, where d ln(e d / d) = d; independent expansion below
     b2 = ((31.0 / 40.0) ** 0.25 * (1.13 + math.sqrt(math.pi))) ** 2
     s, d = 10, 1000
     hand = (
-        6.25 * b2 * (201 * (math.log(3.0) - math.log(201.0)) * s + math.log(2.0) + 202 * s * (1.0 + math.log(d / s)))
+        6.25 * b2 * (201 * s * math.log(3.0) + math.log(2.0) + d + s * (1.0 + math.log(d / s)))
         + 17.6 * b2 * 201 * s
     )
     assert separation_measurement_bound(1.0, s, d) == pytest.approx(hand, rel=1e-12)
+
+
+def test_separation_order_is_the_comparison_order_at_kappa_two():
+    # 2^(q/2) 2^q = 2^(3q/2), so ceil((5 * 2^(3q/2))^(2/(2-q))) is the single-dictionary order at kappa = 2
+    for q in np.linspace(1e-4, 1.0, 10**4):
+        x = (5.0 * 2.0 ** (1.5 * q)) ** (2.0 / (2.0 - q))
+        assert _comparison_order(float(q), 2.0) == math.ceil(x - 1e-9 * max(1.0, x))
 
 
 def test_separation_bound_log_coefficient_vanishes():
