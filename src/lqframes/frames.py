@@ -367,7 +367,7 @@ def load_matrix(path) -> np.ndarray:
     """Read a dense matrix from headerless ASCII CSV by ``np.loadtxt``, skipping blank lines.
 
     ``#`` starts no comment.  An empty file, a ragged row, a non-number (``1_000`` too) or NaN or inf
-    raises InvalidDimensionsError naming the path, and for NaN or inf the line."""
+    raises InvalidDimensionsError naming the path, and for a row the file line it is on."""
     with open(path, "r", encoding="ascii") as fh:
         numbered = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
     if not numbered:
@@ -376,6 +376,16 @@ def load_matrix(path) -> np.ndarray:
     try:
         matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
+        # name the first line that numpy refuses on its own or that is not as wide as the first line
+        width = lines[0].count(",") + 1
+        for lineno, line in numbered:
+            try:
+                ok = np.loadtxt([line], delimiter=",", comments=None).size == width
+            except ValueError:
+                ok = False
+            if not ok:
+                message = f"expected a row of {width} numbers, got {line.strip()!r}"
+                raise InvalidDimensionsError(f"{path}:{lineno}: {message}") from exc
         raise InvalidDimensionsError(f"{path}: not a numeric matrix: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:

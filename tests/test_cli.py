@@ -144,6 +144,30 @@ def test_bounds_csv(tmp_path, capsys):
     assert m_min > 0 and m_sep >= m_min
 
 
+@pytest.mark.parametrize("command", ["bounds", "rip-estimate", "solve", "separate"])
+def test_stdout_is_the_out_file_with_a_final_newline(instance, capsys, command):
+    tmp, *_ = instance
+    save_matrix(tmp / "I.csv", np.eye(12))
+    shared = ["--matrix", str(tmp / "A.csv"), "--q", "0.7"]
+    argv = {
+        "bounds": ["bounds", "--q", "0.5,1", "--s", "5", "--d", "20"],
+        "rip-estimate": ["rip-estimate", *shared, "--dict", str(tmp / "D.csv"), "--s", "2", "--a", "3",
+                         "--budget", "8"],
+        "solve": ["solve", *shared, "--dict", str(tmp / "D.csv"), "--obs", str(tmp / "y.csv")],
+        "separate": ["separate", *shared, "--dicts", f"{tmp}/D.csv,{tmp}/I.csv", "--obs", str(tmp / "y.csv"),
+                     "--sparsities", "2,2", "--max-iters", "20"],
+    }[command]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    written = out.read_text()
+    assert capsys.readouterr().out == ""
+    # a CSV table ends in a newline of its own; a JSON document gets one on stdout only
+    assert written.endswith("\n") == (command == "bounds")
+    assert printed == (written if command == "bounds" else written + "\n")
+
+
 def test_figure1_command(tmp_path):
     out = tmp_path / "fig.json"
     rc = main(["figure1", "--seed", "1", "--trials", "2", "--out", str(out)])
@@ -198,6 +222,8 @@ def test_separate_command(tmp_path):
     assert set(payload) == {"components", "verdict"}
     assert set(payload["verdict"]) == {"mu1", "U", "theta_tilde", "thm3_holds", "thm4_holds"}
     assert payload["verdict"]["mu1"] == pytest.approx(0.25)
+    # the order-(s + a) estimate is >= 1 here: no split constant, and Theorem 4 is ruled out
+    assert payload["verdict"]["theta_tilde"] is None and payload["verdict"]["thm4_holds"] is False
     g1, g2 = (np.asarray(c) for c in payload["components"])
     assert np.linalg.norm(g1 - f1) / np.linalg.norm(f1) <= 1e-3
     assert np.linalg.norm(g2 - f2) / np.linalg.norm(f2) <= 1e-3

@@ -344,6 +344,19 @@ def test_load_matrix_refuses_a_file_that_is_no_matrix_in_one_line_naming_it(tmp_
     assert str(path) in str(info.value) and "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text, shown",
+    [("1.0,2.0\n\n3.0\n", "'3.0'"), ("1.0,2.0\n \t\n3.0,x\n", "'3.0,x'")],
+    ids=["ragged", "bad-token"],
+)
+def test_load_matrix_names_the_file_line_of_a_refused_row(tmp_path, text, shown):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidDimensionsError, match=r"bad\.csv:3: expected a row of 2 numbers") as info:
+        load_matrix(path)
+    assert str(info.value).endswith(shown)
+
+
 def test_load_matrix_names_the_file_line_of_a_non_finite_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n\n  \n3.0,1e400\n")
