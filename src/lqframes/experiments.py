@@ -151,14 +151,16 @@ class CellResult:
 
 
 def cell_key(params: dict) -> int:
-    """Content hash of a grid cell, so seeds ignore the cell's position."""
-    canonical = json.dumps(params, sort_keys=True).encode("ascii")
+    """Content hash of a grid cell, so seeds ignore the cell's position; numpy values hash as the equal Python ones."""
+    canonical = json.dumps(_json_safe(params), sort_keys=True).encode("ascii")
     return int.from_bytes(hashlib.sha256(canonical).digest()[:8], "big")
 
 
 def trial_seed(master_seed: int, cell_index: int, trial_index: int) -> np.random.SeedSequence:
     """Deterministic per-trial seed; cell_index is the cell's content hash."""
     _check_int("master_seed", master_seed, 0)
+    _check_int("cell_index", cell_index, 0)
+    _check_int("trial_index", trial_index, 0)
     return np.random.SeedSequence([int(master_seed), int(cell_index), int(trial_index)])
 
 

@@ -311,11 +311,14 @@ def hard_threshold(x: np.ndarray, s: int, q: float = 1.0) -> SparseApproximation
     """Keep the s largest-magnitude entries of x; ties keep the lowest index.
 
     The residual is measured in the l_q quasinorm for the requested q,
-    which must lie in (0, 1].
+    which must lie in (0, 1].  x is a finite vector.
     """
     _check_q(q)
     _check_int("sparsity", s)
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise InvalidDimensionsError(f"x must be a vector, got {x.ndim} dimension(s)")
+    _require_finite(x=x)
     d = x.size
     _check_int("sparsity", s, 0, d, error=InvalidDimensionsError)
     order = np.argsort(-np.abs(x), kind="stable")

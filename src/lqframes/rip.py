@@ -104,31 +104,20 @@ def measurement_bound(q: float, s: int, d: int, kappa: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class GaussianTail:
-    """Inputs and outputs of the covering-number failure bound."""
+    """Outputs of the covering-number failure bound."""
 
-    q: float
-    sigma: float
-    eta: float
-    eps_cover: float
-    m: int
-    k: int
-    d: int
-    moment: float
-    tail: float
     failure_probability: float
     delta_implied: float
 
 
-def gaussian_failure_probability(
-    q: float, eta: float, eps_cover: float, m: int, k: int, d: int, sigma: float = 1.0
-) -> GaussianTail:
+def gaussian_failure_probability(q: float, eta: float, eps_cover: float, m: int, k: int, d: int) -> GaussianTail:
     """Probability that a Gaussian matrix misses the uniform q-isometry.
 
     Evaluates min(1, 2 (3 e d / (eps k))^k exp(-eta^2 m / (2 q beta_q^2)))
     in log space, together with the isometry constant it certifies,
-    delta = (eta + eps^q) / (1 - eps^q).  eta and sigma lie in (0, inf],
-    eps_cover in (0, 1), and eps_cover^q, which rounds to 1 for an eps_cover
-    just below 1 at small q, in (0, 1).
+    delta = (eta + eps^q) / (1 - eps^q).  eta lies in (0, inf], eps_cover
+    in (0, 1), and eps_cover^q, which rounds to 1 for an eps_cover just
+    below 1 at small q, in (0, 1).
     """
     _check_q(q)
     _check_int("m", m, 1)
@@ -136,26 +125,13 @@ def gaussian_failure_probability(
     _check_int("d", d, k)
     _check_real("eta", eta, "(0, inf]")
     _check_real("eps_cover", eps_cover, "(0, 1)")
-    _check_real("sigma", sigma, "(0, inf]")
     _check_real("eps_cover^q", eps_cover**q, "(0, 1)")
     beta = tail_constant(q)
     log_cover = k * (math.log(3.0) - math.log(eps_cover)) + _log_union(d, k)
     log_p = math.log(2.0) + log_cover - eta * eta * m / (2.0 * q * beta * beta)
     prob = 1.0 if log_p >= 0.0 else math.exp(log_p)
     delta = (eta + eps_cover**q) / (1.0 - eps_cover**q)
-    return GaussianTail(
-        q=q,
-        sigma=sigma,
-        eta=eta,
-        eps_cover=eps_cover,
-        m=m,
-        k=k,
-        d=d,
-        moment=gaussian_moment(q, sigma),
-        tail=beta,
-        failure_probability=prob,
-        delta_implied=delta,
-    )
+    return GaussianTail(failure_probability=prob, delta_implied=delta)
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,16 @@ __all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_a
 
 
 def objective(f, D, q: float) -> float:
-    """Analysis objective |D^T f|_q^q (the q-th power, not the quasinorm)."""
-    return float(np.sum(np.abs(_atoms(D).T @ f) ** q))
+    """Analysis objective |D^T f|_q^q (the q-th power, not the quasinorm), for q in (0, 1].
+
+    f is a finite vector with one entry per row of D.
+    """
+    _check_q(q)
+    Dm, f = _atoms(D), np.asarray(f, dtype=float)
+    if f.shape != Dm.shape[:1]:
+        raise InvalidDimensionsError(f"f has shape {f.shape}, expected ({Dm.shape[0]},)")
+    _require_finite(f=f)
+    return float(np.sum(np.abs(Dm.T @ f) ** q))
 
 
 @dataclass(frozen=True)
@@ -107,7 +115,6 @@ class SolverConfig:
 
     max_outer_iters: int = 300
     tol: float = 1e-10
-    keep_iterates: bool = False
 
     def __post_init__(self):
         _check_int("max_outer_iters", self.max_outer_iters, 1)
@@ -123,7 +130,6 @@ class SolverResult:
     objective_trace: list = field(default_factory=list)
     residual_trace: list = field(default_factory=list)
     converged: bool = False
-    iterates: list | None = None
 
 
 def _residual_norm(r: np.ndarray, norm_index: float) -> float:
@@ -278,15 +284,12 @@ def _reweight(problem: LqProblem, config: SolverConfig | None, f, coeffs, step) 
     """
     config = config or SolverConfig()
     objective_trace, residual_trace = [], []
-    iterates = [f.copy()] if config.keep_iterates else None
     converged = False
     for j in range(config.max_outer_iters):
         sigma = _sigma_at(j)
         f_new, coeffs, ok, final = step(coeffs, sigma)
         objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
         residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
-        if iterates is not None:
-            iterates.append(f_new.copy())
         rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
         f = f_new
         if rel_change < config.tol and (sigma <= _SIGMA_MIN or (j == 0 and rel_change == 0.0) or final):
@@ -298,7 +301,6 @@ def _reweight(problem: LqProblem, config: SolverConfig | None, f, coeffs, step) 
         objective_trace=objective_trace,
         residual_trace=residual_trace,
         converged=converged and ok,
-        iterates=iterates,
     )
 
 

@@ -189,7 +189,7 @@ def test_separation_desk_experiment():
     )
 
 
-def test_invariant_suites_over_seeds():
+def test_invariant_suites_over_seeds(record_iterates):
     worst_energy = 0.0
     worst_isometry = 0.0
     worst_descent = 0.0
@@ -220,12 +220,12 @@ def test_invariant_suites_over_seeds():
         A = rng.standard_normal((14, 20))
         f, _ = lq.cosparse_signal(D, 6, seed + 1000)
         y = A @ f
-        config = lq.SolverConfig(keep_iterates=True)
-        res = lq.irls_analysis(lq.LqProblem(A=A, y=y, D=D, q=0.7), config)
+        res = lq.irls_analysis(lq.LqProblem(A=A, y=y, D=D, q=0.7))
+        iterates = record_iterates[-1]
         for j in range(res.iterations):
             sj = lq.solvers._sigma_at(j)
-            before = _surrogate(D.matrix.T @ res.iterates[j], sj, 0.7)
-            after = _surrogate(D.matrix.T @ res.iterates[j + 1], sj, 0.7)
+            before = _surrogate(D.matrix.T @ iterates[j], sj, 0.7)
+            after = _surrogate(D.matrix.T @ iterates[j + 1], sj, 0.7)
             worst_descent = max(worst_descent, after - before)
         worst_feasibility = max(worst_feasibility, max(res.residual_trace) / np.linalg.norm(y))
     ok = (

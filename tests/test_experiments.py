@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -24,6 +25,7 @@ from lqframes import (
     separation_measurement_bound,
     trial_seed,
 )
+from lqframes.experiments import _check_cell
 
 # feasible desk-scale cell: exact analysis sparsity requires s > d - n
 _SMALL = {"n": 20, "d": 24, "m": 14, "q": 0.7, "s": 6}
@@ -109,6 +111,12 @@ def test_trial_seed_is_stable():
     b = trial_seed(5, 2, 7).generate_state(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, trial_seed(5, 2, 8).generate_state(4))
+
+
+@pytest.mark.parametrize("indices", [(-1, 0), (0, -1), (0.5, 0), (0, True)])
+def test_trial_seed_refuses_an_index_that_is_not_a_nonnegative_integer(indices):
+    with pytest.raises(InvalidParametersError):
+        trial_seed(0, *indices)
 
 
 def test_figure1_deterministic_and_small_variant():
@@ -301,6 +309,23 @@ def test_an_integer_q_keeps_its_cell_key():
     parsed = ExperimentSpec.from_json(json.dumps({"kind": "phase_transition", "grid": grid}))
     assert cell_key(built.grid[0]) == cell_key(parsed.grid[0]) == 1565141820717563671
     assert cell_key(dict(_SMALL, q=1.0)) != 1565141820717563671
+
+
+def test_a_numpy_valued_cell_hashes_like_the_equal_python_cell():
+    cell = {"n": np.int64(20), "d": np.int32(24), "m": np.uint8(14), "q": np.float64(0.7), "s": np.int16(6)}
+    assert cell_key(cell) == cell_key(_SMALL)
+
+
+@pytest.mark.parametrize(
+    "kind, cell",
+    [("phase_transition", _SMALL), ("phase_transition", dict(_SMALL, q=1)), ("phase_transition", dict(_SMALL, q=1.0)),
+     ("separation_sweep", _SEPARATION), ("phase_transition", dict(_SMALL, n=np.int64(20), q=np.float32(0.7)))],
+)
+def test_a_checked_cell_keeps_its_key(kind, cell):
+    # a checked cell holds Python values only, so its key stays the hash of its plain JSON text
+    checked = _check_cell(kind, cell, InvalidSpecError)
+    plain = json.dumps(checked, sort_keys=True).encode("ascii")
+    assert cell_key(checked) == int.from_bytes(hashlib.sha256(plain).digest()[:8], "big")
 
 
 @pytest.mark.parametrize(

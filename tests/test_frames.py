@@ -199,6 +199,16 @@ def test_hard_threshold_rejects_q_outside_unit_interval(q):
         hard_threshold(np.array([3.0, -1.0, 2.0]), 1, q=q)
 
 
+def test_hard_threshold_refuses_an_array_that_is_not_a_vector():
+    with pytest.raises(InvalidDimensionsError, match="vector"):
+        hard_threshold(np.array([[3.0, -1.0, 2.0]]), 2)
+
+
+def test_hard_threshold_refuses_a_non_finite_entry():
+    with pytest.raises(InvalidParametersError, match="non-finite"):
+        hard_threshold(np.array([3.0, np.nan, 2.0]), 2)
+
+
 def test_hard_threshold_residual_monotone_in_s():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(12)

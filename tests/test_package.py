@@ -59,8 +59,6 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         (lambda: lqframes.SolverConfig(tol=_NAN), InvalidParametersError),
         (lambda: lqframes.run_figure1(trials=1, threshold=_NAN), InvalidParametersError),
         (lambda: lqframes.gaussian_failure_probability(0.7, 0.3, _NAN, 1000, 5, 50), InvalidParametersError),
-        (lambda: lqframes.gaussian_failure_probability(0.7, 0.3, 0.2, 1000, 5, 50, sigma=_NAN),
-         InvalidParametersError),
         (lambda: lqframes.error_constants(0.5, _NAN, 0.7, 1.0, 0.1), InvalidParametersError),
         (lambda: lqframes.error_constants(0.5, 0.25, 0.7, _NAN, 0.1), InvalidParametersError),
         (lambda: lqframes.error_constants(0.5, 0.25, 0.7, 1.0, _NAN), InvalidParametersError),
@@ -69,13 +67,14 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         (lambda: lqframes.split_nsp_constant(0.5, _NAN, 0.1, 0.7, 2), InvalidParametersError),
         (lambda: lqframes.split_nsp_condition(_NAN, 1.1, 0.1, 0.7, 2), InvalidParametersError),
         (lambda: lqframes.split_nsp_condition(0.5, _NAN, 0.1, 0.7, 2), InvalidParametersError),
+        (lambda: lqframes.objective(np.ones(2), np.eye(2), _NAN), InvalidParametersError),
     ],
     ids=[
         "problem-epsilon", "bound-kappa", "condition-delta-a", "condition-delta-sa", "condition-kappa",
         "separation-mu1", "separation-delta-a", "moment-sigma", "failure-eta", "failure-m", "error-theta",
         "split-U", "split-condition-U", "spec-threshold", "config-tol", "figure1-threshold", "failure-eps-cover",
-        "failure-sigma", "error-rho", "error-lower-bound", "error-delta-a", "separation-delta-sa", "split-rho",
-        "split-delta-ratio", "split-condition-rho", "split-condition-delta-ratio",
+        "error-rho", "error-lower-bound", "error-delta-a", "separation-delta-sa", "split-rho", "split-delta-ratio",
+        "split-condition-rho", "split-condition-delta-ratio", "objective-q",
     ],
 )
 def test_nan_parameters_are_refused(call, error):
@@ -128,7 +127,6 @@ _NUMBER_PARAMETERS = {
     "moment-sigma": lambda v: lqframes.gaussian_moment(0.7, v),
     "failure-eta": lambda v: lqframes.gaussian_failure_probability(0.7, v, 0.2, 1000, 5, 50),
     "failure-eps-cover": lambda v: lqframes.gaussian_failure_probability(0.7, 0.3, v, 1000, 5, 50),
-    "failure-sigma": lambda v: lqframes.gaussian_failure_probability(0.7, 0.3, 0.2, 1000, 5, 50, sigma=v),
     "condition-kappa": lambda v: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, v, 0.7),
     "condition-delta-a": lambda v: lqframes.check_recovery_condition(v, 0.1, 1, 4, 1.0, 0.7),
     "condition-delta-sa": lambda v: lqframes.check_recovery_condition(0.1, v, 1, 4, 1.0, 0.7),
@@ -145,6 +143,7 @@ _NUMBER_PARAMETERS = {
     "split-condition-rho": lambda v: lqframes.split_nsp_condition(v, 1.1, 0.1, 0.5, 2),
     "split-condition-delta-ratio": lambda v: lqframes.split_nsp_condition(0.5, v, 0.1, 0.5, 2),
     "split-condition-U": lambda v: lqframes.split_nsp_condition(0.5, 1.1, v, 0.5, 2),
+    "objective-q": lambda v: lqframes.objective(np.ones(2), np.eye(2), v),
 }
 
 # Each entry's interval, as its function declares it to frames._check_real.  theta and delta_sa
@@ -153,12 +152,13 @@ _INTERVALS = {
     "problem-q": "(0, 1]", "problem-epsilon": "[0, inf]", "config-tol": "(0, inf)", "rip-q": "(0, 1]",
     "moment-q": "(0, 1]", "threshold-q": "(0, 1]", "figure1-threshold": "(0, inf)", "spec-threshold": "(0, inf)",
     "bound-kappa": "[1, inf)", "moment-sigma": "(0, inf]", "failure-eta": "(0, inf]", "failure-eps-cover": "(0, 1)",
-    "failure-sigma": "(0, inf]", "condition-kappa": "[1, inf]", "condition-delta-a": "[0, inf]",
+    "condition-kappa": "[1, inf]", "condition-delta-a": "[0, inf]",
     "condition-delta-sa": "[0, inf]", "error-theta": "[0, inf]", "error-rho": "(0, 1)",
     "error-lower-bound": "(0, inf]", "error-delta-a": "[0, inf]", "separation-mu1": "[0, inf]",
     "separation-delta-a": "[0, inf]", "separation-delta-sa": "[0, 1)", "split-rho": "(0, 1)",
     "split-delta-ratio": "[1, inf]", "split-U": "[0, 1)", "split-condition-rho": "(0, 1)",
     "split-condition-delta-ratio": "[1, inf]", "split-condition-U": "[0, inf]",
+    "objective-q": "(0, 1]",
 }
 _UNEVALUABLE_FROM_ONE = {"condition-delta-sa", "error-theta"}
 

@@ -59,6 +59,12 @@ def test_objective_lq_powsum_reference():
     assert objective(x, np.eye(4), 0.5) == pytest.approx(1.0 + 2.0**0.5 + 3.0**0.5)
 
 
+@pytest.mark.parametrize("f", [np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3))])
+def test_objective_refuses_an_f_that_is_not_a_vector_over_the_rows_of_d(f):
+    with pytest.raises(InvalidDimensionsError, match="f has shape"):
+        objective(f, np.eye(3), 0.7)
+
+
 def test_objective_homogeneity():
     rng = np.random.default_rng(0)
     D = rng.standard_normal((4, 6))
@@ -155,7 +161,7 @@ def test_irls_square_measurement_returns_unique_solution_in_one_step():
     np.testing.assert_allclose(res.f_hat, np.linalg.solve(A, y), rtol=1e-10, atol=1e-12)
 
 
-def test_irls_step_is_the_weighted_least_squares_kkt_solution():
+def test_irls_step_is_the_weighted_least_squares_kkt_solution(record_iterates):
     # each iterate solves min sum_i w_i <d_i, f>^2 s.t. A f = y with the
     # weights of the previous iterate; compare with the full KKT system
     rng = np.random.default_rng(4)
@@ -164,16 +170,16 @@ def test_irls_step_is_the_weighted_least_squares_kkt_solution():
     A = rng.standard_normal((m, n))
     f, _ = cosparse_signal(D, 5, 44)
     y = A @ f
-    config = SolverConfig(keep_iterates=True)
-    res = irls_analysis(LqProblem(A=A, y=y, D=D, q=q), config)
+    res = irls_analysis(LqProblem(A=A, y=y, D=D, q=q))
+    [iterates] = record_iterates
     assert res.iterations >= 5
     Dm = D.matrix
     for j in range(res.iterations):
-        coeffs = Dm.T @ res.iterates[j]
+        coeffs = Dm.T @ iterates[j]
         weights = (coeffs * coeffs + solvers._sigma_at(j)) ** (q / 2.0 - 1.0)
         kkt = np.block([[2.0 * (Dm * weights) @ Dm.T, A.T], [A, np.zeros((m, m))]])
         expected = np.linalg.solve(kkt, np.concatenate([np.zeros(n), y]))[:n]
-        np.testing.assert_allclose(res.iterates[j + 1], expected, rtol=1e-9)
+        np.testing.assert_allclose(iterates[j + 1], expected, rtol=1e-9)
 
 
 def test_equality_step_matches_a_cholesky_solve():
@@ -197,19 +203,21 @@ def test_equality_step_matches_a_cholesky_solve():
 def _reference_iterates(solver):
     A, D, f = _reference_instance(0)
     y = A @ f
-    return A, y, solver(LqProblem(A=A, y=y, D=D, q=0.7), SolverConfig(keep_iterates=True))
+    return A, y, solver(LqProblem(A=A, y=y, D=D, q=0.7))
 
 
-def test_irls_reference_iterates_are_feasible_to_rounding_error():
+def test_irls_reference_iterates_are_feasible_to_rounding_error(record_iterates):
     A, y, res = _reference_iterates(irls_analysis)
     assert res.converged
-    for it in res.iterates:
+    [iterates] = record_iterates
+    for it in iterates:
         assert np.linalg.norm(A @ it - y) <= 1e-12 * np.linalg.norm(y)
 
 
-def test_irl1_reference_iterates_are_feasible_to_rounding_error():
+def test_irl1_reference_iterates_are_feasible_to_rounding_error(record_iterates):
     A, y, res = _reference_iterates(irl1_analysis)
-    for it in res.iterates:
+    [iterates] = record_iterates
+    for it in iterates:
         assert np.linalg.norm(A @ it - y) <= 1e-12 * np.linalg.norm(y)
 
 
@@ -242,19 +250,19 @@ def test_irls_reference_configuration_recovers():
     assert np.linalg.norm(res.f_hat - f) / np.linalg.norm(f) <= 1e-4
 
 
-def test_irls_surrogate_descent_and_feasibility():
+def test_irls_surrogate_descent_and_feasibility(record_iterates):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         D = random_tight_frame(20, 24, seed)
         A = rng.standard_normal((14, 20))
         f, _ = cosparse_signal(D, 6, seed + 50)
         y = A @ f
-        config = SolverConfig(keep_iterates=True)
-        res = irls_analysis(LqProblem(A=A, y=y, D=D, q=0.7), config)
+        res = irls_analysis(LqProblem(A=A, y=y, D=D, q=0.7))
+        iterates = record_iterates[-1]
         for j in range(res.iterations):
             sj = solvers._sigma_at(j)
-            before = _surrogate(D.matrix.T @ res.iterates[j], sj, 0.7)
-            after = _surrogate(D.matrix.T @ res.iterates[j + 1], sj, 0.7)
+            before = _surrogate(D.matrix.T @ iterates[j], sj, 0.7)
+            after = _surrogate(D.matrix.T @ iterates[j + 1], sj, 0.7)
             assert after <= before + 1e-10
         assert max(res.residual_trace) <= 1e-8 * np.linalg.norm(y)
         assert len(res.objective_trace) == res.iterations
@@ -378,7 +386,7 @@ def test_irl1_noisy_path_converges():
     assert res.converged
 
 
-def test_irl1_takes_one_wls_step_per_reweighting(monkeypatch):
+def test_irl1_takes_one_wls_step_per_reweighting(monkeypatch, record_iterates):
     # outer step j is one weighted least-squares step on the atoms w_i d_i,
     # its smoothing s = max(sigma_j^2, 1e-10) in squared coefficient units
     seen = []
@@ -395,10 +403,11 @@ def test_irl1_takes_one_wls_step_per_reweighting(monkeypatch):
 
     monkeypatch.setattr(solvers, "_wls_steps", recording)
     A, y, D = _irl1_noisy_instance()
-    res = irl1_analysis(LqProblem(A=A, y=y, D=D, q=0.7, epsilon=0.01), SolverConfig(keep_iterates=True))
+    res = irl1_analysis(LqProblem(A=A, y=y, D=D, q=0.7, epsilon=0.01))
+    [iterates] = record_iterates
     assert len(seen) == res.iterations
     for j, weights in enumerate(seen):
-        c = D.matrix.T @ res.iterates[j]
+        c = D.matrix.T @ iterates[j]
         sigma = solvers._sigma_at(j)
         w = (np.abs(c) + sigma) ** (0.7 - 1.0)
         w /= np.mean(w)
@@ -565,7 +574,7 @@ def test_irl1_at_q1_stops_once_the_vertex_step_settles(monkeypatch, seed):
 
 @pytest.mark.parametrize("solver", [irls_analysis, irl1_analysis])
 @pytest.mark.parametrize("epsilon, norm_index", [(0.0, 2.0), (0.01, 2.0), (0.01, math.inf)])
-def test_traces_describe_the_kept_iterates(solver, epsilon, norm_index):
+def test_traces_describe_the_kept_iterates(solver, epsilon, norm_index, record_iterates):
     rng = np.random.default_rng(21)
     D = random_tight_frame(12, 15, 21)
     A = rng.standard_normal((6, 12))
@@ -573,14 +582,15 @@ def test_traces_describe_the_kept_iterates(solver, epsilon, norm_index):
     noise = rng.standard_normal(6)
     noise *= epsilon / np.linalg.norm(noise, ord=norm_index)
     problem = LqProblem(A=A, y=A @ f + noise, D=D, q=0.7, epsilon=epsilon, norm_index=norm_index)
-    res = solver(problem, SolverConfig(max_outer_iters=10, keep_iterates=True))
-    assert len(res.iterates) == res.iterations + 1
+    res = solver(problem, SolverConfig(max_outer_iters=10))
+    [iterates] = record_iterates
+    assert len(iterates) == res.iterations + 1
     assert len(res.objective_trace) == len(res.residual_trace) == res.iterations
-    for j, f_j in enumerate(res.iterates[1:]):
+    for j, f_j in enumerate(iterates[1:]):
         assert res.objective_trace[j] == pytest.approx(objective(f_j, D, 0.7), rel=1e-12)
         resid = np.linalg.norm(A @ f_j - problem.y, ord=norm_index)
         assert res.residual_trace[j] == pytest.approx(resid, rel=1e-12)
-    np.testing.assert_array_equal(res.f_hat, res.iterates[-1])
+    np.testing.assert_array_equal(res.f_hat, iterates[-1])
 
 
 # ---------------------------------------------------------------------------
