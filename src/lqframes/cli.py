@@ -7,6 +7,7 @@ is, or to stdout with a final newline.
 """
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -77,14 +78,7 @@ def _cmd_solve(args):
     problem = LqProblem(A=A, y=y, D=D, q=args.q, epsilon=args.eps, norm_index=norm_index)
     solver = irls_analysis if args.method == "irls" else irl1_analysis
     result = solver(problem, SolverConfig(max_outer_iters=args.max_iters, tol=args.tol))
-    payload = {
-        "f_hat": result.f_hat,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "objective_trace": result.objective_trace,
-        "residual_trace": result.residual_trace,
-    }
-    return _json_text(payload)
+    return _json_text(dataclasses.asdict(result))
 
 
 def _estimate_sparsity(coeffs):

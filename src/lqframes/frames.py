@@ -88,9 +88,17 @@ def _require_finite(**arrays) -> None:
             raise InvalidParametersError(f"{name} holds non-finite entries (NaN or inf)")
 
 
+def _floats(name: str, x) -> np.ndarray:
+    """``x`` as a float array; a non-numeric ``x`` raises InvalidParametersError naming it ``name``."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParametersError(f"{name} is not a numeric array: {exc}") from None
+
+
 def _matrix(name: str, x) -> np.ndarray:
     """``x`` as a finite 2-D float array with no zero dimension; errors name it ``name``."""
-    x = np.asarray(x, dtype=float)
+    x = _floats(name, x)
     if x.ndim != 2:
         raise InvalidDimensionsError(f"{name} must be a 2-D matrix, got {x.ndim} dimension(s)")
     if 0 in x.shape:
@@ -215,7 +223,7 @@ class Frame:
     @classmethod
     def from_matrix(cls, matrix) -> "Frame":
         """Validate a matrix and compute its bounds."""
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = _floats("matrix", matrix)
         lo, hi = frame_bounds(matrix)
         return cls(matrix=matrix, lower_bound=lo, upper_bound=hi)
 
@@ -241,6 +249,7 @@ def canonical_dual(frame: Frame) -> Frame:
     never builds such a frame, because ``frame_bounds`` refuses a spread of
     1/``_RANK_RTOL`` = 1e12 or more; the cap guards frames built from given bounds.
     """
+    _require_frame("frame", frame)
     lower, upper = frame.lower_bound, frame.upper_bound
     if not upper <= DEFAULT_CONDITION_CAP * lower:
         raise IllConditionedError(f"Gram bounds ({lower:.3e}, {upper:.3e}) spread beyond {DEFAULT_CONDITION_CAP:.3e}")
@@ -266,9 +275,15 @@ def random_tight_frame(n: int, d: int, seed) -> Frame:
     return Frame(matrix=q.T, lower_bound=1.0, upper_bound=1.0)
 
 
-def _atoms(obj) -> np.ndarray:
-    """The atom matrix of a Frame, or of a raw array, checked by ``_matrix``."""
-    return _matrix("dictionary", obj.matrix if isinstance(obj, Frame) else obj)
+def _atoms(obj, name: str = "dictionary") -> np.ndarray:
+    """The atom matrix of a Frame, or of a raw array, checked by ``_matrix``; errors name it ``name``."""
+    return _matrix(name, obj.matrix if isinstance(obj, Frame) else obj)
+
+
+def _require_frame(name: str, obj) -> None:
+    """Raise InvalidParametersError unless ``obj`` is a Frame."""
+    if not isinstance(obj, Frame):
+        raise InvalidParametersError(f"{name} must be a Frame, built by Frame.from_matrix; got {type(obj).__name__}")
 
 
 def mutual_coherence(dicts) -> float:
@@ -299,12 +314,6 @@ class SparseApproximation:
     support: np.ndarray
     values: np.ndarray
     residual_q_norm: float
-
-    def dense(self, d: int) -> np.ndarray:
-        """The thresholded vector as a length-d array."""
-        out = np.zeros(d)
-        out[self.support] = self.values
-        return out
 
 
 def hard_threshold(x: np.ndarray, s: int, q: float = 1.0) -> SparseApproximation:
@@ -344,6 +353,7 @@ def cosparse_signal(frame: Frame, s: int, seed):
     frames not in general position (duplicated atoms, for instance) can
     still succeed with ``s <= d - n``.
     """
+    _require_frame("frame", frame)
     d, n = frame.num_atoms, frame.ambient_dim
     _check_int("sparsity", s)
     _check_int("sparsity", s, 1, n, error=InvalidDimensionsError)

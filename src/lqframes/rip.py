@@ -46,11 +46,10 @@ DEFAULT_SUPPORT_CAP = 10**6
 _BATCH_ENTRIES = 1 << 14
 
 
-def gaussian_moment(q: float, sigma: float = 1.0) -> float:
-    """E|g|^q for g ~ N(0, sigma^2): sigma^q 2^(q/2) Gamma((q+1)/2)/sqrt(pi), for sigma in (0, inf]."""
+def gaussian_moment(q: float) -> float:
+    """E|g|^q for a standard Gaussian g: 2^(q/2) Gamma((q+1)/2)/sqrt(pi)."""
     _check_q(q)
-    _check_real("sigma", sigma, "(0, inf]")
-    return sigma**q * 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
+    return 2.0 ** (q / 2.0) * math.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
 def tail_constant(q: float) -> float:
@@ -145,7 +144,6 @@ class RecoveryConditionVerdict:
     """
 
     rho: float
-    kappa: float
     Delta: float
     theta: float
     lhs: float
@@ -182,9 +180,7 @@ def check_recovery_condition(
         * delta_ratio
         * rho ** (1.0 - q / 2.0)
     )
-    return RecoveryConditionVerdict(
-        rho=rho, kappa=kappa, Delta=delta_ratio, theta=theta, lhs=lhs, rhs=rhs, holds=lhs < rhs
-    )
+    return RecoveryConditionVerdict(rho=rho, Delta=delta_ratio, theta=theta, lhs=lhs, rhs=rhs, holds=lhs < rhs)
 
 
 def error_constants(theta: float, rho: float, q: float, lower_bound: float, delta_a: float):
@@ -267,7 +263,7 @@ def estimate_rip(
     s: int,
     mode: str = "exhaustive",
     budget: int = 32,
-    seed=0,
+    seed: int = 0,
 ) -> RipReport:
     """Estimate the q-RIP constant of A relative to dictionary D at order s.
 
@@ -279,13 +275,13 @@ def estimate_rip(
     In exhaustive mode every size-s support is enumerated and probed with
     the coordinate axes, the flat direction, and ``budget`` random sphere
     directions.  In sampled mode ``budget`` random supports are drawn, each
-    probed with the deterministic directions plus 8 random ones.
-    The seed gives one stream of supports and one of directions, and
-    support i reads the i-th slice of each.  So in sampled mode the first
-    b supports and their directions do not depend on the budget, and delta
-    grows with it; exhaustive mode redraws its directions when the budget
-    changes, so delta may fall.  Neither mode depends on block size or
-    evaluation order.  Exhaustive mode refuses more than
+    probed with the deterministic directions plus 8 random ones.  The
+    seed, a non-negative integer, gives one stream of supports and one of
+    directions, and support i reads the i-th slice of each.  So in sampled
+    mode the first b supports and their directions do not depend on the
+    budget, and delta grows with it; exhaustive mode redraws its directions
+    when the budget changes, so delta may fall.  Neither mode depends on
+    block size or evaluation order.  Exhaustive mode refuses more than
     ``DEFAULT_SUPPORT_CAP`` supports.
 
     A coordinate axis of a support S gives D_S e_i = d_i, the atom itself,
@@ -369,15 +365,16 @@ def estimate_rip(
 
 
 @_one_blas_thread()
-def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed=0) -> float:
+def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed: int = 0) -> float:
     """Lower bound on the null-space constant of A relative to D at order s.
 
-    Scores the kernel basis of A and ``budget`` random vectors from ker(A)
-    in one stacked product.  For each vector h it takes the exact worst
-    support: the ratio of the s largest |coefficient|^q mass of D^T h to
-    the rest, which maximizes |D_T^* h|_q^q / |D_{T^c}^* h|_q^q over all
-    |T| <= s; the ratio does not depend on the scale of h.  Returns inf
-    when some kernel vector with D^T h != 0 has all its mass on s entries.
+    Scores the kernel basis of A and ``budget`` random vectors from ker(A),
+    drawn from the non-negative integer ``seed``, in one stacked product.
+    For each vector h it takes the exact worst support: the ratio of the s
+    largest |coefficient|^q mass of D^T h to the rest, which maximizes
+    |D_T^* h|_q^q / |D_{T^c}^* h|_q^q over all |T| <= s; the ratio does not
+    depend on the scale of h.  Returns inf when some kernel vector with
+    D^T h != 0 has all its mass on s entries.
     """
     A, Dm, entropy = _operands(A, D, q, s, budget, seed)
     _, _, vt, rank = _svd(A)
@@ -401,7 +398,7 @@ def _operands(A, D, q: float, s: int, budget: int, seed):
 
     Requires q in (0, 1], finite 2-D A and D with as many columns in A as
     D has rows, an integer order 1 <= s <= d, an integer budget >= 0 and a
-    seed that is a SeedSequence or a non-negative integer.
+    seed that is a non-negative integer.
     """
     _check_q(q)
     A, Dm = _matrix("A", A), _atoms(D)
@@ -410,7 +407,5 @@ def _operands(A, D, q: float, s: int, budget: int, seed):
     if A.shape[1] != Dm.shape[0]:
         raise InvalidParametersError(f"A has {A.shape[1]} columns but the dictionary has {Dm.shape[0]} rows")
     _check_int("budget", budget, 0)
-    if isinstance(seed, np.random.SeedSequence):
-        return A, Dm, int(seed.generate_state(1, np.uint64)[0])
     _check_int("seed", seed, 0)
     return A, Dm, int(seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimensionsError, InvalidParametersError
-from .frames import Frame, _ambient_dim, _check_int, _check_q, _check_real, _matrix
+from .frames import Frame, _ambient_dim, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _require_frame
 from .rip import _comparison_order, measurement_bound
 from .solvers import LqProblem, SolverConfig, irls_analysis
 
@@ -52,8 +52,10 @@ class SeparationProblem:
     stacked: LqProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        _, psi, a_stacked = build_stacked(self.dicts, self.A)
+        for i, fr in enumerate(self.dicts):
+            _require_frame(f"dictionary {i}", fr)
+        psi, a_stacked = build_stacked(self.dicts, self.A)
+        object.__setattr__(self, "A", _floats("A", self.A))
         for i, fr in enumerate(self.dicts):
             if abs(fr.lower_bound - 1.0) > _TIGHT_TOL or abs(fr.upper_bound - 1.0) > _TIGHT_TOL:
                 raise InvalidParametersError(
@@ -66,30 +68,24 @@ class SeparationProblem:
         object.__setattr__(self, "stacked", stacked)
 
 
-def build_stacked(dicts, A=None):
-    """Stack dictionaries for joint solving.
+def build_stacked(dicts, A):
+    """Stack dictionaries and the measurement for joint solving.
 
-    Returns ``(dbar, psi, a_stacked)``: the horizontal concatenation
-    [D_1 | ... | D_iota] (n x sum d_k), the block diagonal of the D_k
-    (iota*n x sum d_k), and [A | ... | A]
-    (m x iota*n) so that a_stacked @ stack(f_k) = A @ sum(f_k).
-    ``a_stacked`` is None when A is.
+    Returns ``(psi, a_stacked)``: the block diagonal of the D_k
+    (iota*n x sum d_k) and [A | ... | A] (m x iota*n), so that
+    a_stacked @ stack(f_k) = A @ sum(f_k).
     """
-    mats = [_matrix(f"dictionary {i}", fr.matrix if isinstance(fr, Frame) else fr) for i, fr in enumerate(dicts)]
+    mats = [_atoms(fr, f"dictionary {i}") for i, fr in enumerate(dicts)]
     n = _ambient_dim(mats)
-    dbar = np.concatenate(mats, axis=1)
-    psi = np.zeros((n * len(mats), dbar.shape[1]))
+    A = _matrix("A", A)
+    if A.shape[1] != n:
+        raise InvalidDimensionsError(f"A has {A.shape[1]} columns, expected {n}")
+    psi = np.zeros((n * len(mats), sum(mat.shape[1] for mat in mats)))
     col = 0
     for k, mat in enumerate(mats):
         psi[k * n : (k + 1) * n, col : col + mat.shape[1]] = mat
         col += mat.shape[1]
-    a_stacked = None
-    if A is not None:
-        A = _matrix("A", A)
-        if A.shape[1] != n:
-            raise InvalidDimensionsError(f"A has {A.shape[1]} columns, expected {n}")
-        a_stacked = np.tile(A, (1, len(mats)))
-    return dbar, psi, a_stacked
+    return psi, np.tile(A, (1, len(mats)))
 
 
 def solve_split_analysis(problem: SeparationProblem, config: SolverConfig | None = None):
@@ -118,8 +114,6 @@ class SeparationVerdict:
 
     mu1: float
     U: float
-    Delta: float
-    rho: float
     theta_tilde: float | None
     thm3_lhs: float
     thm3_holds: bool
@@ -227,8 +221,6 @@ def check_separation_conditions(
     return SeparationVerdict(
         mu1=mu1,
         U=U,
-        Delta=delta_ratio,
-        rho=rho,
         theta_tilde=theta_tilde,
         thm3_lhs=thm3_lhs,
         thm3_holds=thm3_holds,

@@ -31,7 +31,7 @@ when the last one closes, and on another BLAS the count is left alone.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,10 @@ from .errors import (
     InvalidDimensionsError,
     InvalidParametersError,
 )
-from .frames import Frame, _atoms, _check_int, _check_q, _check_real, _matrix, _one_blas_thread, _require_finite, _svd
+from .frames import (
+    Frame, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _one_blas_thread, _require_finite,
+    _require_frame, _svd,
+)
 
 __all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_analysis", "objective"]
 
@@ -76,8 +79,9 @@ class LqProblem:
     norm_index: float = 2.0
 
     def __post_init__(self):
+        _require_frame("D", self.D)
         object.__setattr__(self, "A", _matrix("A", self.A))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
+        object.__setattr__(self, "y", _floats("y", self.y).ravel())
         _require_finite(y=self.y, D=self.D.matrix)
         _check_q(self.q)
         _check_real("epsilon", self.epsilon, "[0, inf]")
@@ -100,7 +104,7 @@ def _sigma_at(j: int) -> float:
     return max(0.7**j, _SIGMA_MIN)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by IRLS and IRL1.
 
@@ -123,13 +127,13 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
-    """Solver output and per-iteration traces (length = iterations)."""
+    """Solver output and per-iteration traces (length = iterations), in the order ``lqframes solve`` prints them."""
 
     f_hat: np.ndarray
     iterations: int
-    objective_trace: list = field(default_factory=list)
-    residual_trace: list = field(default_factory=list)
-    converged: bool = False
+    converged: bool
+    objective_trace: list
+    residual_trace: list
 
 
 def _residual_norm(r: np.ndarray, norm_index: float) -> float:
@@ -298,9 +302,9 @@ def _reweight(problem: LqProblem, config: SolverConfig | None, f, coeffs, step) 
     return SolverResult(
         f_hat=f,
         iterations=j + 1,
+        converged=converged and ok,
         objective_trace=objective_trace,
         residual_trace=residual_trace,
-        converged=converged and ok,
     )
 
 

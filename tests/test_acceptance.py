@@ -76,7 +76,7 @@ def test_moment_matches_monte_carlo():
     for q in (0.25, 0.5, 0.7, 1.0):
         samples = np.abs(g) ** q
         se = samples.std(ddof=1) / math.sqrt(samples.size)
-        worst = max(worst, abs(samples.mean() - lq.gaussian_moment(q, 1.0)) / se)
+        worst = max(worst, abs(samples.mean() - lq.gaussian_moment(q)) / se)
     _report(
         "gaussian moment within 3 standard errors of 1e6-draw Monte Carlo",
         worst <= 3.0,
@@ -208,7 +208,7 @@ def test_invariant_suites_over_seeds(record_iterates):
 
         # stacked-dictionary isometry for tight blocks
         blocks = [lq.random_tight_frame(16, 20, 2 * seed + k) for k in range(2)]
-        _, psi, _ = lq.build_stacked(blocks)
+        psi, _ = lq.build_stacked(blocks, np.eye(16))
         for _ in range(100):
             vec = rng.standard_normal(32)
             worst_isometry = max(
@@ -250,7 +250,7 @@ def test_recovery_error_bound_tiny_instance():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         D = lq.random_tight_frame(n, d, seed)  # tight: canonical dual is D, kappa = 1
-        A = rng.standard_normal((m, n)) / (m * lq.gaussian_moment(q, 1.0)) ** (1.0 / q)
+        A = rng.standard_normal((m, n)) / (m * lq.gaussian_moment(q)) ** (1.0 / q)
         rep_a = lq.estimate_rip(A, D.matrix, q, a, mode="exhaustive", budget=100, seed=seed)
         rep_sa = lq.estimate_rip(A, D.matrix, q, min(s + a, d), mode="exhaustive", budget=100, seed=seed)
         if rep_sa.delta >= 1.0:

@@ -406,6 +406,19 @@ def test_separation_sweep_requires_power_of_two():
         run_separation_sweep(ExperimentSpec(kind="separation_sweep", grid=grid, trials_per_cell=1))
 
 
+def test_phase_transition_refuses_a_separation_spec():
+    spec = ExperimentSpec(kind="separation_sweep", grid=[_SEPARATION], trials_per_cell=1)
+    with pytest.raises(InvalidSpecError, match="^expected kind phase_transition, got 'separation_sweep'$"):
+        run_phase_transition(spec)
+
+
+def test_csv_refuses_cells_with_differing_parameter_keys():
+    cells = [CellResult(params=params, success_rate=1.0, median_relative_error=0.0, median_iterations=1.0,
+                        wall_time_ms=1.0) for params in ({"n": 20}, {"n": 20, "m": 14})]
+    with pytest.raises(InvalidSpecError, match="differing parameter keys"):
+        cells_to_csv(cells)
+
+
 def test_cell_serialization_round_trips_losslessly():
     cells = [
         CellResult(

@@ -185,7 +185,8 @@ def test_hard_threshold_example():
 def test_hard_threshold_keep_all():
     approx = hard_threshold(np.array([1.0, -2.0]), 2)
     assert approx.residual_q_norm == 0.0
-    np.testing.assert_allclose(approx.dense(2), [1.0, -2.0])
+    assert list(approx.support) == [0, 1]
+    np.testing.assert_allclose(approx.values, [1.0, -2.0])
 
 
 def test_hard_threshold_tie_breaks_to_lowest_index():

@@ -48,7 +48,6 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         (lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, _NAN, 0.7), InvalidParametersError),
         (lambda: lqframes.check_separation_conditions(_NAN, [1, 1], 5, 0.1, 0.1, 0.7), InvalidParametersError),
         (lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, _NAN, 0.1, 0.7), InvalidParametersError),
-        (lambda: lqframes.gaussian_moment(0.7, _NAN), InvalidParametersError),
         (lambda: lqframes.gaussian_failure_probability(0.7, _NAN, 0.2, 1000, 5, 50), InvalidParametersError),
         (lambda: lqframes.gaussian_failure_probability(0.7, 0.3, 0.2, _NAN, 5, 50), InvalidParametersError),
         (lambda: lqframes.error_constants(_NAN, 0.25, 0.7, 1.0, 0.1), InvalidParametersError),
@@ -71,7 +70,7 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
     ],
     ids=[
         "problem-epsilon", "bound-kappa", "condition-delta-a", "condition-delta-sa", "condition-kappa",
-        "separation-mu1", "separation-delta-a", "moment-sigma", "failure-eta", "failure-m", "error-theta",
+        "separation-mu1", "separation-delta-a", "failure-eta", "failure-m", "error-theta",
         "split-U", "split-condition-U", "spec-threshold", "config-tol", "figure1-threshold", "failure-eps-cover",
         "error-rho", "error-lower-bound", "error-delta-a", "separation-delta-sa", "split-rho", "split-delta-ratio",
         "split-condition-rho", "split-condition-delta-ratio", "objective-q",
@@ -124,7 +123,6 @@ _NUMBER_PARAMETERS = {
     "figure1-threshold": lambda v: lqframes.run_figure1(trials=1, threshold=v),
     "spec-threshold": lambda v: lqframes.ExperimentSpec(kind="phase_transition", grid=[_CELL], success_threshold=v),
     "bound-kappa": lambda v: lqframes.measurement_bound(0.7, 2, 8, kappa=v),
-    "moment-sigma": lambda v: lqframes.gaussian_moment(0.7, v),
     "failure-eta": lambda v: lqframes.gaussian_failure_probability(0.7, v, 0.2, 1000, 5, 50),
     "failure-eps-cover": lambda v: lqframes.gaussian_failure_probability(0.7, 0.3, v, 1000, 5, 50),
     "condition-kappa": lambda v: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, v, 0.7),
@@ -151,7 +149,7 @@ _NUMBER_PARAMETERS = {
 _INTERVALS = {
     "problem-q": "(0, 1]", "problem-epsilon": "[0, inf]", "config-tol": "(0, inf)", "rip-q": "(0, 1]",
     "moment-q": "(0, 1]", "threshold-q": "(0, 1]", "figure1-threshold": "(0, inf)", "spec-threshold": "(0, inf)",
-    "bound-kappa": "[1, inf)", "moment-sigma": "(0, inf]", "failure-eta": "(0, inf]", "failure-eps-cover": "(0, 1)",
+    "bound-kappa": "[1, inf)", "failure-eta": "(0, inf]", "failure-eps-cover": "(0, 1)",
     "condition-kappa": "[1, inf]", "condition-delta-a": "[0, inf]",
     "condition-delta-sa": "[0, inf]", "error-theta": "[0, inf]", "error-rho": "(0, 1)",
     "error-lower-bound": "(0, inf]", "error-delta-a": "[0, inf]", "separation-mu1": "[0, inf]",
@@ -227,16 +225,41 @@ def test_a_real_argument_just_past_its_interval_is_refused(entry):
         lambda: lqframes.separation_measurement_bound(0.5, 5, 10**400),
         lambda: lqframes.measurement_bound(0.5, 10**400, 10**400),
         lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, 10**400, 0.7),  # leaked OverflowError
-        lambda: lqframes.gaussian_moment(0.7, 10**400),
         lambda: lqframes.error_constants(0.5, 0.25, 0.7, 10**400, 0.1),
-        lambda: lqframes.gaussian_moment(0.7, -10**5000),  # its message raised ValueError: past 4300 digits
+        lambda: lqframes.error_constants(0.5, 0.25, 0.7, -10**5000, 0.1),  # a message printing it passes 4300 digits
         lambda: lqframes.measurement_bound(0.7, 10**5000, 5),
     ],
     ids=["split-negative-rho", "split-no-component", "split-condition-no-component", "bound-kappa-overflow",
          "bound-integer-kappa-overflow", "bound-d-overflow", "separation-bound-d-overflow", "bound-s-overflow",
-         "condition-integer-kappa-overflow", "moment-integer-sigma-overflow", "error-integer-lower-bound-overflow",
-         "moment-sigma-past-4300-digits", "bound-s-past-4300-digits"],
+         "condition-integer-kappa-overflow", "error-integer-lower-bound-overflow",
+         "error-lower-bound-past-4300-digits", "bound-s-past-4300-digits"],
 )
 def test_a_calculator_that_returned_or_overflowed_outside_its_domain_refuses(call):
     with pytest.raises(InvalidParametersError):
+        call()
+
+
+_EYE4 = lqframes.Frame.from_matrix(np.eye(4))
+_NOT_A_FRAME = r"must be a Frame, built by Frame\.from_matrix; got ndarray$"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lqframes.LqProblem(A=np.eye(4), y=np.ones(4), D=np.eye(4), q=0.7), rf"^D {_NOT_A_FRAME}"),
+        (lambda: lqframes.cosparse_signal(np.eye(4), 2, 0), rf"^frame {_NOT_A_FRAME}"),
+        (lambda: lqframes.canonical_dual(np.eye(3)), rf"^frame {_NOT_A_FRAME}"),
+        (lambda: lqframes.SeparationProblem(dicts=[np.eye(4), np.eye(4)], A=np.eye(4), y=np.ones(4), q=0.7),
+         rf"^dictionary 0 {_NOT_A_FRAME}"),
+        (lambda: lqframes.Frame.from_matrix("x"), "^matrix is not a numeric array"),
+        (lambda: lqframes.LqProblem(A=np.eye(4), y="abc", D=_EYE4, q=0.7), "^y is not a numeric array"),
+        (lambda: lqframes.SeparationProblem(dicts=[_EYE4, _EYE4], A="x", y=np.ones(4), q=0.7),
+         "^A is not a numeric array"),
+    ],
+    ids=["problem-raw-dictionary", "cosparse-raw-frame", "dual-raw-frame", "separation-raw-dictionaries",
+         "frame-string", "problem-string-y", "separation-string-A"],
+)
+def test_an_input_of_the_wrong_kind_is_an_lqframes_error(call, message):
+    # these raised AttributeError (a raw array for a Frame) or numpy's ValueError (a string for an array)
+    with pytest.raises(InvalidParametersError, match=message):
         call()

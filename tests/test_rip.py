@@ -29,11 +29,7 @@ from lqframes.rip import rip_scan
 # ---------------------------------------------------------------------------
 
 def test_gaussian_moment_q1():
-    assert gaussian_moment(1.0, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-12)
-
-
-def test_gaussian_moment_sigma_scaling():
-    assert gaussian_moment(1.0, 2.0) == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), abs=1e-12)
+    assert gaussian_moment(1.0) == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [0.25, 0.5, 0.7, 1.0])
@@ -41,14 +37,14 @@ def test_gaussian_moment_matches_monte_carlo(q):
     rng = np.random.default_rng(2024)
     samples = np.abs(rng.standard_normal(200_000)) ** q
     se = samples.std(ddof=1) / math.sqrt(samples.size)
-    assert abs(samples.mean() - gaussian_moment(q, 1.0)) <= 3.0 * se
+    assert abs(samples.mean() - gaussian_moment(q)) <= 3.0 * se
 
 
 def test_gaussian_moment_rejects_bad_inputs():
     with pytest.raises(InvalidParametersError):
-        gaussian_moment(0.0, 1.0)
+        gaussian_moment(0.0)
     with pytest.raises(InvalidParametersError):
-        gaussian_moment(0.5, -1.0)
+        gaussian_moment(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +354,13 @@ def test_rip_rejects_non_finite_input(call):
         lambda A, D: estimate_nsp_theta(A, D, 0.7, 2, budget=-3),
         lambda A, D: estimate_rip(A, D, 0.7, 2, mode="sampled", budget=4, seed=2.5),
         lambda A, D: estimate_nsp_theta(A, D, 0.7, 2, seed=2.5),
+        lambda A, D: estimate_rip(A, D, 0.7, 2, mode="sampled", budget=4, seed=np.random.SeedSequence(3)),
+        lambda A, D: estimate_nsp_theta(A, D, 0.7, 2, seed=np.random.SeedSequence(3)),
     ],
     ids=[
         "rip-negative-seed", "nsp-negative-seed", "exhaustive-negative-budget", "exhaustive-float-budget",
         "sampled-float-budget", "nsp-float-budget", "nsp-negative-budget", "rip-float-seed", "nsp-float-seed",
+        "rip-seed-sequence", "nsp-seed-sequence",
     ],
 )
 def test_rip_rejects_negative_seed_and_budget(call):
@@ -381,9 +380,10 @@ def test_rip_rejects_negative_seed_and_budget(call):
         (lambda A, D: estimate_nsp_theta(A[:, :5], D, 0.7, 2), InvalidParametersError),
         (lambda A, D: estimate_rip(A[:0], D, 0.7, 2, mode="sampled", budget=4), InvalidDimensionsError),
         (lambda A, D: estimate_nsp_theta(A[:0], D, 0.7, 2), InvalidDimensionsError),
+        (lambda A, D: estimate_rip(A, D, 0.7, 2, mode="greedy"), InvalidParametersError),
     ],
     ids=["rip-1d-A", "nsp-1d-A", "rip-float-order", "exhaustive-float-order", "nsp-float-order", "nsp-A-D-mismatch",
-         "rip-0-row-A", "nsp-0-row-A"],
+         "rip-0-row-A", "nsp-0-row-A", "rip-unknown-mode"],
 )
 def test_rip_rejects_malformed_operands(call, error):
     rng = np.random.default_rng(4)
@@ -600,6 +600,6 @@ def test_gaussian_matrix_at_bound_passes_sampled_rip():
     q, s, d = 0.5, 2, 8
     m = int(math.ceil(measurement_bound(q, s, d, 1.0)))
     rng = np.random.default_rng(0)
-    A = rng.standard_normal((m, d)) / (m * gaussian_moment(q, 1.0)) ** (1.0 / q)
+    A = rng.standard_normal((m, d)) / (m * gaussian_moment(q)) ** (1.0 / q)
     rep = estimate_rip(A, np.eye(d), q, s, mode="sampled", budget=24, seed=3)
     assert rep.delta < 0.9

@@ -38,17 +38,16 @@ def _waves(n):
 # ---------------------------------------------------------------------------
 
 def test_build_stacked_identity_pair():
-    dbar, psi, _ = build_stacked([np.eye(3), np.eye(3)])
-    np.testing.assert_array_equal(dbar, np.hstack([np.eye(3), np.eye(3)]))
+    psi, a_st = build_stacked([np.eye(3), np.eye(3)], np.eye(3))
     np.testing.assert_array_equal(psi, np.eye(6))
+    np.testing.assert_array_equal(a_st, np.hstack([np.eye(3), np.eye(3)]))
 
 
 def test_build_stacked_shapes():
     rng = np.random.default_rng(0)
     d1 = rng.standard_normal((4, 4))
     d2 = rng.standard_normal((4, 8))
-    dbar, psi, a_st = build_stacked([d1, d2], A=rng.standard_normal((3, 4)))
-    assert dbar.shape == (4, 12)
+    psi, a_st = build_stacked([d1, d2], rng.standard_normal((3, 4)))
     assert psi.shape == (8, 12)
     assert a_st.shape == (3, 8)
 
@@ -56,27 +55,29 @@ def test_build_stacked_shapes():
 def test_build_stacked_psi_is_the_block_diagonal():
     rng = np.random.default_rng(2)
     mats = [rng.standard_normal((4, d)) for d in (4, 6, 5)]
-    _, psi, _ = build_stacked(mats)
+    psi, _ = build_stacked(mats, np.eye(4))
     np.testing.assert_array_equal(psi, block_diag(*mats))
-
-
-def test_build_stacked_operator_norm_sqrt_iota():
-    frames = [random_tight_frame(8, 10, k) for k in range(3)]
-    dbar, _, _ = build_stacked(frames)
-    assert np.linalg.norm(dbar, 2) == pytest.approx(math.sqrt(3), abs=1e-10)
 
 
 def test_build_stacked_measurement_acts_on_sum():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((5, 6))
-    _, _, a_st = build_stacked([np.eye(6), np.eye(6)], A=A)
+    _, a_st = build_stacked([np.eye(6), np.eye(6)], A)
     f1, f2 = rng.standard_normal(6), rng.standard_normal(6)
     np.testing.assert_allclose(a_st @ np.concatenate([f1, f2]), A @ (f1 + f2), atol=1e-12)
 
 
-def test_build_stacked_rejects_mismatched_dimensions():
-    with pytest.raises(InvalidDimensionsError):
-        build_stacked([np.eye(3), np.eye(4)])
+@pytest.mark.parametrize(
+    "second, A, message",
+    [
+        (np.eye(4), np.eye(3), "^dictionaries must share the ambient dimension$"),
+        (np.eye(3), np.ones((2, 4)), "^A has 4 columns, expected 3$"),
+    ],
+    ids=["dictionaries", "measurement"],
+)
+def test_build_stacked_rejects_mismatched_dimensions(second, A, message):
+    with pytest.raises(InvalidDimensionsError, match=message):
+        build_stacked([np.eye(3), second], A)
 
 
 @pytest.mark.parametrize(
@@ -89,12 +90,12 @@ def test_build_stacked_rejects_mismatched_dimensions():
 )
 def test_build_stacked_names_the_bad_dictionary(second, error, message):
     with pytest.raises(error, match=message):
-        build_stacked([np.eye(3), second])
+        build_stacked([np.eye(3), second], np.eye(3))
 
 
 def test_psi_isometry_for_tight_blocks():
     frames = [random_tight_frame(16, 20, k) for k in range(2)]
-    _, psi, _ = build_stacked(frames)
+    psi, _ = build_stacked(frames, np.eye(16))
     rng = np.random.default_rng(3)
     for _ in range(100):
         f = rng.standard_normal(32)
@@ -145,7 +146,7 @@ def test_problem_checks_q_epsilon_and_norm_at_construction(kwargs, message):
 def test_replace_rebuilds_the_stacked_instance(change):
     # stacked is derived in __post_init__, so a replaced problem can never keep the old one
     problem = replace(SeparationProblem(dicts=[_spikes(2), _waves(2)], A=np.eye(2), y=np.ones(2), q=0.7), **change)
-    _, psi, a_stacked = build_stacked(problem.dicts, problem.A)
+    psi, a_stacked = build_stacked(problem.dicts, problem.A)
     stacked = problem.stacked
     for name, value in change.items():
         np.testing.assert_array_equal(getattr(stacked, name), value)
@@ -264,6 +265,11 @@ def test_theta_tilde_matches_condition_on_grid():
         U = rng.uniform(0.0, 0.999)
         tt = split_nsp_constant(rho, delta_ratio, U, q, iota)
         assert (tt < 1.0) == split_nsp_condition(rho, delta_ratio, U, q, iota)
+
+
+def test_split_nsp_constant_is_inf_when_the_isometry_amplification_overflows():
+    # delta_ratio^(2/q) = 1e300^200 overflows a float
+    assert split_nsp_constant(0.5, 1e300, 0.1, 0.01, 2) == math.inf
 
 
 def test_split_nsp_constant_rejects_large_U():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -122,6 +123,29 @@ def test_problem_rejects_non_finite_input(field, bad):
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(InvalidParametersError, match=field):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("max_outer_iters", 0), ("tol", -1.0)])
+def test_config_cannot_change_after_its_checks(field, value):
+    # a mutable config let max_outer_iters = 0 reach the solver loop, which then raised UnboundLocalError
+    config = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, field, value)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"y": np.ones(3)}, "^y has length 3, expected 2$"),
+        ({"D": Frame(matrix=np.eye(3), lower_bound=1.0, upper_bound=1.0)},
+         "^dictionary ambient dimension 3 != signal dimension 2$"),
+    ],
+    ids=["y-length", "dictionary-dimension"],
+)
+def test_problem_rejects_mismatched_dimensions(change, message):
+    args = {"A": np.eye(2), "y": np.ones(2), "D": Frame(matrix=np.eye(2), lower_bound=1.0, upper_bound=1.0)}
+    with pytest.raises(InvalidDimensionsError, match=message):
+        LqProblem(q=0.7, **{**args, **change})
 
 
 def test_spd_factor_failure_is_an_lqframes_error():
