@@ -32,9 +32,7 @@ __all__ = [
     "run_bounds_table",
     "run_separation_sweep",
     "cells_to_csv",
-    "cells_from_csv",
     "cells_to_json",
-    "cells_from_json",
 ]
 
 # The spec-driven runners' kinds, each with the fields its cells carry, the
@@ -111,7 +109,12 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
         """Parse a spec object; an absent optional field takes its default, an unknown one is refused."""
-        payload = _json_document(text, "spec", dict)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpecError(f"spec is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise InvalidSpecError(f"spec must be a JSON object, got {type(payload).__name__}")
         names = [f.name for f in fields(cls)]
         for key in payload:
             if key not in names:
@@ -138,16 +141,6 @@ class CellResult:
     def to_dict(self) -> dict:
         """The parameters followed by the metrics, in ``_METRICS`` order."""
         return {**self.params, **{k: getattr(self, k) for k in _METRICS}}
-
-    @classmethod
-    def from_dict(cls, row: dict) -> "CellResult":
-        """Inverse of ``to_dict``: every key outside ``_METRICS`` is a parameter, and a null metric is inf."""
-        try:
-            params = {k: v for k, v in row.items() if k not in _METRICS}
-            metrics = {k: math.inf if row[k] is None else float(row[k]) for k in _METRICS}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise InvalidSpecError(f"malformed cell row {row!r}: {exc!r}") from exc
-        return cls(params=params, **metrics)
 
 
 def cell_key(params: dict) -> int:
@@ -304,15 +297,6 @@ def _format_number(value) -> str:
     return repr(float(value))
 
 
-def _parse_number(token: str):
-    if token in ("True", "False"):
-        return token == "True"
-    try:
-        return int(token)
-    except ValueError:
-        return float(token)
-
-
 def _json_safe(value):
     """``value`` with numpy values as Python ones by ``.tolist()`` and NaN and inf as None, so JSON stays strict."""
     if isinstance(value, (np.ndarray, np.generic)):
@@ -348,35 +332,6 @@ def cells_to_csv(cells) -> str:
     return _csv_text(param_keys + list(_METRICS), [cell.to_dict() for cell in cells])
 
 
-def cells_from_csv(text: str) -> list:
-    """Inverse of ``cells_to_csv``; a row that does not fit the header raises InvalidSpecError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return []
-    try:
-        rows = [dict(zip(lines[0].split(","), map(_parse_number, ln.split(",")), strict=True)) for ln in lines[1:]]
-    except ValueError as exc:
-        raise InvalidSpecError(f"a CSV row does not fit the header {lines[0]!r}: {exc}") from exc
-    return [CellResult.from_dict(row) for row in rows]
-
-
 def cells_to_json(cells) -> str:
     """Render cell results as strict JSON: NaN and inf are written as null."""
     return _json_text([cell.to_dict() for cell in cells])
-
-
-def cells_from_json(text: str) -> list:
-    """Inverse of ``cells_to_json``; text that is not a JSON list of cell rows raises InvalidSpecError."""
-    return [CellResult.from_dict(row) for row in _json_document(text, "cell results", list)]
-
-
-def _json_document(text: str, what: str, kind: type):
-    """``text`` parsed as JSON, refused with InvalidSpecError unless it parses to a ``kind``."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidSpecError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, kind):
-        name = {dict: "object", list: "list"}[kind]
-        raise InvalidSpecError(f"{what} must be a JSON {name}, got {type(payload).__name__}")
-    return payload

@@ -33,7 +33,6 @@ __all__ = [
     "hard_threshold",
     "cosparse_signal",
     "load_matrix",
-    "save_matrix",
 ]
 
 # Gram matrices with eigenvalue spread above this are refused by canonical_dual.
@@ -404,9 +403,3 @@ def load_matrix(path) -> np.ndarray:
     if bad.size:
         raise InvalidDimensionsError(f"{path}:{linenos[bad[0]]}: non-finite entry (nan or inf)")
     return matrix
-
-
-def save_matrix(path, matrix) -> None:
-    """Write a dense matrix as headerless CSV, each entry in its shortest round-trip form."""
-    with open(path, "w", encoding="ascii") as fh:
-        np.savetxt(fh, np.atleast_2d(np.asarray(matrix, dtype=float)), fmt="%s", delimiter=",")

@@ -2,8 +2,8 @@
 
 Estimators for the q-RIP constant of a measurement matrix relative to a
 dictionary, recovery-condition checks with their error constants, and the
-Gaussian measurement-count machinery (moment and tail constants, covering
-failure probability, explicit lower bounds).
+Gaussian measurement-count machinery (moment and tail constants, explicit
+lower bounds).
 
 Estimated constants are maxima over sampled sparse directions and are
 therefore certified *lower* bounds on the true constants; they can falsify
@@ -28,13 +28,11 @@ from .frames import _atoms, _check_int, _check_q, _check_real, _matrix, _one_bla
 __all__ = [
     "RipReport",
     "RecoveryConditionVerdict",
-    "GaussianTail",
     "gaussian_moment",
     "tail_constant",
     "estimate_rip",
     "check_recovery_condition",
     "error_constants",
-    "gaussian_failure_probability",
     "measurement_bound",
     "estimate_nsp_theta",
 ]
@@ -99,38 +97,6 @@ def measurement_bound(q: float, s: int, d: int, kappa: float = 1.0) -> float:
     except OverflowError:
         raise InvalidParametersError("kappa overflows a float in the measurement bound") from None
     return 6.25 * q * b2 * bracket + 17.6 * b2 * k
-
-
-@dataclass(frozen=True)
-class GaussianTail:
-    """Outputs of the covering-number failure bound."""
-
-    failure_probability: float
-    delta_implied: float
-
-
-def gaussian_failure_probability(q: float, eta: float, eps_cover: float, m: int, k: int, d: int) -> GaussianTail:
-    """Probability that a Gaussian matrix misses the uniform q-isometry.
-
-    Evaluates min(1, 2 (3 e d / (eps k))^k exp(-eta^2 m / (2 q beta_q^2)))
-    in log space, together with the isometry constant it certifies,
-    delta = (eta + eps^q) / (1 - eps^q).  eta lies in (0, inf], eps_cover
-    in (0, 1), and eps_cover^q, which rounds to 1 for an eps_cover just
-    below 1 at small q, in (0, 1).
-    """
-    _check_q(q)
-    _check_int("m", m, 1)
-    _check_int("k", k, 1)
-    _check_int("d", d, k)
-    _check_real("eta", eta, "(0, inf]")
-    _check_real("eps_cover", eps_cover, "(0, 1)")
-    _check_real("eps_cover^q", eps_cover**q, "(0, 1)")
-    beta = tail_constant(q)
-    log_cover = k * (math.log(3.0) - math.log(eps_cover)) + _log_union(d, k)
-    log_p = math.log(2.0) + log_cover - eta * eta * m / (2.0 * q * beta * beta)
-    prob = 1.0 if log_p >= 0.0 else math.exp(log_p)
-    delta = (eta + eps_cover**q) / (1.0 - eps_cover**q)
-    return GaussianTail(failure_probability=prob, delta_implied=delta)
 
 
 @dataclass(frozen=True)

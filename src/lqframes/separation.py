@@ -24,7 +24,6 @@ __all__ = [
     "check_separation_conditions",
     "separation_measurement_bound",
     "split_nsp_constant",
-    "split_nsp_condition",
 ]
 
 _TIGHT_TOL = 1e-8
@@ -52,6 +51,7 @@ class SeparationProblem:
     stacked: LqProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dicts", list(self.dicts))
         for i, fr in enumerate(self.dicts):
             _require_frame(f"dictionary {i}", fr)
         psi, a_stacked = build_stacked(self.dicts, self.A)
@@ -107,15 +107,14 @@ class SeparationVerdict:
 
     ``theta_tilde`` is the split null-space constant; it is None when the
     cluster coherence U >= 1, where the formula is not applicable.
-    ``thm3_lhs``/``thm3_holds`` evaluate the two-dictionary coherence-only
-    condition; ``thm4_condition_holds`` is the joint isometry + coherence
-    condition for general component counts.
+    ``thm3_holds`` evaluates the two-dictionary coherence-only condition;
+    ``thm4_condition_holds`` is the joint isometry + coherence condition
+    for general component counts.
     """
 
     mu1: float
     U: float
     theta_tilde: float | None
-    thm3_lhs: float
     thm3_holds: bool
     thm4_condition_holds: bool
 
@@ -136,15 +135,6 @@ def _pow_inf(base: float, expo: float) -> float:
         return math.inf
 
 
-def _check_split(rho, delta_ratio, U, q, iota, U_interval: str) -> None:
-    """The arguments of ``split_nsp_constant`` and ``split_nsp_condition``, which differ in U's interval only."""
-    _check_q(q)
-    _check_real("rho", rho, "(0, 1)")
-    _check_real("delta_ratio", delta_ratio, "[1, inf]")
-    _check_real("U", U, U_interval)
-    _check_int("iota", iota, 1)
-
-
 def split_nsp_constant(rho: float, delta_ratio: float, U: float, q: float, iota: int) -> float:
     """Split null-space constant theta_tilde from (rho, Delta, U, q, iota).
 
@@ -152,26 +142,17 @@ def split_nsp_constant(rho: float, delta_ratio: float, U: float, q: float, iota:
     and iota is an integer >= 1.  Returns inf when the isometry
     amplification overflows.
     """
-    _check_split(rho, delta_ratio, U, q, iota, "[0, 1)")
+    _check_q(q)
+    _check_real("rho", rho, "(0, 1)")
+    _check_real("delta_ratio", delta_ratio, "[1, inf]")
+    _check_real("U", U, "[0, 1)")
+    _check_int("iota", iota, 1)
     lam = _pow_inf(delta_ratio, 2.0 / q)
     if math.isinf(lam):
         return math.inf
     disc = math.sqrt(_pow_inf(U - iota * lam, 2.0) + 4.0 * iota * lam)
     bracket = (U + iota * lam + disc) / (2.0 * (1.0 - U))
     return _pow_inf(bracket, q / 2.0) * rho ** (1.0 - q / 2.0)
-
-
-def split_nsp_condition(rho: float, delta_ratio: float, U: float, q: float, iota: int) -> bool:
-    """The isometry/coherence inequality equivalent to theta_tilde < 1.
-
-    The arguments are those of ``split_nsp_constant``, with U in [0, inf].
-    """
-    _check_split(rho, delta_ratio, U, q, iota, "[0, inf]")
-    lam = _pow_inf(delta_ratio, 2.0 / q)
-    if math.isinf(lam):
-        return False
-    r = rho ** (2.0 / q - 1.0)
-    return iota * lam * (r + 1.0) * r + U * (1.0 + r) < 1.0
 
 
 def check_separation_conditions(
@@ -208,8 +189,7 @@ def check_separation_conditions(
 
     t3 = _comparison_order(q, 2.0)  # ceil((5 * 2^(3q/2))^(2/(2-q)))
     small = math.exp(-(math.log(8.0) + (2.0 / q) * math.log(5.0)))
-    thm3_lhs = mu1 * s * (t3 + 1.0) * (small + 1.0)
-    thm3_holds = thm3_lhs < 1.0
+    thm3_holds = mu1 * s * (t3 + 1.0) * (small + 1.0) < 1.0
 
     r = rho ** (2.0 / q - 1.0)
     mipc = mu1 * (s + a) * (r + 1.0) < 1.0
@@ -222,7 +202,6 @@ def check_separation_conditions(
         mu1=mu1,
         U=U,
         theta_tilde=theta_tilde,
-        thm3_lhs=thm3_lhs,
         thm3_holds=thm3_holds,
         thm4_condition_holds=thm4,
     )

@@ -24,7 +24,7 @@ import numpy as np
 
 import lqframes as lq
 from lqframes.experiments import _recovery_trial, cell_key
-from lqframes.separation import split_nsp_condition, split_nsp_constant
+from lqframes.separation import split_nsp_constant
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -115,7 +115,10 @@ def test_condition_equivalences_on_random_grids():
         delta_ratio = 1.0 + rng.exponential(0.5)
         U = rng.uniform(0.0, 0.999)
         tt = split_nsp_constant(s / a, delta_ratio, U, q, iota)
-        ok = ok and ((tt < 1.0) == split_nsp_condition(s / a, delta_ratio, U, q, iota))
+        # the joint isometry/coherence inequality, with lam = Delta^(2/q) and r = rho^(2/q - 1)
+        lam, r = delta_ratio ** (2.0 / q), (s / a) ** (2.0 / q - 1.0)
+        joint = iota * lam * (r + 1.0) * r + U * (1.0 + r) < 1.0
+        ok = ok and ((tt < 1.0) == joint)
     _report(
         "theta < 1 iff recovery condition; theta_tilde < 1 iff joint condition (100-point grids)",
         ok,

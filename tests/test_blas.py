@@ -12,7 +12,7 @@ import lqframes.experiments as experiments
 import lqframes.frames as frames
 import lqframes.rip as rip
 import lqframes.solvers as solvers
-from lqframes import InfeasibleOrDegenerateError, LqProblem, cosparse_signal, random_tight_frame, save_matrix
+from lqframes import InfeasibleOrDegenerateError, LqProblem, cosparse_signal, random_tight_frame
 
 pytestmark = pytest.mark.skipif(frames._OPENBLAS is None, reason="numpy's BLAS is not OpenBLAS")
 
@@ -50,7 +50,7 @@ def _probe(monkeypatch, owner, name, seen):
 def _cli_solve_argv(tmp_path):
     problem = _problem()
     for name, arr in (("A", problem.A), ("D", problem.D.matrix), ("y", problem.y[None, :])):
-        save_matrix(tmp_path / f"{name}.csv", arr)
+        np.savetxt(tmp_path / f"{name}.csv", arr, delimiter=",", fmt="%.17g")
     return ["solve", "--matrix", str(tmp_path / "A.csv"), "--dict", str(tmp_path / "D.csv"),
             "--obs", str(tmp_path / "y.csv"), "--q", "0.7", "--out", str(tmp_path / "out.json")]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from lqframes import cosparse_signal, random_tight_frame, save_matrix
+from lqframes import cosparse_signal, random_tight_frame
 from lqframes.cli import main
 from lqframes.frames import Frame
 
@@ -16,9 +16,9 @@ def instance(tmp_path):
     D = random_tight_frame(12, 14, 1)
     f, _ = cosparse_signal(D, 4, 2)
     A = rng.standard_normal((8, 12))
-    save_matrix(tmp_path / "A.csv", A)
-    save_matrix(tmp_path / "D.csv", D.matrix)
-    save_matrix(tmp_path / "y.csv", (A @ f).reshape(1, -1))
+    np.savetxt(tmp_path / "A.csv", A, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "D.csv", D.matrix, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "y.csv", (A @ f).reshape(1, -1), delimiter=",", fmt="%.17g")
     return tmp_path, A, D, f
 
 
@@ -92,7 +92,7 @@ def test_rip_estimate_schema(instance):
 def test_rip_estimate_evaluates_the_condition(tmp_path):
     # with A = D = I_4 every estimated constant is finite and below 1, so the
     # condition is evaluated rather than ruled out
-    save_matrix(tmp_path / "I.csv", np.eye(4))
+    np.savetxt(tmp_path / "I.csv", np.eye(4), delimiter=",", fmt="%.17g")
     out = tmp_path / "rip.json"
     rc = main(
         [
@@ -147,7 +147,7 @@ def test_bounds_csv(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["bounds", "rip-estimate", "solve", "separate"])
 def test_stdout_is_the_out_file_with_a_final_newline(instance, capsys, command):
     tmp, *_ = instance
-    save_matrix(tmp / "I.csv", np.eye(12))
+    np.savetxt(tmp / "I.csv", np.eye(12), delimiter=",", fmt="%.17g")
     shared = ["--matrix", str(tmp / "A.csv"), "--q", "0.7"]
     argv = {
         "bounds": ["bounds", "--q", "0.5,1", "--s", "5", "--d", "20"],
@@ -202,10 +202,10 @@ def test_separate_command(tmp_path):
     A = rng.standard_normal((m, n))
     f1, _ = cosparse_signal(spikes, 1, 5)
     f2, _ = cosparse_signal(waves, 1, 6)
-    save_matrix(tmp_path / "D1.csv", spikes.matrix)
-    save_matrix(tmp_path / "D2.csv", waves.matrix)
-    save_matrix(tmp_path / "A.csv", A)
-    save_matrix(tmp_path / "y.csv", (A @ (f1 + f2)).reshape(1, -1))
+    np.savetxt(tmp_path / "D1.csv", spikes.matrix, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "D2.csv", waves.matrix, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "A.csv", A, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "y.csv", (A @ (f1 + f2)).reshape(1, -1), delimiter=",", fmt="%.17g")
     out = tmp_path / "sep.json"
     rc = main(
         [

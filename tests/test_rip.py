@@ -14,7 +14,6 @@ from lqframes import (
     error_constants,
     estimate_nsp_theta,
     estimate_rip,
-    gaussian_failure_probability,
     gaussian_moment,
     measurement_bound,
     tail_constant,
@@ -476,44 +475,8 @@ def test_error_constants_reject_theta_ge_one():
 
 
 # ---------------------------------------------------------------------------
-# gaussian_failure_probability / measurement_bound
+# measurement_bound
 # ---------------------------------------------------------------------------
-
-def test_failure_probability_vanishes_with_m():
-    small = gaussian_failure_probability(0.7, 0.3, 0.2, 10**4, 5, 50)
-    large = gaussian_failure_probability(0.7, 0.3, 0.2, 10**6, 5, 50)
-    assert large.failure_probability < small.failure_probability
-    assert large.failure_probability < 1e-10
-
-
-def test_failure_probability_covering_term_by_hand():
-    # doubling k changes the log covering term from k ln(3ed/(eps k)) accordingly
-    q, eta, eps, m, d = 0.7, 0.3, 0.2, 10**5, 50
-    beta = tail_constant(q)
-    for k in (2, 4):
-        tail = gaussian_failure_probability(q, eta, eps, m, k, d)
-        log_expected = (
-            math.log(2.0)
-            + k * math.log(3.0 * math.e * d / (eps * k))
-            - eta**2 * m / (2.0 * q * beta**2)
-        )
-        assert tail.failure_probability == pytest.approx(math.exp(log_expected), rel=1e-12)
-
-
-def test_failure_probability_clamped_to_one():
-    tail = gaussian_failure_probability(0.7, 0.01, 0.2, 10, 5, 50)
-    assert tail.failure_probability == 1.0
-
-
-def test_failure_probability_implied_delta():
-    tail = gaussian_failure_probability(1.0, 0.1, 0.1, 1000, 3, 20)
-    assert tail.delta_implied == pytest.approx(0.2 / 0.9, abs=1e-12)
-
-
-def test_failure_probability_rejects_large_eps():
-    with pytest.raises(InvalidParametersError):
-        gaussian_failure_probability(0.5, 0.1, 1.0, 100, 3, 20)
-
 
 def test_measurement_bound_hand_evaluation():
     # q=1, kappa=1: t = ceil((5 sqrt 2)^2) = 50; independent expansion below
