@@ -97,12 +97,23 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         (lambda: lqframes.split_nsp_constant(_NAN, 1.1, 0.1, 0.7, 2), InvalidParametersError),
         (lambda: lqframes.split_nsp_constant(0.5, _NAN, 0.1, 0.7, 2), InvalidParametersError),
         (lambda: lqframes.objective(np.ones(2), np.eye(2), _NAN), InvalidParametersError),
+        (lambda: lqframes.tail_constant(_NAN), InvalidParametersError),
+        (lambda: lqframes.measurement_bound(_NAN, 2, 8), InvalidParametersError),
+        (lambda: lqframes.separation_measurement_bound(_NAN, 2, 8), InvalidParametersError),
+        (lambda: lqframes.run_bounds_table([_NAN], 2, 8), InvalidParametersError),
+        (lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, 1.0, _NAN), InvalidParametersError),
+        (lambda: lqframes.error_constants(0.5, 0.25, _NAN, 1.0, 0.1), InvalidParametersError),
+        (lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, 0.1, 0.1, _NAN), InvalidParametersError),
+        (lambda: lqframes.split_nsp_constant(0.5, 1.1, 0.1, _NAN, 2), InvalidParametersError),
+        (lambda: lqframes.estimate_nsp_theta(np.ones((1, 2)), np.eye(2), _NAN, 1), InvalidParametersError),
+        (lambda: lqframes.ExperimentSpec(kind="phase_transition", grid=[dict(_CELL, q=_NAN)]), InvalidSpecError),
     ],
     ids=[
         "problem-epsilon", "bound-kappa", "condition-delta-a", "condition-delta-sa", "condition-kappa",
         "separation-mu1", "separation-delta-a", "error-theta", "split-U", "spec-threshold", "config-tol",
         "figure1-threshold", "error-rho", "error-lower-bound", "error-delta-a", "separation-delta-sa", "split-rho",
-        "split-delta-ratio", "objective-q",
+        "split-delta-ratio", "objective-q", "tail-q", "bound-q", "separation-bound-q", "bounds-table-q",
+        "condition-q", "error-q", "separation-q", "split-q", "nsp-q", "spec-cell-q",
     ],
 )
 def test_nan_parameters_are_refused(call, error):
@@ -165,6 +176,16 @@ _NUMBER_PARAMETERS = {
     "split-delta-ratio": lambda v: lqframes.split_nsp_constant(0.5, v, 0.1, 0.5, 2),
     "split-U": lambda v: lqframes.split_nsp_constant(0.5, 1.1, v, 0.5, 2),
     "objective-q": lambda v: lqframes.objective(np.ones(2), np.eye(2), v),
+    "tail-q": lambda v: lqframes.tail_constant(v),
+    "bound-q": lambda v: lqframes.measurement_bound(v, 2, 8),
+    "separation-bound-q": lambda v: lqframes.separation_measurement_bound(v, 2, 8),
+    "bounds-table-q": lambda v: lqframes.run_bounds_table([v], 2, 8),
+    "condition-q": lambda v: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, 1.0, v),
+    "error-q": lambda v: lqframes.error_constants(0.5, 0.25, v, 1.0, 0.1),
+    "separation-q": lambda v: lqframes.check_separation_conditions(0.01, [1, 1], 5, 0.1, 0.1, v),
+    "split-q": lambda v: lqframes.split_nsp_constant(0.5, 1.1, 0.1, v, 2),
+    "nsp-q": lambda v: lqframes.estimate_nsp_theta(np.ones((1, 2)), np.eye(2), v, 1),
+    "spec-cell-q": lambda v: lqframes.ExperimentSpec(kind="phase_transition", grid=[dict(_CELL, q=v)]),
 }
 
 # Each entry's interval, as its function declares it to frames._check_real.  theta and delta_sa
@@ -176,7 +197,9 @@ _INTERVALS = {
     "condition-delta-sa": "[0, inf]", "error-theta": "[0, inf]", "error-rho": "(0, 1)",
     "error-lower-bound": "(0, inf]", "error-delta-a": "[0, inf]", "separation-mu1": "[0, inf]",
     "separation-delta-a": "[0, inf]", "separation-delta-sa": "[0, 1)", "split-rho": "(0, 1)",
-    "split-delta-ratio": "[1, inf]", "split-U": "[0, 1)", "objective-q": "(0, 1]",
+    "split-delta-ratio": "[1, inf]", "split-U": "[0, 1)", "objective-q": "(0, 1]", "tail-q": "(0, 1]",
+    "bound-q": "(0, 1]", "separation-bound-q": "(0, 1]", "bounds-table-q": "(0, 1]", "condition-q": "(0, 1]",
+    "error-q": "(0, 1]", "separation-q": "(0, 1]", "split-q": "(0, 1]", "nsp-q": "(0, 1]", "spec-cell-q": "(0, 1]",
 }
 _UNEVALUABLE_FROM_ONE = {"condition-delta-sa", "error-theta"}
 
