@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConditionUnevaluableError, InvalidDimensionsError, LqframesError
+from .errors import InvalidDimensionsError, LqframesError
 from .experiments import (
     ExperimentSpec,
     _csv_text,
@@ -59,14 +59,8 @@ def _cmd_rip_estimate(args):
     payload = {**rip(args.s).to_dict(), "condition": None}
     if args.a is not None:
         rep_a, rep_sa = rip(args.a), rip(args.s + args.a)
-        try:
-            verdict = check_recovery_condition(rep_a.delta, rep_sa.delta, args.s, args.a, frame.condition, args.q)
-            payload["condition"] = verdict.to_dict()
-        except ConditionUnevaluableError:
-            # the estimated constant already rules the condition out
-            payload["condition"] = {
-                "lhs": None, "rhs": 1.0 - rep_sa.delta, "holds": False, "theta": None, "Delta": None
-            }
+        verdict = check_recovery_condition(rep_a.delta, rep_sa.delta, args.s, args.a, frame.condition, args.q)
+        payload["condition"] = verdict.to_dict()
     return _json_text(payload)
 
 
@@ -112,13 +106,8 @@ def _cmd_separate(args):
     d_total = dbar.shape[1]
     rip = functools.partial(estimate_rip, A, dbar, args.q, mode="sampled", budget=args.rip_budget, seed=args.seed)
     rep_a, rep_sa = rip(min(a, d_total)), rip(min(s_total + a, d_total))
-    # an order-(s + a) constant >= 1 rules Theorem 4 out and leaves theta_tilde undefined
-    ruled_out = rep_sa.delta >= 1.0
-    delta_sa = 0.0 if ruled_out else rep_sa.delta
-    verdict = check_separation_conditions(mu1, sparsities, a, rep_a.delta, delta_sa, args.q).to_dict()
-    if ruled_out:
-        verdict.update(theta_tilde=None, thm4_holds=False)
-    return _json_text({"components": list(components), "verdict": verdict})
+    verdict = check_separation_conditions(mu1, sparsities, a, rep_a.delta, rep_sa.delta, args.q)
+    return _json_text({"components": list(components), "verdict": dataclasses.asdict(verdict)})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,8 @@
 """Restricted q-isometry diagnostics for dictionary-sparse recovery.
 
 Estimators for the q-RIP constant of a measurement matrix relative to a
-dictionary, recovery-condition checks with their error constants, and the
+dictionary, recovery-condition checks with their null-space and error
+constants (the split constant of data separation included), and the
 Gaussian measurement-count machinery (moment and tail constants, explicit
 lower bounds).
 
@@ -32,6 +33,7 @@ __all__ = [
     "tail_constant",
     "estimate_rip",
     "check_recovery_condition",
+    "split_nsp_constant",
     "error_constants",
     "measurement_bound",
     "estimate_nsp_theta",
@@ -106,12 +108,13 @@ class RecoveryConditionVerdict:
     ``holds`` is True when lhs < rhs for
     lhs = rho^(1-q/2) (rho^(2/q-1) + 1)^(q/2) kappa^q (1 + delta_a) and
     rhs = 1 - delta_{s+a}.  ``theta`` is the induced null-space constant;
-    theta < 1 exactly when the condition holds.
+    theta < 1 exactly when the condition holds.  ``Delta`` and ``theta``
+    are None when delta_{s+a} >= 1 rules the condition out.
     """
 
     rho: float
-    Delta: float
-    theta: float
+    Delta: float | None
+    theta: float | None
     lhs: float
     rhs: float
     holds: bool
@@ -125,8 +128,11 @@ def check_recovery_condition(
 ) -> RecoveryConditionVerdict:
     """Evaluate the q-RIP recovery condition for orders (s, s + a).
 
-    kappa lies in [1, inf] and delta_a and delta_sa in [0, inf]; a delta_sa
-    of 1 or more raises ConditionUnevaluableError.
+    kappa lies in [1, inf] and delta_a and delta_sa in [0, inf].  theta is
+    the split null-space constant of one component with no coherence and
+    the isometry ratio kappa^q Delta, Delta = (1 + delta_a)/(1 - delta_sa).
+    A delta_sa of 1 or more rules the condition out: rhs <= 0 < lhs, and
+    Delta and theta are None.
     """
     _check_q(q)
     _check_int("s", s, 1)
@@ -134,19 +140,32 @@ def check_recovery_condition(
     _check_real("kappa", kappa, "[1, inf]")
     _check_real("delta_a", delta_a, "[0, inf]")
     _check_real("delta_sa", delta_sa, "[0, inf]")
-    _check_real("delta_sa", delta_sa, "[0, 1)", ConditionUnevaluableError)
     rho = s / a
     lhs = rho ** (1.0 - q / 2.0) * (rho ** (2.0 / q - 1.0) + 1.0) ** (q / 2.0) * kappa**q * (1.0 + delta_a)
     rhs = 1.0 - delta_sa
-    delta_ratio = (1.0 + delta_a) / (1.0 - delta_sa)
-    theta = (
-        2.0 ** (-q / 2.0)
-        * (1.0 + math.sqrt(1.0 + 4.0 * kappa**-2.0 * delta_ratio ** (-2.0 / q))) ** (q / 2.0)
-        * kappa**q
-        * delta_ratio
-        * rho ** (1.0 - q / 2.0)
-    )
+    delta_ratio = theta = None
+    if delta_sa < 1.0:
+        delta_ratio = (1.0 + delta_a) / (1.0 - delta_sa)
+        theta = split_nsp_constant(rho, kappa**q * delta_ratio, 0.0, q, 1)
     return RecoveryConditionVerdict(rho=rho, Delta=delta_ratio, theta=theta, lhs=lhs, rhs=rhs, holds=lhs < rhs)
+
+
+def split_nsp_constant(rho: float, delta_ratio: float, U: float, q: float, iota: int) -> float:
+    """Split null-space constant theta_tilde from (rho, Delta, U, q, iota).
+
+    rho lies in (0, 1), delta_ratio in [1, inf], U in [0, 1), q in (0, 1]
+    and iota is an integer >= 1.  Delta is factored out of the bracket,
+    with mu = Delta^(-2/q) in [0, 1], so no intermediate overflows: the
+    result is inf only when theta_tilde itself exceeds the float range.
+    """
+    _check_q(q)
+    _check_real("rho", rho, "(0, 1)")
+    _check_real("delta_ratio", delta_ratio, "[1, inf]")
+    _check_real("U", U, "[0, 1)")
+    _check_int("iota", iota, 1)
+    mu = delta_ratio ** (-2.0 / q)
+    bracket = (U * mu + iota + math.sqrt((U * mu - iota) ** 2 + 4.0 * iota * mu)) / (2.0 * (1.0 - U))
+    return delta_ratio * rho ** (1.0 - q / 2.0) * bracket ** (q / 2.0)
 
 
 def error_constants(theta: float, rho: float, q: float, lower_bound: float, delta_a: float):

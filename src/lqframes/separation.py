@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidDimensionsError, InvalidParametersError
 from .frames import Frame, _ambient_dim, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _require_frame
-from .rip import _comparison_order, measurement_bound
+from .rip import _comparison_order, measurement_bound, split_nsp_constant
 from .solvers import LqProblem, SolverConfig, irls_analysis
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "solve_split_analysis",
     "check_separation_conditions",
     "separation_measurement_bound",
-    "split_nsp_constant",
 ]
 
 _TIGHT_TOL = 1e-8
@@ -39,7 +38,9 @@ class SeparationProblem:
     condition check, ``check_separation_conditions``, not to the instance.
     ``stacked`` is the equivalent l_q-analysis instance, built and checked
     once here: the block diagonal of the dictionaries as its unit tight
-    frame and [A | ... | A] as its measurement.
+    frame and [A | ... | A] as its measurement.  ``stacked`` alone defines
+    the instance: ``dicts`` records the dictionaries it was built from, and
+    changing that list afterwards changes nothing the solve reads.
     """
 
     dicts: list
@@ -94,11 +95,11 @@ def solve_split_analysis(problem: SeparationProblem, config: SolverConfig | None
     Runs the IRLS analysis solver on ``problem.stacked``: the block
     diagonal of the dictionaries is itself a unit tight frame for the
     stacked signal space, and the stacked measurement applies A to the sum
-    of the components.  With a single dictionary this reduces exactly to
-    the plain solver.
+    of the components, whose count is the stacked width over that of A.
+    With a single dictionary this reduces exactly to the plain solver.
     """
     result = irls_analysis(problem.stacked, config)
-    return np.split(result.f_hat, len(problem.dicts)), result
+    return np.split(result.f_hat, problem.stacked.A.shape[1] // problem.A.shape[1]), result
 
 
 @dataclass(frozen=True)
@@ -106,53 +107,18 @@ class SeparationVerdict:
     """Condition diagnostics for joint recovery.
 
     ``theta_tilde`` is the split null-space constant; it is None when the
-    cluster coherence U >= 1, where the formula is not applicable.
-    ``thm3_holds`` evaluates the two-dictionary coherence-only condition;
-    ``thm4_condition_holds`` is the joint isometry + coherence condition
-    for general component counts.
+    cluster coherence U >= 1, where the formula is not applicable, or when
+    delta_{s+a} >= 1 rules the joint condition out.  ``thm3_holds``
+    evaluates the two-dictionary coherence-only condition; ``thm4_holds``
+    is the joint isometry + coherence condition for general component
+    counts.
     """
 
     mu1: float
     U: float
     theta_tilde: float | None
     thm3_holds: bool
-    thm4_condition_holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "mu1": self.mu1,
-            "U": self.U,
-            "theta_tilde": self.theta_tilde,
-            "thm3_holds": self.thm3_holds,
-            "thm4_holds": self.thm4_condition_holds,
-        }
-
-
-def _pow_inf(base: float, expo: float) -> float:
-    try:
-        return base**expo
-    except OverflowError:
-        return math.inf
-
-
-def split_nsp_constant(rho: float, delta_ratio: float, U: float, q: float, iota: int) -> float:
-    """Split null-space constant theta_tilde from (rho, Delta, U, q, iota).
-
-    rho lies in (0, 1), delta_ratio in [1, inf], U in [0, 1), q in (0, 1]
-    and iota is an integer >= 1.  Returns inf when the isometry
-    amplification overflows.
-    """
-    _check_q(q)
-    _check_real("rho", rho, "(0, 1)")
-    _check_real("delta_ratio", delta_ratio, "[1, inf]")
-    _check_real("U", U, "[0, 1)")
-    _check_int("iota", iota, 1)
-    lam = _pow_inf(delta_ratio, 2.0 / q)
-    if math.isinf(lam):
-        return math.inf
-    disc = math.sqrt(_pow_inf(U - iota * lam, 2.0) + 4.0 * iota * lam)
-    bracket = (U + iota * lam + disc) / (2.0 * (1.0 - U))
-    return _pow_inf(bracket, q / 2.0) * rho ** (1.0 - q / 2.0)
+    thm4_holds: bool
 
 
 def check_separation_conditions(
@@ -169,8 +135,9 @@ def check_separation_conditions(
     dictionary, so the component count iota is ``len(sparsities)``; ``a`` is
     the comparison order (a > sum s_k); the deltas are q-RIP constants of the
     concatenated dictionary at orders a and s + a.  The two-dictionary
-    coherence condition (thm3) is evaluated with the total sparsity.  mu1
-    and delta_a lie in [0, inf], delta_sa in [0, 1).
+    coherence condition (thm3) is evaluated with the total sparsity.  mu1,
+    delta_a and delta_sa lie in [0, inf]; a delta_sa of 1 or more rules the
+    joint condition (thm4) out and leaves theta_tilde None.
     """
     _check_q(q)
     sparsities = list(sparsities)
@@ -181,29 +148,30 @@ def check_separation_conditions(
     _check_int("a", a, s + 1)
     _check_real("mu1", mu1, "[0, inf]")
     _check_real("delta_a", delta_a, "[0, inf]")
-    _check_real("delta_sa", delta_sa, "[0, 1)")
+    _check_real("delta_sa", delta_sa, "[0, inf]")
 
     rho = s / a
-    delta_ratio = (1.0 + delta_a) / (1.0 - delta_sa)
     U = mu1 * (s + a) / 2.0
 
     t3 = _comparison_order(q, 2.0)  # ceil((5 * 2^(3q/2))^(2/(2-q)))
     small = math.exp(-(math.log(8.0) + (2.0 / q) * math.log(5.0)))
     thm3_holds = mu1 * s * (t3 + 1.0) * (small + 1.0) < 1.0
 
-    r = rho ** (2.0 / q - 1.0)
-    mipc = mu1 * (s + a) * (r + 1.0) < 1.0
-    cd = delta_ratio * rho ** (1.0 - q / 2.0) * (r + 1.0) ** (q / 2.0) < (2.0 * iota) ** (-q / 2.0)
-    thm4 = mipc and cd
-
-    theta_tilde = split_nsp_constant(rho, delta_ratio, U, q, iota) if U < 1.0 else None
+    thm4, theta_tilde = False, None
+    if delta_sa < 1.0:
+        delta_ratio = (1.0 + delta_a) / (1.0 - delta_sa)
+        r = rho ** (2.0 / q - 1.0)
+        mipc = mu1 * (s + a) * (r + 1.0) < 1.0
+        cd = delta_ratio * rho ** (1.0 - q / 2.0) * (r + 1.0) ** (q / 2.0) < (2.0 * iota) ** (-q / 2.0)
+        thm4 = mipc and cd
+        theta_tilde = split_nsp_constant(rho, delta_ratio, U, q, iota) if U < 1.0 else None
 
     return SeparationVerdict(
         mu1=mu1,
         U=U,
         theta_tilde=theta_tilde,
         thm3_holds=thm3_holds,
-        thm4_condition_holds=thm4,
+        thm4_holds=thm4,
     )
 
 

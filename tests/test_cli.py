@@ -87,6 +87,10 @@ def test_rip_estimate_schema(instance):
     assert payload["order"] == 2
     assert payload["method"] == "sampled"
     assert set(payload["condition"]) == {"lhs", "rhs", "holds", "theta", "Delta"}
+    # the order-(s + a) estimate is >= 1 here: the library rules the condition out with a finite lhs
+    condition = payload["condition"]
+    assert condition["rhs"] <= 0.0 < condition["lhs"]
+    assert condition["holds"] is False and condition["theta"] is None and condition["Delta"] is None
 
 
 def test_rip_estimate_evaluates_the_condition(tmp_path):

@@ -33,30 +33,53 @@ _UNCALLED = {
 }
 
 
-def _referenced_names(paths):
-    """Every identifier the files use as a name or as an attribute, anywhere in their code."""
+def _referenced_names(nodes):
+    """Every identifier the nodes use as a name or as an attribute, anywhere in their code."""
     names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
     return names
 
 
-def test_every_public_name_has_a_caller():
-    # A public name stays only if the package, the benchmark's own modules or the
-    # paper-claim checks reference it; the unit tests alone do not keep a name.
+def _reached_names():
+    """The names reachable from the package's import-time code, the CLI, the benchmark and the paper checks.
+
+    Each top-level def or class of ``src/lqframes`` is a node whose edges are the names its code
+    references (same-named definitions share a node).  The walk starts from every other module-level
+    statement of the package, from ``main``, and from all of ``lqbench/*.py`` (not its tests) and
+    ``tests/test_acceptance.py``.
+    """
+    edges, roots = {}, {"main"}
+    for path in sorted((_ROOT / "src" / "lqframes").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                edges.setdefault(stmt.name, set()).update(_referenced_names([stmt]))
+            else:
+                roots |= _referenced_names([stmt])
     callers = [
-        *sorted((_ROOT / "src" / "lqframes").glob("*.py")),
         *sorted(p for p in (_ROOT / "lqbench").glob("*.py") if not p.name.startswith("test_")),
         _ROOT / "tests" / "test_acceptance.py",
     ]
-    referenced = _referenced_names(callers)
+    roots |= _referenced_names(ast.parse(p.read_text(encoding="utf-8")) for p in callers)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(edges.get(name, ()))
+    return reached
+
+
+def test_every_public_name_has_a_caller():
+    # A public name stays only if the package's import-time code, the CLI, the benchmark's own modules
+    # or the paper-claim checks reach it; the unit tests alone, or an uncalled name, do not keep a name.
+    reached = _reached_names()
     # __version__ is package metadata, read by tools, not called
     public = [name for name in lqframes.__all__ if not name.startswith("__")]
-    uncalled = sorted(name for name in public if name not in referenced)
+    uncalled = sorted(name for name in public if name not in reached)
     assert uncalled == sorted(_UNCALLED)
 
 
@@ -188,20 +211,21 @@ _NUMBER_PARAMETERS = {
     "spec-cell-q": lambda v: lqframes.ExperimentSpec(kind="phase_transition", grid=[dict(_CELL, q=v)]),
 }
 
-# Each entry's interval, as its function declares it to frames._check_real.  theta and delta_sa
-# of the recovery condition admit [0, inf] but raise ConditionUnevaluableError from 1 on.
+# Each entry's interval, as its function declares it to frames._check_real.  The theta of
+# error_constants admits [0, inf] but raises ConditionUnevaluableError from 1 on; a delta_sa of
+# 1 or more rules a condition out, which is a verdict, not an error.
 _INTERVALS = {
     "problem-q": "(0, 1]", "problem-epsilon": "[0, inf]", "config-tol": "(0, inf)", "rip-q": "(0, 1]",
     "moment-q": "(0, 1]", "threshold-q": "(0, 1]", "figure1-threshold": "(0, inf)", "spec-threshold": "(0, inf)",
     "bound-kappa": "[1, inf)", "condition-kappa": "[1, inf]", "condition-delta-a": "[0, inf]",
     "condition-delta-sa": "[0, inf]", "error-theta": "[0, inf]", "error-rho": "(0, 1)",
     "error-lower-bound": "(0, inf]", "error-delta-a": "[0, inf]", "separation-mu1": "[0, inf]",
-    "separation-delta-a": "[0, inf]", "separation-delta-sa": "[0, 1)", "split-rho": "(0, 1)",
+    "separation-delta-a": "[0, inf]", "separation-delta-sa": "[0, inf]", "split-rho": "(0, 1)",
     "split-delta-ratio": "[1, inf]", "split-U": "[0, 1)", "objective-q": "(0, 1]", "tail-q": "(0, 1]",
     "bound-q": "(0, 1]", "separation-bound-q": "(0, 1]", "bounds-table-q": "(0, 1]", "condition-q": "(0, 1]",
     "error-q": "(0, 1]", "separation-q": "(0, 1]", "split-q": "(0, 1]", "nsp-q": "(0, 1]", "spec-cell-q": "(0, 1]",
 }
-_UNEVALUABLE_FROM_ONE = {"condition-delta-sa", "error-theta"}
+_UNEVALUABLE_FROM_ONE = {"error-theta"}
 
 
 @pytest.mark.parametrize("value", ["0.7", None, True], ids=["string", "none", "bool"])

@@ -442,9 +442,40 @@ def test_condition_delta_field():
     assert set(v.to_dict()) == {"lhs", "rhs", "holds", "theta", "Delta"}
 
 
+def _closed_form_theta(delta_a, delta_sa, s, a, kappa, q):
+    # the single-dictionary null-space constant as written before it became the split constant at one component
+    rho, delta_ratio = s / a, (1.0 + delta_a) / (1.0 - delta_sa)
+    return (
+        2.0 ** (-q / 2.0)
+        * (1.0 + math.sqrt(1.0 + 4.0 * kappa**-2.0 * delta_ratio ** (-2.0 / q))) ** (q / 2.0)
+        * kappa**q
+        * delta_ratio
+        * rho ** (1.0 - q / 2.0)
+    )
+
+
+def test_condition_theta_is_the_closed_form():
+    rng = np.random.default_rng(322)
+    for _ in range(200):
+        q = rng.uniform(0.05, 1.0)
+        a = int(rng.integers(2, 50))
+        s = int(rng.integers(1, a))
+        args = (rng.uniform(0, 0.99), rng.uniform(0, 0.99), s, a, rng.uniform(1.0, 6.0), q)
+        assert check_recovery_condition(*args).theta == pytest.approx(_closed_form_theta(*args), rel=1e-12, abs=0)
+    # at q = 0.01 the squared amplification ((kappa^q Delta)^(2/q))^2 exceeds the float range
+    for args in [(0.9, 0.7, 1, 10, 1.0, 0.01), (0.99, 0.99, 1, 4, 1.0, 0.01), (0.5, 0.5, 1, 10**6, 6.0, 0.01)]:
+        v = check_recovery_condition(*args)
+        assert v.theta == pytest.approx(_closed_form_theta(*args), rel=1e-12, abs=0)
+        assert (v.theta < 1.0) == v.holds
+    assert check_recovery_condition(0.9, 0.7, 1, 10, 1.0, 0.01).holds
+
+
 def test_condition_rejects_bad_inputs():
-    with pytest.raises(ConditionUnevaluableError):
-        check_recovery_condition(0.1, 1.0, 1, 4, 1.0, 0.7)
+    # a delta_sa of 1 or more rules the condition out; lhs does not depend on it
+    lhs = check_recovery_condition(0.1, 0.1, 1, 4, 1.0, 0.7).lhs
+    for delta_sa in (1.0, math.inf):
+        v = check_recovery_condition(0.1, delta_sa, 1, 4, 1.0, 0.7)
+        assert (v.holds, v.theta, v.Delta, v.lhs, v.rhs) == (False, None, None, lhs, 1.0 - delta_sa)
     with pytest.raises(InvalidParametersError):
         check_recovery_condition(0.1, 0.1, 4, 4, 1.0, 0.7)
     with pytest.raises(InvalidParametersError):

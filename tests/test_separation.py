@@ -163,6 +163,10 @@ def test_problem_keeps_its_own_list_of_dictionaries():
     dicts.append(eye)
     components, _ = solve_split_analysis(problem)
     assert len(components) == 2 and type(problem.dicts) is list
+    # nor when its own list does: the solve splits by the stacked width
+    problem.dicts.append(eye)
+    components, _ = solve_split_analysis(problem)
+    assert len(components) == 2
 
 
 def test_split_recovers_both_components():
@@ -241,8 +245,18 @@ def test_cluster_coherence_and_theta_tilde_not_applicable():
 def test_theta_tilde_below_one_when_joint_condition_holds():
     # comfortable regime: tiny rho, tiny deltas, weak coherence
     verdict = check_separation_conditions(0.01, [1, 1], 50, 0.01, 0.01, 0.7)
-    assert verdict.thm4_condition_holds
+    assert verdict.thm4_holds
     assert verdict.theta_tilde is not None and verdict.theta_tilde < 1.0
+
+
+@pytest.mark.parametrize("delta_sa", [1.0, math.inf])
+def test_an_order_s_plus_a_constant_of_one_or_more_rules_thm4_out(delta_sa):
+    # mu1, U and thm3 do not depend on delta_sa; the joint condition has no value there
+    below = check_separation_conditions(0.01, [1, 1], 50, 0.01, 0.0, 0.7)
+    verdict = check_separation_conditions(0.01, [1, 1], 50, 0.01, delta_sa, 0.7)
+    assert below.thm4_holds and below.theta_tilde is not None
+    assert (verdict.mu1, verdict.U, verdict.thm3_holds) == (below.mu1, below.U, below.thm3_holds)
+    assert verdict.thm4_holds is False and verdict.theta_tilde is None
 
 
 def test_thm3_monotone_in_mu1():
@@ -256,8 +270,12 @@ def test_thm3_monotone_in_mu1():
 
 
 def test_split_nsp_constant_is_inf_when_the_isometry_amplification_overflows():
-    # delta_ratio^(2/q) = 1e300^200 overflows a float
-    assert split_nsp_constant(0.5, 1e300, 0.1, 0.01, 2) == math.inf
+    # delta_ratio^(2/q) = 1e300^200 would overflow a float, theta_tilde itself does not
+    expected = 1e300 * 0.5**0.995 * (4.0 / 1.8) ** 0.005
+    assert split_nsp_constant(0.5, 1e300, 0.1, 0.01, 2) == pytest.approx(expected, rel=1e-12)
+    # theta_tilde = 1e308 * 0.9^0.5 * 20^0.5 is past the float range
+    assert split_nsp_constant(0.9, 1e308, 0.9, 1.0, 2) == math.inf
+    assert split_nsp_constant(0.5, math.inf, 0.1, 0.5, 2) == math.inf
 
 
 def test_split_nsp_constant_rejects_large_U():
