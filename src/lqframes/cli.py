@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import InvalidDimensionsError, LqframesError
+from .errors import InvalidParametersError, LqframesError
 from .experiments import (
     ExperimentSpec,
     _csv_text,
@@ -88,7 +88,7 @@ def _cmd_separate(args):
     if args.sparsities is not None:
         sparsities = [int(tok) for tok in args.sparsities.split(",")]
         if len(sparsities) != len(paths):
-            raise InvalidDimensionsError(
+            raise InvalidParametersError(
                 f"--sparsities needs one value per dictionary, got {len(sparsities)} for {len(paths)}"
             )
     dicts = [Frame.from_matrix(load_matrix(p)) for p in paths]
@@ -103,9 +103,8 @@ def _cmd_separate(args):
     s_total = sum(sparsities)
     a = args.a if args.a is not None else 2 * s_total
     dbar = np.hstack([fr.matrix for fr in dicts])
-    d_total = dbar.shape[1]
     rip = functools.partial(estimate_rip, A, dbar, args.q, mode="sampled", budget=args.rip_budget, seed=args.seed)
-    rep_a, rep_sa = rip(min(a, d_total)), rip(min(s_total + a, d_total))
+    rep_a, rep_sa = rip(a), rip(s_total + a)
     verdict = check_separation_conditions(mu1, sparsities, a, rep_a.delta, rep_sa.delta, args.q)
     return _json_text({"components": list(components), "verdict": dataclasses.asdict(verdict)})
 

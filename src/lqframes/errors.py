@@ -1,9 +1,9 @@
 """Exception types raised by lqframes."""
 
 __all__ = [
-    "LqframesError", "NotAFrameError", "IllConditionedError", "InvalidDimensionsError",
-    "GenerationFailedError", "DegenerateDictionaryError", "ConditionUnevaluableError",
-    "InvalidParametersError", "InfeasibleOrDegenerateError", "EmptyKernelError", "InvalidSpecError",
+    "LqframesError", "NotAFrameError", "IllConditionedError", "GenerationFailedError",
+    "DegenerateDictionaryError", "ConditionUnevaluableError", "InvalidParametersError",
+    "InfeasibleOrDegenerateError", "EmptyKernelError",
 ]
 
 
@@ -19,10 +19,6 @@ class IllConditionedError(LqframesError):
     """Gram matrix too ill-conditioned to invert reliably."""
 
 
-class InvalidDimensionsError(LqframesError):
-    """Incompatible or invalid matrix/vector dimensions."""
-
-
 class GenerationFailedError(LqframesError):
     """Random signal generation exhausted its retry budget."""
 
@@ -36,7 +32,8 @@ class ConditionUnevaluableError(LqframesError):
 
 
 class InvalidParametersError(LqframesError):
-    """Scalar parameters outside their admissible range."""
+    """Input refused before any work: a value of the wrong type, a number outside its range,
+    an array of the wrong shape, or a spec or matrix file that breaks its schema."""
 
 
 class InfeasibleOrDegenerateError(LqframesError):
@@ -45,7 +42,3 @@ class InfeasibleOrDegenerateError(LqframesError):
 
 class EmptyKernelError(LqframesError):
     """Measurement matrix has a trivial null space."""
-
-
-class InvalidSpecError(LqframesError):
-    """Experiment specification is malformed."""

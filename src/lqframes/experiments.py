@@ -10,11 +10,11 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidParametersError, InvalidSpecError, LqframesError
+from .errors import InvalidParametersError, LqframesError
 from .frames import (
     Frame, _check_int, _check_q, _check_real, _one_blas_thread, cosparse_signal, mutual_coherence, random_tight_frame
 )
@@ -46,33 +46,35 @@ def _python_scalar(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
-def _check_cell(kind: str, cell: dict, error, where: str = "") -> dict:
-    """The one rule for a ``kind`` cell: ``cell`` with numpy scalars as the equal Python ones, or ``error``.
+def _check_cell(kind: str, cell: dict, where: str = "") -> dict:
+    """The one rule for a ``kind`` cell: ``cell`` with numpy scalars as the equal Python ones.
 
     A cell holds exactly the ``KINDS[kind]`` fields.  Every field but q is an
     integer >= 1, q lies in (0, 1], d >= n, m, s, s1 and s2 are at most n (an
     m x n Gaussian A with m > n is row-rank deficient, and every solve
     refuses it), and a separation n is a power of two, for its Hadamard
     dictionary.  s <= d - n stays allowed (its trials fail at generation).
+    A cell that breaks the rule raises InvalidParametersError.
     Python values pass unchanged: an integer q = 1 still hashes as 1.
     """
     names = KINDS[kind]
     for key in (*cell, *names):
         if key not in names or key not in cell:
-            raise error(f"{where}field {key!r} is " + ("missing" if key in names else f"not a {kind} field"))
+            problem = "missing" if key in names else f"not a {kind} field"
+            raise InvalidParametersError(f"{where}field {key!r} is {problem}")
     cell = {key: _python_scalar(value) for key, value in cell.items()}
     for key, value in cell.items():
         if key != "q":
-            _check_int(f"{where}{key}", value, 1, error=error)
-    _check_q(cell["q"], error, f"{where}q")
+            _check_int(f"{where}{key}", value, 1)
+    _check_q(cell["q"], f"{where}q")
     n = cell["n"]
     if cell.get("d", n) < n:
-        raise error(f"{where}d={cell['d']} is below n={n}")
+        raise InvalidParametersError(f"{where}d={cell['d']} is below n={n}")
     for key in ("m", "s", "s1", "s2"):
         if cell.get(key, n) > n:
-            raise error(f"{where}{key}={cell[key]} exceeds n={n}")
+            raise InvalidParametersError(f"{where}{key}={cell[key]} exceeds n={n}")
     if kind == "separation_sweep" and n & (n - 1):
-        raise error(f"{where}n={n} is not a power of two")
+        raise InvalidParametersError(f"{where}n={n} is not a power of two")
     return cell
 
 
@@ -91,20 +93,20 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in KINDS:
-            raise InvalidSpecError(f"unknown experiment kind {self.kind!r}")
+            raise InvalidParametersError(f"unknown experiment kind {self.kind!r}")
         try:
             grid = [dict(cell) for cell in self.grid]
         except (TypeError, ValueError) as exc:
-            raise InvalidSpecError(f"grid must be a list of objects: {exc}") from exc
+            raise InvalidParametersError(f"grid must be a list of objects: {exc}") from exc
         if not grid:
-            raise InvalidSpecError("grid must be nonempty")
-        checked = (_check_cell(self.kind, cell, InvalidSpecError, f"cell {ci} ") for ci, cell in enumerate(grid))
+            raise InvalidParametersError("grid must be nonempty")
+        checked = (_check_cell(self.kind, cell, f"cell {ci} ") for ci, cell in enumerate(grid))
         object.__setattr__(self, "grid", tuple(checked))
         for name in ("trials_per_cell", "success_threshold", "master_seed"):
             object.__setattr__(self, name, _python_scalar(getattr(self, name)))
-        _check_int("trials_per_cell", self.trials_per_cell, 1, error=InvalidSpecError)
-        _check_int("master_seed", self.master_seed, 0, error=InvalidSpecError)
-        _check_real("success_threshold", self.success_threshold, "(0, inf)", InvalidSpecError)
+        _check_int("trials_per_cell", self.trials_per_cell, 1)
+        _check_int("master_seed", self.master_seed, 0)
+        _check_real("success_threshold", self.success_threshold, "(0, inf)")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -112,20 +114,17 @@ class ExperimentSpec:
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise InvalidSpecError(f"spec is not valid JSON: {exc}") from exc
+            raise InvalidParametersError(f"spec is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
-            raise InvalidSpecError(f"spec must be a JSON object, got {type(payload).__name__}")
+            raise InvalidParametersError(f"spec must be a JSON object, got {type(payload).__name__}")
         names = [f.name for f in fields(cls)]
         for key in payload:
             if key not in names:
-                raise InvalidSpecError(f"spec has unknown field {key!r}; the fields are {', '.join(names)}")
+                raise InvalidParametersError(f"spec has unknown field {key!r}; the fields are {', '.join(names)}")
         for f in fields(cls):
             if f.default is MISSING and f.name not in payload:
-                raise InvalidSpecError(f"spec missing field {f.name!r}")
+                raise InvalidParametersError(f"spec missing field {f.name!r}")
         return cls(**payload)
-
-    def to_json(self) -> str:
-        return _json_text(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def _run_cell(cell, trial_fn, master_seed, trials, threshold) -> CellResult:
 def _run_sweep(spec: ExperimentSpec, kind: str, trial_fn) -> list:
     """Run each cell of a ``kind`` spec through ``_run_cell``; the spec checked every cell when it was built."""
     if spec.kind != kind:
-        raise InvalidSpecError(f"expected kind {kind}, got {spec.kind!r}")
+        raise InvalidParametersError(f"expected kind {kind}, got {spec.kind!r}")
     settings = (spec.master_seed, spec.trials_per_cell, spec.success_threshold)
     return [_run_cell(cell, trial_fn, *settings) for cell in spec.grid]
 
@@ -225,7 +224,7 @@ def run_figure1(
     InvalidParametersError is raised before any trial.
     """
     _check_int("trials", trials, 1)
-    cell = _check_cell("phase_transition", {"n": n, "d": d, "m": m, "q": q, "s": s}, InvalidParametersError)
+    cell = _check_cell("phase_transition", {"n": n, "d": d, "m": m, "q": q, "s": s})
     _check_real("threshold", threshold, "(0, inf)")
     return _run_cell(cell, _recovery_trial, master_seed, trials, threshold)
 
@@ -328,7 +327,7 @@ def cells_to_csv(cells) -> str:
     param_keys = sorted(cells[0].params.keys())
     for cell in cells:
         if sorted(cell.params.keys()) != param_keys:
-            raise InvalidSpecError("cells with differing parameter keys cannot share a CSV")
+            raise InvalidParametersError("cells with differing parameter keys cannot share a CSV")
     return _csv_text(param_keys + list(_METRICS), [cell.to_dict() for cell in cells])
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     GenerationFailedError,
     IllConditionedError,
-    InvalidDimensionsError,
     InvalidParametersError,
     NotAFrameError,
 )
@@ -45,19 +44,19 @@ _RANK_RTOL = 1e-12
 _MAX_RETRIES = 50
 
 
-def _check_real(name: str, value, interval: str, error=InvalidParametersError) -> None:
-    """Raise ``error`` unless ``value`` is a Python or numpy int or float, never a bool nor an int past the float
-    range, in ``interval``, written as the message prints it: ``"(0, 1]"``, ``"[0, inf)"``, or ``"[0, inf]"`` where
-    inf is allowed."""
+def _check_real(name: str, value, interval: str) -> None:
+    """Raise InvalidParametersError unless ``value`` is a Python or numpy int or float, never a bool nor an int past
+    the float range, in ``interval``, written as the message prints it: ``"(0, 1]"``, ``"[0, inf)"``, or
+    ``"[0, inf]"`` where inf is allowed."""
     low, high = interval[1:-1].split(", ")
     real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
     if real and isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise error(f"{name} must fit a float, got {_shown(value)}")
+        raise InvalidParametersError(f"{name} must fit a float, got {_shown(value)}")
     if real and (value >= float(low) if interval[0] == "[" else value > float(low)) and (
             value <= float(high) if interval[-1] == "]" else value < float(high)):
         return  # NaN fails every comparison
     half_line = f"be {'>=' if interval[0] == '[' else '>'} {low}" + ("" if interval[-1] == "]" else " and finite")
-    raise error(f"{name} must {half_line if high == 'inf' else 'lie in ' + interval}, got {value!r}")
+    raise InvalidParametersError(f"{name} must {half_line if high == 'inf' else 'lie in ' + interval}, got {value!r}")
 
 
 def _shown(x) -> str:
@@ -67,17 +66,17 @@ def _shown(x) -> str:
     return str(x)
 
 
-def _check_q(q: float, error=InvalidParametersError, name: str = "q") -> None:
-    """Raise ``error`` unless the exponent q is a number in (0, 1]."""
-    _check_real(name, q, "(0, 1]", error)
+def _check_q(q: float, name: str = "q") -> None:
+    """Raise InvalidParametersError unless the exponent q is a number in (0, 1]."""
+    _check_real(name, q, "(0, 1]")
 
 
-def _check_int(name: str, value, low=-math.inf, high=math.inf, error=InvalidParametersError) -> None:
-    """Raise ``error`` unless ``value`` is an integer in [low, high]; a bool or a float is not one."""
+def _check_int(name: str, value, low=-math.inf, high=math.inf) -> None:
+    """Raise InvalidParametersError unless ``value`` is an integer in [low, high]; a bool or a float is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} is not an integer: {value!r}")
+        raise InvalidParametersError(f"{name} is not an integer: {value!r}")
     if not low <= value <= high:
-        raise error(f"{name} must lie in [{_shown(low)}, {_shown(high)}], got {_shown(value)}")
+        raise InvalidParametersError(f"{name} must lie in [{_shown(low)}, {_shown(high)}], got {_shown(value)}")
 
 
 def _require_finite(**arrays) -> None:
@@ -99,9 +98,9 @@ def _matrix(name: str, x) -> np.ndarray:
     """``x`` as a finite 2-D float array with no zero dimension; errors name it ``name``."""
     x = _floats(name, x)
     if x.ndim != 2:
-        raise InvalidDimensionsError(f"{name} must be a 2-D matrix, got {x.ndim} dimension(s)")
+        raise InvalidParametersError(f"{name} must be a 2-D matrix, got {x.ndim} dimension(s)")
     if 0 in x.shape:
-        raise InvalidDimensionsError(f"{name} has shape {x.shape}; every dimension must be positive")
+        raise InvalidParametersError(f"{name} has shape {x.shape}; every dimension must be positive")
     _require_finite(**{name: x})
     return x
 
@@ -173,7 +172,7 @@ def _ambient_dim(mats) -> int:
     if not mats:
         raise InvalidParametersError("need at least one dictionary")
     if any(m.shape[0] != mats[0].shape[0] for m in mats):
-        raise InvalidDimensionsError("dictionaries must share the ambient dimension")
+        raise InvalidParametersError("dictionaries must share the ambient dimension")
     return mats[0].shape[0]
 
 
@@ -187,15 +186,13 @@ def frame_bounds(matrix: np.ndarray) -> tuple[float, float]:
     ------
     NotAFrameError
         If the rows fail to span R^n (rank-deficient matrix).
-    InvalidDimensionsError
-        If the matrix is not 2-D or has more rows than columns.
     InvalidParametersError
-        If the matrix holds NaN or inf.
+        If the matrix is not 2-D, has more rows than columns, or holds NaN or inf.
     """
     matrix = _matrix("matrix", matrix)
     n, d = matrix.shape
     if n > d:
-        raise InvalidDimensionsError(f"frame needs at least as many atoms as dimensions, got {n}x{d}")
+        raise InvalidParametersError(f"frame needs at least as many atoms as dimensions, got {n}x{d}")
     evals = np.linalg.eigvalsh(matrix @ matrix.T)
     lo, hi = float(evals[0]), float(evals[-1])
     if hi <= 0.0 or lo <= hi * _RANK_RTOL:
@@ -265,7 +262,7 @@ def random_tight_frame(n: int, d: int, seed) -> Frame:
     _check_int("n", n, 1)
     _check_int("d", d, 1)
     if n > d:
-        raise InvalidDimensionsError(f"tight frame requires n <= d, got n={n}, d={d}")
+        raise InvalidParametersError(f"tight frame requires n <= d, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, n))
     q, r = np.linalg.qr(g)
@@ -292,7 +289,7 @@ def mutual_coherence(dicts) -> float:
     """
     mats = [_atoms(item) for item in dicts]
     if len(mats) < 2:
-        raise InvalidDimensionsError("mutual coherence needs at least two dictionaries")
+        raise InvalidParametersError("mutual coherence needs at least two dictionaries")
     _ambient_dim(mats)
     best = 0.0
     for i in range(len(mats)):
@@ -322,13 +319,11 @@ def hard_threshold(x: np.ndarray, s: int, q: float = 1.0) -> SparseApproximation
     which must lie in (0, 1].  x is a finite vector.
     """
     _check_q(q)
-    _check_int("sparsity", s)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise InvalidDimensionsError(f"x must be a vector, got {x.ndim} dimension(s)")
+        raise InvalidParametersError(f"x must be a vector, got {x.ndim} dimension(s)")
     _require_finite(x=x)
-    d = x.size
-    _check_int("sparsity", s, 0, d, error=InvalidDimensionsError)
+    _check_int("sparsity", s, 0, x.size)
     order = np.argsort(-np.abs(x), kind="stable")
     support = np.sort(order[:s])
     dropped = x[order[s:]]
@@ -354,8 +349,7 @@ def cosparse_signal(frame: Frame, s: int, seed):
     """
     _require_frame("frame", frame)
     d, n = frame.num_atoms, frame.ambient_dim
-    _check_int("sparsity", s)
-    _check_int("sparsity", s, 1, n, error=InvalidDimensionsError)
+    _check_int("sparsity", s, 1, n)
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         cosupport = rng.choice(d, size=d - s, replace=False)
@@ -379,11 +373,11 @@ def load_matrix(path) -> np.ndarray:
     """Read a dense matrix from headerless ASCII CSV by ``np.loadtxt``, skipping blank lines.
 
     ``#`` starts no comment.  An empty file, a ragged row, a non-number (``1_000`` too) or NaN or inf
-    raises InvalidDimensionsError naming the path, and for a row the file line it is on."""
+    raises InvalidParametersError naming the path, and for a row the file line it is on."""
     with open(path, "r", encoding="ascii") as fh:
         numbered = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
     if not numbered:
-        raise InvalidDimensionsError(f"{path}: empty matrix file")
+        raise InvalidParametersError(f"{path}: empty matrix file")
     linenos, lines = zip(*numbered)
     try:
         matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
@@ -397,9 +391,9 @@ def load_matrix(path) -> np.ndarray:
                 ok = False
             if not ok:
                 message = f"expected a row of {width} numbers, got {line.strip()!r}"
-                raise InvalidDimensionsError(f"{path}:{lineno}: {message}") from exc
-        raise InvalidDimensionsError(f"{path}: not a numeric matrix: {exc}") from exc
+                raise InvalidParametersError(f"{path}:{lineno}: {message}") from exc
+        raise InvalidParametersError(f"{path}: not a numeric matrix: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
-        raise InvalidDimensionsError(f"{path}:{linenos[bad[0]]}: non-finite entry (nan or inf)")
+        raise InvalidParametersError(f"{path}:{linenos[bad[0]]}: non-finite entry (nan or inf)")
     return matrix

@@ -178,7 +178,8 @@ def error_constants(theta: float, rho: float, q: float, lower_bound: float, delt
     """
     _check_q(q)
     _check_real("theta", theta, "[0, inf]")
-    _check_real("theta", theta, "[0, 1)", ConditionUnevaluableError)
+    if theta >= 1.0:
+        raise ConditionUnevaluableError(f"theta must lie in [0, 1), got {theta!r}")
     _check_real("rho", rho, "(0, 1)")
     _check_real("lower_bound", lower_bound, "(0, inf]")
     _check_real("delta_a", delta_a, "[0, inf]")
@@ -252,6 +253,9 @@ def estimate_rip(
 ) -> RipReport:
     """Estimate the q-RIP constant of A relative to dictionary D at order s.
 
+    An order s above the d atoms of D is evaluated at d, as no support holds
+    more than d atoms; ``order`` and ``trials`` report the order evaluated.
+
     A is taken as given.  The constant measures |A D_S v|_q^q against
     |D_S v|_2^q, so it is near 0 only for an A normalised so that
     E|A x|_q^q = |x|_2^q: an m-row Gaussian A divided by
@@ -283,8 +287,10 @@ def estimate_rip(
     thousands of entries, and one ``rip_scan`` call per sampled support is
     what ``lqbench`` traces count as supports.
     """
-    A, Dm, entropy = _operands(A, D, q, s, budget, seed)
+    A, Dm, entropy = _operands(A, D, q, budget, seed)
     (m, n), d = A.shape, Dm.shape[1]
+    _check_int("s", s, 1)
+    s = min(s, d)
     support_rng, direction_rng = map(np.random.default_rng, np.random.SeedSequence(entropy).spawn(2))
     extra = budget if mode == "exhaustive" else 8  # random directions per sampled support
     block = max(1, _BATCH_ENTRIES // ((1 + extra) * max(m, n)))
@@ -361,7 +367,8 @@ def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed: int = 0) 
     depend on the scale of h.  Returns inf when some kernel vector with
     D^T h != 0 has all its mass on s entries.
     """
-    A, Dm, entropy = _operands(A, D, q, s, budget, seed)
+    A, Dm, entropy = _operands(A, D, q, budget, seed)
+    _check_int("s", s, 1, Dm.shape[1])
     _, _, vt, rank = _svd(A)
     null_basis = vt[rank:]
     k = null_basis.shape[0]
@@ -378,17 +385,15 @@ def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed: int = 0) 
     return float(np.max(top[live] / rest[live], initial=0.0))
 
 
-def _operands(A, D, q: float, s: int, budget: int, seed):
+def _operands(A, D, q: float, budget: int, seed):
     """The checked inputs of the q-RIP estimators: ``(A, atoms of D, seed entropy)``.
 
     Requires q in (0, 1], finite 2-D A and D with as many columns in A as
-    D has rows, an integer order 1 <= s <= d, an integer budget >= 0 and a
-    seed that is a non-negative integer.
+    D has rows, an integer budget >= 0 and a seed that is a non-negative
+    integer.  Each estimator checks its own order s.
     """
     _check_q(q)
     A, Dm = _matrix("A", A), _atoms(D)
-    d = Dm.shape[1]
-    _check_int("s", s, 1, d)
     if A.shape[1] != Dm.shape[0]:
         raise InvalidParametersError(f"A has {A.shape[1]} columns but the dictionary has {Dm.shape[0]} rows")
     _check_int("budget", budget, 0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimensionsError, InvalidParametersError
+from .errors import InvalidParametersError
 from .frames import Frame, _ambient_dim, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _require_frame
 from .rip import _comparison_order, measurement_bound, split_nsp_constant
 from .solvers import LqProblem, SolverConfig, irls_analysis
@@ -80,7 +80,7 @@ def build_stacked(dicts, A):
     n = _ambient_dim(mats)
     A = _matrix("A", A)
     if A.shape[1] != n:
-        raise InvalidDimensionsError(f"A has {A.shape[1]} columns, expected {n}")
+        raise InvalidParametersError(f"A has {A.shape[1]} columns, expected {n}")
     psi = np.zeros((n * len(mats), sum(mat.shape[1] for mat in mats)))
     col = 0
     for k, mat in enumerate(mats):

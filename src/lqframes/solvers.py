@@ -35,12 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IllConditionedError,
-    InfeasibleOrDegenerateError,
-    InvalidDimensionsError,
-    InvalidParametersError,
-)
+from .errors import IllConditionedError, InfeasibleOrDegenerateError, InvalidParametersError
 from .frames import (
     Frame, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _one_blas_thread, _require_finite,
     _require_frame, _svd,
@@ -57,7 +52,7 @@ def objective(f, D, q: float) -> float:
     _check_q(q)
     Dm, f = _atoms(D), np.asarray(f, dtype=float)
     if f.shape != Dm.shape[:1]:
-        raise InvalidDimensionsError(f"f has shape {f.shape}, expected ({Dm.shape[0]},)")
+        raise InvalidParametersError(f"f has shape {f.shape}, expected ({Dm.shape[0]},)")
     _require_finite(f=f)
     return float(np.sum(np.abs(Dm.T @ f) ** q))
 
@@ -89,9 +84,9 @@ class LqProblem:
             raise InvalidParametersError(f"norm_index must be 2 or inf, got {self.norm_index}")
         m, n = self.A.shape
         if self.y.size != m:
-            raise InvalidDimensionsError(f"y has length {self.y.size}, expected {m}")
+            raise InvalidParametersError(f"y has length {self.y.size}, expected {m}")
         if self.D.ambient_dim != n:
-            raise InvalidDimensionsError(
+            raise InvalidParametersError(
                 f"dictionary ambient dimension {self.D.ambient_dim} != signal dimension {n}"
             )
 

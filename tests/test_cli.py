@@ -93,6 +93,18 @@ def test_rip_estimate_schema(instance):
     assert condition["holds"] is False and condition["theta"] is None and condition["Delta"] is None
 
 
+def test_rip_estimate_evaluates_an_order_s_plus_a_above_d(tmp_path, capsys):
+    # the order-(s + a) = 9 check on 8 atoms is evaluated at order 8
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "A.csv", rng.standard_normal((4, 6)), delimiter=",")
+    np.savetxt(tmp_path / "D.csv", rng.standard_normal((6, 8)), delimiter=",")
+    argv = ["rip-estimate", "--matrix", str(tmp_path / "A.csv"), "--dict", str(tmp_path / "D.csv"), "--q", "0.7",
+            "--s", "2", "--a", "7", "--mode", "sampled", "--budget", "8"]
+    assert main(argv) == 0
+    condition = json.loads(capsys.readouterr().out)["condition"]
+    assert list(condition) == ["lhs", "rhs", "holds", "theta", "Delta"]
+
+
 def test_rip_estimate_evaluates_the_condition(tmp_path):
     # with A = D = I_4 every estimated constant is finite and below 1, so the
     # condition is evaluated rather than ruled out

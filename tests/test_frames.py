@@ -5,7 +5,6 @@ from lqframes import (
     Frame,
     GenerationFailedError,
     IllConditionedError,
-    InvalidDimensionsError,
     InvalidParametersError,
     NotAFrameError,
     canonical_dual,
@@ -43,7 +42,7 @@ def test_frame_bounds_rejects_rank_deficient():
 
 
 def test_frame_bounds_rejects_tall_matrix():
-    with pytest.raises(InvalidDimensionsError):
+    with pytest.raises(InvalidParametersError):
         frame_bounds(np.ones((3, 2)))
 
 
@@ -120,7 +119,7 @@ def test_random_tight_frame_deterministic():
 
 
 def test_random_tight_frame_rejects_n_gt_d():
-    with pytest.raises(InvalidDimensionsError):
+    with pytest.raises(InvalidParametersError):
         random_tight_frame(5, 4, 0)
 
 
@@ -158,17 +157,17 @@ def test_mutual_coherence_symmetry_and_permutation():
 
 
 def test_mutual_coherence_rejects_mismatched_dimensions():
-    with pytest.raises(InvalidDimensionsError):
+    with pytest.raises(InvalidParametersError):
         mutual_coherence([np.eye(3), np.eye(4)])
 
 
 def test_mutual_coherence_rejects_1d_dictionaries():
-    with pytest.raises(InvalidDimensionsError):
+    with pytest.raises(InvalidParametersError):
         mutual_coherence([np.ones(3), np.ones(3)])
 
 
 def test_mutual_coherence_needs_two():
-    with pytest.raises(InvalidDimensionsError):
+    with pytest.raises(InvalidParametersError):
         mutual_coherence([np.eye(3)])
 
 
@@ -198,7 +197,7 @@ def test_hard_threshold_rejects_q_outside_unit_interval(q):
 
 
 def test_hard_threshold_refuses_an_array_that_is_not_a_vector():
-    with pytest.raises(InvalidDimensionsError, match="vector"):
+    with pytest.raises(InvalidParametersError, match="vector"):
         hard_threshold(np.array([[3.0, -1.0, 2.0]]), 2)
 
 
@@ -241,7 +240,7 @@ def test_cosparse_reference_dims_exact_sparsity():
 )
 def test_sparsity_outside_its_range_is_a_dimension_error(call, s):
     # 5 is one past both x.size and the frame's n = 4
-    with pytest.raises(InvalidDimensionsError, match="^sparsity must lie in"):
+    with pytest.raises(InvalidParametersError, match="^sparsity must lie in"):
         call(s)
 
 
@@ -300,14 +299,14 @@ def test_csv_round_trip(tmp_path):
 def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(InvalidDimensionsError):
+    with pytest.raises(InvalidParametersError):
         load_matrix(path)
 
 
 def test_csv_rejects_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,x\n")
-    with pytest.raises(InvalidDimensionsError):
+    with pytest.raises(InvalidParametersError):
         load_matrix(path)
 
 
@@ -315,7 +314,7 @@ def test_csv_rejects_non_numeric(tmp_path):
 def test_csv_rejects_non_finite(tmp_path, token):
     path = tmp_path / "bad.csv"
     path.write_text(f"1.0,2.0\n3.0,{token}\n")
-    with pytest.raises(InvalidDimensionsError, match=r"bad\.csv:2: non-finite"):
+    with pytest.raises(InvalidParametersError, match=r"bad\.csv:2: non-finite"):
         load_matrix(path)
 
 
@@ -338,7 +337,7 @@ def test_load_matrix_skips_blank_lines_at_any_line_ending(tmp_path, text):
 def test_load_matrix_refuses_a_file_that_is_no_matrix_in_one_line_naming_it(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_bytes(text.encode("ascii"))
-    with pytest.raises(InvalidDimensionsError) as info:
+    with pytest.raises(InvalidParametersError) as info:
         load_matrix(path)
     assert str(path) in str(info.value) and "\n" not in str(info.value)
 
@@ -351,7 +350,7 @@ def test_load_matrix_refuses_a_file_that_is_no_matrix_in_one_line_naming_it(tmp_
 def test_load_matrix_names_the_file_line_of_a_refused_row(tmp_path, text, shown):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(InvalidDimensionsError, match=r"bad\.csv:3: expected a row of 2 numbers") as info:
+    with pytest.raises(InvalidParametersError, match=r"bad\.csv:3: expected a row of 2 numbers") as info:
         load_matrix(path)
     assert str(info.value).endswith(shown)
 
@@ -359,7 +358,7 @@ def test_load_matrix_names_the_file_line_of_a_refused_row(tmp_path, text, shown)
 def test_load_matrix_names_the_file_line_of_a_non_finite_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n\n  \n3.0,1e400\n")
-    with pytest.raises(InvalidDimensionsError, match=r"bad\.csv:4: non-finite"):
+    with pytest.raises(InvalidParametersError, match=r"bad\.csv:4: non-finite"):
         load_matrix(path)
 
 

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lqframes
-from lqframes import InvalidParametersError, InvalidSpecError
+from lqframes import InvalidParametersError
 
 _NAN = math.nan
 _CELL = {"n": 20, "d": 24, "m": 14, "q": 0.7, "s": 6}
@@ -48,14 +49,21 @@ def _reached_names():
     """The names reachable from the package's import-time code, the CLI, the benchmark and the paper checks.
 
     Each top-level def or class of ``src/lqframes`` is a node whose edges are the names its code
-    references (same-named definitions share a node).  The walk starts from every other module-level
-    statement of the package, from ``main``, and from all of ``lqbench/*.py`` (not its tests) and
-    ``tests/test_acceptance.py``.
+    references, and so is each public method or property of a class, keyed by its own name; the class's
+    node keeps the rest of the class.  Same-named definitions share a node.  The walk starts from every
+    other module-level statement of the package, from ``main``, and from all of ``lqbench/*.py`` (not its
+    tests) and ``tests/test_acceptance.py``.
     """
     edges, roots = {}, {"main"}
     for path in sorted((_ROOT / "src" / "lqframes").glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(stmt, ast.ClassDef):
+                members = [sub for sub in stmt.body if isinstance(sub, ast.FunctionDef) and sub.name[0] != "_"]
+                for member in members:
+                    edges.setdefault(member.name, set()).update(_referenced_names([member]))
+                rest = [*stmt.bases, *stmt.decorator_list, *(sub for sub in stmt.body if sub not in members)]
+                edges.setdefault(stmt.name, set()).update(_referenced_names(rest))
+            elif isinstance(stmt, ast.FunctionDef):
                 edges.setdefault(stmt.name, set()).update(_referenced_names([stmt]))
             else:
                 roots |= _referenced_names([stmt])
@@ -74,12 +82,15 @@ def _reached_names():
 
 
 def test_every_public_name_has_a_caller():
-    # A public name stays only if the package's import-time code, the CLI, the benchmark's own modules
-    # or the paper-claim checks reach it; the unit tests alone, or an uncalled name, do not keep a name.
+    # A public name, method or property stays only if the package's import-time code, the CLI, the benchmark's
+    # own modules or the paper-claim checks reach it; the unit tests alone, or an uncalled name, do not keep one.
     reached = _reached_names()
     # __version__ is package metadata, read by tools, not called
     public = [name for name in lqframes.__all__ if not name.startswith("__")]
-    uncalled = sorted(name for name in public if name not in reached)
+    classes = [(name, getattr(lqframes, name)) for name in public if isinstance(getattr(lqframes, name), type)]
+    public += [f"{name}.{member}" for name, cls in classes for member, value in vars(cls).items()
+               if member[0] != "_" and isinstance(value, (types.FunctionType, property, classmethod))]
+    uncalled = sorted(name for name in public if name.rpartition(".")[2] not in reached)
     assert uncalled == sorted(_UNCALLED)
 
 
@@ -97,39 +108,38 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call",
     [
-        (lambda: lqframes.LqProblem(A=np.eye(2), y=np.ones(2), D=lqframes.Frame.from_matrix(np.eye(2)), q=0.7,
-                                    epsilon=_NAN), InvalidParametersError),
-        (lambda: lqframes.measurement_bound(0.7, 2, 8, kappa=_NAN), InvalidParametersError),
-        (lambda: lqframes.check_recovery_condition(_NAN, 0.1, 1, 4, 1.0, 0.7), InvalidParametersError),
-        (lambda: lqframes.check_recovery_condition(0.1, _NAN, 1, 4, 1.0, 0.7), InvalidParametersError),
-        (lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, _NAN, 0.7), InvalidParametersError),
-        (lambda: lqframes.check_separation_conditions(_NAN, [1, 1], 5, 0.1, 0.1, 0.7), InvalidParametersError),
-        (lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, _NAN, 0.1, 0.7), InvalidParametersError),
-        (lambda: lqframes.error_constants(_NAN, 0.25, 0.7, 1.0, 0.1), InvalidParametersError),
-        (lambda: lqframes.split_nsp_constant(0.5, 1.1, _NAN, 0.7, 2), InvalidParametersError),
-        (lambda: lqframes.ExperimentSpec(kind="phase_transition", grid=[_CELL], success_threshold=_NAN),
-         InvalidSpecError),
-        (lambda: lqframes.SolverConfig(tol=_NAN), InvalidParametersError),
-        (lambda: lqframes.run_figure1(trials=1, threshold=_NAN), InvalidParametersError),
-        (lambda: lqframes.error_constants(0.5, _NAN, 0.7, 1.0, 0.1), InvalidParametersError),
-        (lambda: lqframes.error_constants(0.5, 0.25, 0.7, _NAN, 0.1), InvalidParametersError),
-        (lambda: lqframes.error_constants(0.5, 0.25, 0.7, 1.0, _NAN), InvalidParametersError),
-        (lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, 0.1, _NAN, 0.7), InvalidParametersError),
-        (lambda: lqframes.split_nsp_constant(_NAN, 1.1, 0.1, 0.7, 2), InvalidParametersError),
-        (lambda: lqframes.split_nsp_constant(0.5, _NAN, 0.1, 0.7, 2), InvalidParametersError),
-        (lambda: lqframes.objective(np.ones(2), np.eye(2), _NAN), InvalidParametersError),
-        (lambda: lqframes.tail_constant(_NAN), InvalidParametersError),
-        (lambda: lqframes.measurement_bound(_NAN, 2, 8), InvalidParametersError),
-        (lambda: lqframes.separation_measurement_bound(_NAN, 2, 8), InvalidParametersError),
-        (lambda: lqframes.run_bounds_table([_NAN], 2, 8), InvalidParametersError),
-        (lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, 1.0, _NAN), InvalidParametersError),
-        (lambda: lqframes.error_constants(0.5, 0.25, _NAN, 1.0, 0.1), InvalidParametersError),
-        (lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, 0.1, 0.1, _NAN), InvalidParametersError),
-        (lambda: lqframes.split_nsp_constant(0.5, 1.1, 0.1, _NAN, 2), InvalidParametersError),
-        (lambda: lqframes.estimate_nsp_theta(np.ones((1, 2)), np.eye(2), _NAN, 1), InvalidParametersError),
-        (lambda: lqframes.ExperimentSpec(kind="phase_transition", grid=[dict(_CELL, q=_NAN)]), InvalidSpecError),
+        lambda: lqframes.LqProblem(A=np.eye(2), y=np.ones(2), D=lqframes.Frame.from_matrix(np.eye(2)), q=0.7,
+                                   epsilon=_NAN),
+        lambda: lqframes.measurement_bound(0.7, 2, 8, kappa=_NAN),
+        lambda: lqframes.check_recovery_condition(_NAN, 0.1, 1, 4, 1.0, 0.7),
+        lambda: lqframes.check_recovery_condition(0.1, _NAN, 1, 4, 1.0, 0.7),
+        lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, _NAN, 0.7),
+        lambda: lqframes.check_separation_conditions(_NAN, [1, 1], 5, 0.1, 0.1, 0.7),
+        lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, _NAN, 0.1, 0.7),
+        lambda: lqframes.error_constants(_NAN, 0.25, 0.7, 1.0, 0.1),
+        lambda: lqframes.split_nsp_constant(0.5, 1.1, _NAN, 0.7, 2),
+        lambda: lqframes.ExperimentSpec(kind="phase_transition", grid=[_CELL], success_threshold=_NAN),
+        lambda: lqframes.SolverConfig(tol=_NAN),
+        lambda: lqframes.run_figure1(trials=1, threshold=_NAN),
+        lambda: lqframes.error_constants(0.5, _NAN, 0.7, 1.0, 0.1),
+        lambda: lqframes.error_constants(0.5, 0.25, 0.7, _NAN, 0.1),
+        lambda: lqframes.error_constants(0.5, 0.25, 0.7, 1.0, _NAN),
+        lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, 0.1, _NAN, 0.7),
+        lambda: lqframes.split_nsp_constant(_NAN, 1.1, 0.1, 0.7, 2),
+        lambda: lqframes.split_nsp_constant(0.5, _NAN, 0.1, 0.7, 2),
+        lambda: lqframes.objective(np.ones(2), np.eye(2), _NAN),
+        lambda: lqframes.tail_constant(_NAN),
+        lambda: lqframes.measurement_bound(_NAN, 2, 8),
+        lambda: lqframes.separation_measurement_bound(_NAN, 2, 8),
+        lambda: lqframes.run_bounds_table([_NAN], 2, 8),
+        lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, 1.0, _NAN),
+        lambda: lqframes.error_constants(0.5, 0.25, _NAN, 1.0, 0.1),
+        lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, 0.1, 0.1, _NAN),
+        lambda: lqframes.split_nsp_constant(0.5, 1.1, 0.1, _NAN, 2),
+        lambda: lqframes.estimate_nsp_theta(np.ones((1, 2)), np.eye(2), _NAN, 1),
+        lambda: lqframes.ExperimentSpec(kind="phase_transition", grid=[dict(_CELL, q=_NAN)]),
     ],
     ids=[
         "problem-epsilon", "bound-kappa", "condition-delta-a", "condition-delta-sa", "condition-kappa",
@@ -139,9 +149,9 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         "condition-q", "error-q", "separation-q", "split-q", "nsp-q", "spec-cell-q",
     ],
 )
-def test_nan_parameters_are_refused(call, error):
+def test_nan_parameters_are_refused(call):
     # every range check is written as the negation of the admissible range, which NaN never meets
-    with pytest.raises(error):
+    with pytest.raises(InvalidParametersError):
         call()
 
 
@@ -150,26 +160,26 @@ def _spec_json(**fields):
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call",
     [
-        (lambda: lqframes.hard_threshold(np.arange(4.0), 2.5), InvalidParametersError),
-        (lambda: lqframes.cosparse_signal(lqframes.random_tight_frame(4, 6, 0), 2.5, 0), InvalidParametersError),
-        (lambda: lqframes.measurement_bound(0.7, 2.5, 8), InvalidParametersError),
-        (lambda: lqframes.separation_measurement_bound(0.7, 2.5, 8), InvalidParametersError),
-        (lambda: lqframes.check_separation_conditions(0.01, [1.7, 2.2], 5, 0.1, 0.1, 0.7), InvalidParametersError),
-        (lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4.5, 1.0, 0.7), InvalidParametersError),
-        (lambda: lqframes.ExperimentSpec.from_json(_spec_json(trials_per_cell=2.7)), InvalidSpecError),
-        (lambda: lqframes.ExperimentSpec.from_json(_spec_json(master_seed=1.9)), InvalidSpecError),
-        (lambda: lqframes.random_tight_frame(4.5, 6, 0), InvalidParametersError),
-        (lambda: lqframes.run_figure1(trials=2.5), InvalidParametersError),
-        (lambda: lqframes.run_figure1(n=20.0), InvalidParametersError),
+        lambda: lqframes.hard_threshold(np.arange(4.0), 2.5),
+        lambda: lqframes.cosparse_signal(lqframes.random_tight_frame(4, 6, 0), 2.5, 0),
+        lambda: lqframes.measurement_bound(0.7, 2.5, 8),
+        lambda: lqframes.separation_measurement_bound(0.7, 2.5, 8),
+        lambda: lqframes.check_separation_conditions(0.01, [1.7, 2.2], 5, 0.1, 0.1, 0.7),
+        lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4.5, 1.0, 0.7),
+        lambda: lqframes.ExperimentSpec.from_json(_spec_json(trials_per_cell=2.7)),
+        lambda: lqframes.ExperimentSpec.from_json(_spec_json(master_seed=1.9)),
+        lambda: lqframes.random_tight_frame(4.5, 6, 0),
+        lambda: lqframes.run_figure1(trials=2.5),
+        lambda: lqframes.run_figure1(n=20.0),
     ],
     ids=["threshold-s", "cosparse-s", "bound-s", "separation-bound-s", "separation-sparsities", "condition-a",
          "spec-trials", "spec-seed", "tight-frame-n", "figure1-trials", "figure1-n"],
 )
-def test_non_integer_orders_are_refused(call, error):
+def test_non_integer_orders_are_refused(call):
     # an order, count or seed is an integer; a float is refused, never truncated
-    with pytest.raises(error, match="is not an integer"):
+    with pytest.raises(InvalidParametersError, match="is not an integer"):
         call()
 
 
@@ -265,7 +275,7 @@ def test_a_real_argument_just_past_its_interval_is_refused(entry):
     elif not closed_high:
         past.append(math.inf)
     for value in past:
-        with pytest.raises(InvalidSpecError if entry.startswith("spec") else InvalidParametersError, match="must "):
+        with pytest.raises(InvalidParametersError, match="must "):
             call(value)
     inside = [np.float32(low + 0.5 if high == math.inf else (low + high) / 2)]
     inside += [low, np.int64(low)] if closed_low else []
@@ -329,3 +339,36 @@ def test_an_input_of_the_wrong_kind_is_an_lqframes_error(call, message):
     # these raised AttributeError (a raw array for a Frame) or numpy's ValueError (a string for an array)
     with pytest.raises(InvalidParametersError, match=message):
         call()
+
+
+_RNG = np.random.default_rng(0)
+_A35, _D68 = _RNG.standard_normal((3, 5)), _RNG.standard_normal((6, 8))
+_TIGHT46 = lqframes.random_tight_frame(4, 6, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda path: lqframes.estimate_rip(_A35, _D68, 0.7, 2, mode="sampled", budget=4),
+         "A has 5 columns but the dictionary has 6 rows"),
+        (lambda path: lqframes.estimate_nsp_theta(_A35, _D68, 0.7, 2), "A has 5 columns but the dictionary has 6 rows"),
+        (lambda path: lqframes.LqProblem(A=np.eye(2), y=np.ones(2), D=lqframes.Frame.from_matrix(np.eye(3)), q=0.7),
+         "dictionary ambient dimension 3 != signal dimension 2"),
+        (lambda path: lqframes.build_stacked([np.eye(3), np.eye(3)], np.ones((2, 4))), "A has 4 columns, expected 3"),
+        (lambda path: lqframes.ExperimentSpec(kind="phase_transition", grid=[dict(_CELL, d=10)]),
+         "cell 0 d=10 is below n=20"),
+        (lambda path: lqframes.run_figure1(**dict(_CELL, d=10)), "d=10 is below n=20"),
+        (lambda path: lqframes.cosparse_signal(_TIGHT46, 2.5, 0), "sparsity is not an integer: 2.5"),
+        (lambda path: lqframes.cosparse_signal(_TIGHT46, 5, 0), "sparsity must lie in [1, 4], got 5"),
+        (lambda path: lqframes.load_matrix(path), "{path}:2: expected a row of 2 numbers, got 'a,b'"),
+    ],
+    ids=["rip-mismatch", "nsp-mismatch", "problem-mismatch", "stacked-mismatch", "spec-cell", "figure1-cell",
+         "cosparse-float-s", "cosparse-s-above-n", "load-non-number"],
+)
+def test_one_refusal_one_type(call, message, tmp_path):
+    # one rule broken in two places raises one class with one text, whichever function checks it
+    path = tmp_path / "bad.csv"
+    path.write_text("1.0,2.0\na,b\n", encoding="ascii")
+    with pytest.raises(InvalidParametersError) as info:
+        call(path)
+    assert str(info.value) == message.format(path=path)

@@ -8,7 +8,6 @@ from lqframes import (
     ConditionUnevaluableError,
     DegenerateDictionaryError,
     EmptyKernelError,
-    InvalidDimensionsError,
     InvalidParametersError,
     check_recovery_condition,
     error_constants,
@@ -369,24 +368,26 @@ def test_rip_rejects_negative_seed_and_budget(call):
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call",
     [
-        (lambda A, D: estimate_rip(A[0], D, 0.7, 2, mode="sampled", budget=4), InvalidDimensionsError),
-        (lambda A, D: estimate_nsp_theta(A[0], D, 0.7, 2), InvalidDimensionsError),
-        (lambda A, D: estimate_rip(A, D, 0.7, 2.5, mode="sampled", budget=4), InvalidParametersError),
-        (lambda A, D: estimate_rip(A, D, 0.7, 2.0, mode="exhaustive", budget=4), InvalidParametersError),
-        (lambda A, D: estimate_nsp_theta(A, D, 0.7, 2.5), InvalidParametersError),
-        (lambda A, D: estimate_nsp_theta(A[:, :5], D, 0.7, 2), InvalidParametersError),
-        (lambda A, D: estimate_rip(A[:0], D, 0.7, 2, mode="sampled", budget=4), InvalidDimensionsError),
-        (lambda A, D: estimate_nsp_theta(A[:0], D, 0.7, 2), InvalidDimensionsError),
-        (lambda A, D: estimate_rip(A, D, 0.7, 2, mode="greedy"), InvalidParametersError),
+        lambda A, D: estimate_rip(A[0], D, 0.7, 2, mode="sampled", budget=4),
+        lambda A, D: estimate_nsp_theta(A[0], D, 0.7, 2),
+        lambda A, D: estimate_rip(A, D, 0.7, 2.5, mode="sampled", budget=4),
+        lambda A, D: estimate_rip(A, D, 0.7, 2.0, mode="exhaustive", budget=4),
+        lambda A, D: estimate_nsp_theta(A, D, 0.7, 2.5),
+        lambda A, D: estimate_nsp_theta(A[:, :5], D, 0.7, 2),
+        lambda A, D: estimate_rip(A[:0], D, 0.7, 2, mode="sampled", budget=4),
+        lambda A, D: estimate_nsp_theta(A[:0], D, 0.7, 2),
+        lambda A, D: estimate_rip(A, D, 0.7, 2, mode="greedy"),
+        lambda A, D: estimate_rip(A, D, 0.7, 0, mode="sampled", budget=4),
+        lambda A, D: estimate_nsp_theta(A, D, 0.7, 9),
     ],
     ids=["rip-1d-A", "nsp-1d-A", "rip-float-order", "exhaustive-float-order", "nsp-float-order", "nsp-A-D-mismatch",
-         "rip-0-row-A", "nsp-0-row-A", "rip-unknown-mode"],
+         "rip-0-row-A", "nsp-0-row-A", "rip-unknown-mode", "rip-order-0", "nsp-order-above-d"],
 )
-def test_rip_rejects_malformed_operands(call, error):
+def test_rip_rejects_malformed_operands(call):
     rng = np.random.default_rng(4)
-    with pytest.raises(error):
+    with pytest.raises(InvalidParametersError):
         call(rng.standard_normal((4, 6)), rng.standard_normal((6, 8)))
 
 
@@ -395,6 +396,16 @@ def test_estimate_rip_counts_trials():
     rep = estimate_rip(I, I, 1.0, 2, mode="exhaustive", budget=3, seed=0)
     # C(5,2) supports, each probed with 2 axes + flat + 3 random directions
     assert rep.trials == 10 * 6
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_estimate_rip_evaluates_an_order_above_d_at_d(mode):
+    # no support holds more than the d = 8 atoms, so order 11 has the order-8 constant
+    rng = np.random.default_rng(5)
+    A, D = rng.standard_normal((4, 6)), rng.standard_normal((6, 8))
+    rep = estimate_rip(A, D, 0.7, 11, mode=mode, budget=4)
+    assert rep == estimate_rip(A, D, 0.7, 8, mode=mode, budget=4)
+    assert rep.order == 8
 
 
 # ---------------------------------------------------------------------------

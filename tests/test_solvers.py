@@ -13,7 +13,6 @@ from lqframes import (
     Frame,
     IllConditionedError,
     InfeasibleOrDegenerateError,
-    InvalidDimensionsError,
     InvalidParametersError,
     LqProblem,
     SolverConfig,
@@ -62,7 +61,7 @@ def test_objective_lq_powsum_reference():
 
 @pytest.mark.parametrize("f", [np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3))])
 def test_objective_refuses_an_f_that_is_not_a_vector_over_the_rows_of_d(f):
-    with pytest.raises(InvalidDimensionsError, match="f has shape"):
+    with pytest.raises(InvalidParametersError, match="f has shape"):
         objective(f, np.eye(3), 0.7)
 
 
@@ -86,13 +85,13 @@ def test_problem_rejects_bad_q():
 
 def test_problem_rejects_1d_measurement_matrix():
     D = Frame.from_matrix(np.eye(3))
-    with pytest.raises(InvalidDimensionsError, match="^A must be a 2-D matrix"):
+    with pytest.raises(InvalidParametersError, match="^A must be a 2-D matrix"):
         LqProblem(A=np.ones(3), y=np.ones(1), D=D, q=0.5)
 
 
 def test_problem_rejects_a_measurement_matrix_without_rows():
     D = Frame.from_matrix(np.eye(3))
-    with pytest.raises(InvalidDimensionsError, match="every dimension must be positive"):
+    with pytest.raises(InvalidParametersError, match="every dimension must be positive"):
         LqProblem(A=np.zeros((0, 3)), y=np.zeros(0), D=D, q=0.7)
 
 
@@ -144,7 +143,7 @@ def test_config_cannot_change_after_its_checks(field, value):
 )
 def test_problem_rejects_mismatched_dimensions(change, message):
     args = {"A": np.eye(2), "y": np.ones(2), "D": Frame(matrix=np.eye(2), lower_bound=1.0, upper_bound=1.0)}
-    with pytest.raises(InvalidDimensionsError, match=message):
+    with pytest.raises(InvalidParametersError, match=message):
         LqProblem(q=0.7, **{**args, **change})
 
 
