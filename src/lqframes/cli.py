@@ -26,7 +26,7 @@ from .experiments import (
     run_phase_transition,
     run_separation_sweep,
 )
-from .frames import Frame, _one_blas_thread, canonical_dual, load_matrix, mutual_coherence
+from .frames import Frame, _check_int, _one_blas_thread, canonical_dual, load_matrix, mutual_coherence
 from .rip import check_recovery_condition, estimate_rip
 from .separation import SeparationProblem, check_separation_conditions, solve_split_analysis
 from .solvers import LqProblem, SolverConfig, irl1_analysis, irls_analysis
@@ -55,6 +55,8 @@ def _cmd_rip_estimate(args):
     D = load_matrix(args.dict)
     frame = Frame.from_matrix(D)
     target = canonical_dual(frame).matrix if args.dual else D
+    if args.a is not None:
+        _check_int("a", args.a, args.s + 1)
     rip = functools.partial(estimate_rip, A, target, args.q, mode=args.mode, budget=args.budget, seed=args.seed)
     payload = {**rip(args.s).to_dict(), "condition": None}
     if args.a is not None:
@@ -102,6 +104,7 @@ def _cmd_separate(args):
         sparsities = [_estimate_sparsity(fr.matrix.T @ comp) for fr, comp in zip(dicts, components)]
     s_total = sum(sparsities)
     a = args.a if args.a is not None else 2 * s_total
+    _check_int("a", a, s_total + 1)
     dbar = np.hstack([fr.matrix for fr in dicts])
     rip = functools.partial(estimate_rip, A, dbar, args.q, mode="sampled", budget=args.rip_budget, seed=args.seed)
     rep_a, rep_sa = rip(a), rip(s_total + a)

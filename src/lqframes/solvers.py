@@ -22,7 +22,7 @@ IRL1 takes one such step per reweighting, on the atoms w_i d_i at q = 1:
 it lowers a majoriser of the weighted-l1 objective, which is all that
 majorise-minimise needs (Hunter and Lange, Am. Stat. 2004).  At eps = 0
 the weighted-l1 step is a linear program over z, solved exactly by vertex
-descent (``_l1_vertex``).
+descent (``_l1_vertex``) from independent atoms, then from the last basis.
 
 Solvers hold no shared state, so independent instances may run
 concurrently.  A solve runs at one OpenBLAS thread (``_one_blas_thread``):
@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import IllConditionedError, InfeasibleOrDegenerateError, InvalidParametersError
 from .frames import (
-    Frame, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _one_blas_thread, _require_finite,
-    _require_frame, _svd,
+    _RANK_RTOL, Frame, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _one_blas_thread,
+    _require_finite, _require_frame, _svd,
 )
 
 __all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_analysis", "objective"]
@@ -319,36 +319,48 @@ def irls_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     return _reweight(problem, config, f0, c0, lambda c, sigma: wls((c * c + sigma) ** exponent))
 
 
+def _independent_atoms(B, order):
+    """The first k = B.shape[1] atoms in ``order`` whose rows of B are independent of the rows kept before them.
+
+    Gram-Schmidt keeps a row whose residual is above ``_RANK_RTOL`` times its norm: no zero or repeated atom.
+    """
+    Q, Z = np.empty((0, B.shape[1])), []
+    for i in order:
+        r = B[i] - Q.T @ (Q @ B[i])
+        r -= Q.T @ (Q @ r)  # the second pass restores the orthogonality rounding lost
+        norm = np.linalg.norm(r)
+        if norm > _RANK_RTOL * np.linalg.norm(B[i]):
+            Q, Z = np.vstack([Q, r / norm]), Z + [i]
+            if len(Z) == B.shape[1]:
+                break
+    return np.array(Z)
+
+
 def _l1_vertex(B, c0, w, Z):
     """min sum_i w_i |c_i| over c = c0 + B z, by vertex descent from B_Z z = -c0_Z.
 
     In the kernel coordinates of ``_wls_steps`` every z is feasible; a
-    vertex is a set Z of k = B.shape[1] atoms with c_Z = 0, and multipliers
-    B_Z^T u = -B_S^T (w sign c)_S (S the rest) with |u_i| <= w_i prove it
-    optimal.  Otherwise atom i with the largest |u_i| - w_i leaves Z along
-    dz = B_Z^-1 e_i sign(u_i), and the atom at which the slope along that
-    edge turns nonnegative joins (Barrodale and Roberts, SIAM J. Numer.
-    Anal. 1973).  The descent ends when a pivot lowers the objective by no
-    more than 1e-12 relative, so no vertex recurs, or when B_Z is singular.
-    Returns z, or None when B_Z is singular at the start.
+    vertex is a set Z of k = B.shape[1] atoms, B_Z nonsingular, with c_Z =
+    0; multipliers B_Z^T u = -B_S^T (w sign c)_S (S the rest) with |u_i| <=
+    w_i prove it optimal.  Otherwise atom i with the largest |u_i| - w_i
+    leaves Z along dz = B_Z^-1 e_i sign(u_i), and the atom j at which the
+    slope along that edge turns nonnegative joins (Barrodale and Roberts,
+    SIAM J. Numer. Anal. 1973); <b_j, dz> != 0 keeps B_Z nonsingular.  The
+    descent ends when a pivot lowers the objective by no more than 1e-12
+    relative, so no vertex recurs.  Returns ``(z, Z)``, Z its last basis.
     """
-    try:
-        z = np.linalg.solve(B[Z], -c0[Z])
-    except np.linalg.LinAlgError:
-        return None
+    Z = np.array(Z)
+    z = np.linalg.solve(B[Z], -c0[Z])
     c = c0 + B @ z
     while True:
         S = np.ones(c.size, dtype=bool)
         S[Z] = False
-        try:
-            u = np.linalg.solve(B[Z].T, -(B[S].T @ (w[S] * np.sign(c[S]))))
-            excess = np.abs(u) - w[Z]
-            i = np.argmax(excess)
-            if excess[i] <= 0.0:
-                break
-            dz = np.linalg.solve(B[Z], np.eye(Z.size)[i] * np.sign(u[i]))
-        except np.linalg.LinAlgError:
+        u = np.linalg.solve(B[Z].T, -(B[S].T @ (w[S] * np.sign(c[S]))))
+        excess = np.abs(u) - w[Z]
+        i = np.argmax(excess)
+        if excess[i] <= 0.0:
             break
+        dz = np.linalg.solve(B[Z], np.eye(Z.size)[i] * np.sign(u[i]))
         r = B @ dz  # d c / d step
         ahead = np.flatnonzero(S & (r * c < 0.0))  # coefficients the step drives to zero
         if not ahead.size:
@@ -361,7 +373,7 @@ def _l1_vertex(B, c0, w, Z):
         if not w @ np.abs(c_new) < (1.0 - 1e-12) * (w @ np.abs(c)):
             break
         z, c, Z[i] = z + alpha[j] * dz, c_new, ahead[j]
-    return z
+    return z, Z
 
 
 @_one_blas_thread()
@@ -371,25 +383,28 @@ def irl1_analysis(problem: LqProblem, config: SolverConfig | None = None) -> Sol
     Each outer step lowers sum_i w_i |<d_i, f>| subject to |A f - y|_r <=
     eps, w_i = (|<d_i, f_prev>| + sigma_j)^(q - 1) scaled to mean 1.  At
     eps = 0 ``_l1_vertex`` reaches the minimum, a vertex where n - m
-    coefficients vanish, from the vertex of the n - m smallest
-    w_i |<d_i, f_prev>|: after the first step, f_prev's own.  For eps > 0,
-    or when those atoms fix no vertex, it takes one weighted least-squares
-    step of IRLS at q = 1 on the atoms w_i d_i, with weights
+    coefficients vanish, from the basis the last descent ended on; the
+    first starts from ``_independent_atoms`` in order of w_i |<d_i, f0>|.
+    For eps > 0, or a square A, it takes one weighted least-squares step
+    of IRLS at q = 1 on the atoms w_i d_i, with weights
     w_i^2 / sqrt((w_i <d_i, f_prev>)^2 + s), s = max(sigma_j^2, 1e-10) in
     squared coefficient units.  ``converged`` is False when the last box
     step hit its cap.  At q = 1 every w_i is 1 whatever sigma is, so a
     vertex step that leaves f unchanged is final: the loop stops there.
     """
     f0, c0, N, B, wls = _wls_steps(problem)
+    Z = None
 
     def step(coeffs, sigma):
+        nonlocal Z
         w = (np.abs(coeffs) + sigma) ** (problem.q - 1.0)
         w /= np.mean(w)
-        if problem.epsilon == 0.0 and N.size:
-            z = _l1_vertex(B, c0, w, np.argsort(w * np.abs(coeffs))[: N.shape[1]])
-            if z is not None:
-                f = f0 + N @ z
-                return f, problem.D.matrix.T @ f, True, problem.q == 1.0  # at q = 1 the weights ignore sigma
-        return wls(w * w / np.sqrt((w * coeffs) ** 2 + max(sigma**2, _SIGMA_MIN)))
+        if problem.epsilon > 0.0 or not N.size:
+            return wls(w * w / np.sqrt((w * coeffs) ** 2 + max(sigma**2, _SIGMA_MIN)))
+        if Z is None:
+            Z = _independent_atoms(B, np.argsort(w * np.abs(coeffs)))
+        z, Z = _l1_vertex(B, c0, w, Z)
+        f = f0 + N @ z
+        return f, problem.D.matrix.T @ f, True, problem.q == 1.0  # at q = 1 the weights ignore sigma
 
     return _reweight(problem, config, f0, c0, step)

@@ -105,6 +105,26 @@ def test_rip_estimate_evaluates_an_order_s_plus_a_above_d(tmp_path, capsys):
     assert list(condition) == ["lhs", "rhs", "holds", "theta", "Delta"]
 
 
+@pytest.mark.parametrize("command", ["rip-estimate", "separate"])
+def test_a_below_s_plus_one_is_refused_under_its_own_name(tmp_path, capsys, command):
+    # CI's input files; s = 2 (the sparsities sum to 2 in separate)
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "A.csv", rng.standard_normal((4, 6)), delimiter=",")
+    np.savetxt(tmp_path / "D.csv", rng.standard_normal((6, 8)), delimiter=",")
+    S = np.random.default_rng(0).standard_normal((6, 8))
+    np.savetxt(tmp_path / "I.csv", np.eye(8), delimiter=",")
+    np.savetxt(tmp_path / "H.csv", hadamard(8) / math.sqrt(8), delimiter=",")
+    np.savetxt(tmp_path / "S.csv", S, delimiter=",")
+    np.savetxt(tmp_path / "sy.csv", S[:, 2][None, :], delimiter=",")
+    if command == "rip-estimate":
+        argv = ["rip-estimate", "--matrix", f"{tmp_path}/A.csv", "--dict", f"{tmp_path}/D.csv", "--s", "2"]
+    else:
+        argv = ["separate", "--dicts", f"{tmp_path}/I.csv,{tmp_path}/H.csv", "--matrix", f"{tmp_path}/S.csv",
+                "--obs", f"{tmp_path}/sy.csv", "--sparsities", "1,1"]
+    assert main(argv + ["--q", "0.7", "--a", "0"]) == 2
+    assert capsys.readouterr().err == "error: a must lie in [3, inf], got 0\n"
+
+
 def test_rip_estimate_evaluates_the_condition(tmp_path):
     # with A = D = I_4 every estimated constant is finite and below 1, so the
     # condition is evaluated rather than ruled out

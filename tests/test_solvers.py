@@ -485,7 +485,9 @@ def test_l1_vertex_reaches_the_weighted_l1_minimum(seed):
         if abs(np.linalg.det(M)) > 1e-9:
             best = min(best, w @ np.abs(Dm.T @ np.linalg.solve(M, np.concatenate([y, np.zeros(3)]))))
     f0, c0, N, B, _ = solvers._wls_steps(LqProblem(A=A, y=y, D=Frame.from_matrix(Dm), q=1.0))
-    f = f0 + N @ solvers._l1_vertex(B, c0, w, np.array([0, 1, 2]))
+    z, Z = solvers._l1_vertex(B, c0, w, np.array([0, 1, 2]))
+    f = f0 + N @ z
+    np.testing.assert_allclose(c0[Z] + B[Z] @ z, 0.0, atol=1e-12 * np.abs(c0).max())
     c = Dm.T @ f
     assert np.linalg.norm(A @ f - y) <= 1e-12 * np.linalg.norm(y)
     assert w @ np.abs(c) == pytest.approx(best, rel=1e-10)
@@ -506,38 +508,53 @@ def _repeated_atoms_instance(seed):
 
 @pytest.mark.parametrize("seed", [15, 43, 45, 53, 67, 71, 73, 75, 83, 95, 99, 109, 111, 124, 127, 151, 155, 157, 169])
 def test_irl1_with_repeated_atoms_returns_a_feasible_point(seed):
-    # a vertex system that turns singular inside the descent ends it at the
-    # current point, which is feasible by construction
+    # the start set holds one copy of a repeated atom at most, and every pivot
+    # keeps the vertex system nonsingular, so each step is a vertex step
     A, y, D = _repeated_atoms_instance(seed)
     res = irl1_analysis(LqProblem(A=A, y=y, D=D, q=0.7))
+    assert res.converged
     assert np.all(np.isfinite(res.f_hat))
     assert np.linalg.norm(A @ res.f_hat - y) <= 1e-10
 
 
-def _fallback_problem(q):
+def _doubled_identity_problem(q):
     A = np.random.default_rng(0).standard_normal((2, 4))
     y = A @ np.array([1.0, 0.0, 0.0, -2.0])
     return LqProblem(A=A, y=y, D=Frame.from_matrix(np.hstack([np.eye(4), np.eye(4)])), q=q)
 
 
-def test_irl1_falls_back_to_least_squares_when_no_vertex_is_fixed(monkeypatch):
-    # with D = [I | I] the smallest coefficients come in equal pairs, so the
-    # chosen atoms repeat one another and never fix a vertex: every outer
-    # step takes the weighted least-squares step instead
-    found = []
-    l1_vertex = solvers._l1_vertex
+@pytest.mark.parametrize("q", [0.7, 1.0])
+def test_irl1_takes_a_vertex_step_at_every_outer_step_on_doubled_atoms(monkeypatch, q):
+    # with D = [I | I] the smallest coefficients come in equal pairs; the start
+    # set keeps one atom of each pair, so every outer step is a vertex descent
+    calls = {"vertex": 0, "wls": 0}
+    l1_vertex, wls_steps = solvers._l1_vertex, solvers._wls_steps
 
-    def recording(*args):
-        z = l1_vertex(*args)
-        found.append(z is not None)
-        return z
+    def vertex(*args):
+        calls["vertex"] += 1
+        return l1_vertex(*args)
 
-    monkeypatch.setattr(solvers, "_l1_vertex", recording)
-    problem = _fallback_problem(0.7)
+    def steps(problem):
+        *parametrisation, step = wls_steps(problem)
+
+        def counted(weights):
+            calls["wls"] += 1
+            return step(weights)
+
+        return *parametrisation, counted
+
+    monkeypatch.setattr(solvers, "_l1_vertex", vertex)
+    monkeypatch.setattr(solvers, "_wls_steps", steps)
+    problem = _doubled_identity_problem(q)
     res = irl1_analysis(problem)
-    assert len(found) == res.iterations and not any(found)
+    assert calls == {"vertex": res.iterations, "wls": 0}
     assert res.converged
     assert np.linalg.norm(problem.A @ res.f_hat - problem.y) <= 1e-12 * np.linalg.norm(problem.y)
+    if q == 1.0:
+        # |D^T f|_1 = 2 |f|_1, so the minimum is twice the basis-pursuit one
+        assert res.iterations == 2
+        best = 2.0 * np.abs(_l1_vertex_minimum(problem.A, problem.y)).sum()
+        assert res.objective_trace[-1] == pytest.approx(best, rel=1e-12, abs=0.0)
 
 
 def _irl1_without_early_exit(monkeypatch):
@@ -550,8 +567,8 @@ def _irl1_without_early_exit(monkeypatch):
     monkeypatch.setattr(solvers, "_reweight", without)
 
 
-def _reference_problem(q):
-    A, D, f = _reference_instance(0)
+def _reference_problem(q, seed=0):
+    A, D, f = _reference_instance(seed)
     return LqProblem(A=A, y=A @ f, D=D, q=q)
 
 
@@ -562,9 +579,8 @@ def _reference_problem(q):
         lambda: _reference_problem(0.7),
         lambda: _reference_problem(0.99),
         lambda: LqProblem(*_irl1_noisy_instance(), q=1.0, epsilon=0.01),
-        lambda: _fallback_problem(1.0),
     ],
-    ids=["q0.5", "q0.7", "q0.99", "q1-noisy", "q1-no-vertex"],
+    ids=["q0.5", "q0.7", "q0.99", "q1-noisy"],
 )
 def test_irl1_early_exit_leaves_other_runs_bit_identical(monkeypatch, problem):
     # the exit applies only to vertex steps at q = 1, which ignore sigma
@@ -578,17 +594,115 @@ def test_irl1_early_exit_leaves_other_runs_bit_identical(monkeypatch, problem):
     np.testing.assert_array_equal(early.f_hat, full.f_hat)
 
 
-@pytest.mark.parametrize("seed", [0, 5])
-def test_irl1_at_q1_stops_once_the_vertex_step_settles(monkeypatch, seed):
+@pytest.mark.parametrize(
+    "problem",
+    [lambda: _reference_problem(1.0), lambda: _reference_problem(1.0, seed=5), lambda: _doubled_identity_problem(1.0)],
+    ids=["0", "5", "doubled-identity"],
+)
+def test_irl1_at_q1_stops_once_the_vertex_step_settles(monkeypatch, problem):
     # at q = 1 every weight is 1, so the second vertex step repeats the first
-    A, D, f = _reference_instance(seed)
-    problem = LqProblem(A=A, y=A @ f, D=D, q=1.0)
+    problem = problem()
     early = irl1_analysis(problem)
     _irl1_without_early_exit(monkeypatch)
     full = irl1_analysis(problem)
     assert early.converged and full.converged
     assert early.iterations == 2 < full.iterations
-    assert objective(early.f_hat, D, 1.0) == pytest.approx(objective(full.f_hat, D, 1.0), rel=1e-12, abs=0.0)
+    assert objective(early.f_hat, problem.D, 1.0) == pytest.approx(
+        objective(full.f_hat, problem.D, 1.0), rel=1e-12, abs=0.0
+    )
+
+
+def _degenerate_atoms_problem(seed):
+    # five families, by seed % 5: general position, a zero atom, a duplicated
+    # atom, a block of repeated atoms, and a doubled basis with two negated
+    # atoms; None where Frame.from_matrix refuses D
+    rng = np.random.default_rng(seed)
+    n = rng.integers(3, 10)
+    m = rng.integers(1, n + 1)
+    family = seed % 5
+    if family < 2:
+        D = rng.standard_normal((n, n + rng.integers(0, 6)))
+        if family == 1:
+            D[:, rng.integers(D.shape[1])] = 0.0
+    elif family == 2:
+        D = rng.standard_normal((n, n + rng.integers(1, 6)))
+        i, j = rng.choice(D.shape[1], 2, replace=False)
+        D[:, j] = D[:, i]
+    elif family == 3:
+        base = rng.standard_normal((n, n + rng.integers(0, 3)))
+        D = np.hstack([base, base[:, : rng.integers(1, base.shape[1] + 1)]])
+    else:
+        base = np.eye(n) if seed % 2 else np.linalg.qr(rng.standard_normal((n, n)))[0]
+        D = np.hstack([base, base, -base[:, :2]])
+    try:
+        frame = Frame.from_matrix(D)
+    except lqframes.LqframesError:
+        return None
+    A = rng.standard_normal((m, n))
+    y = A @ (rng.standard_normal(n) * (rng.random(n) < 0.5))
+    return LqProblem(A=A, y=y, D=frame, q=float(rng.choice([0.3, 0.5, 0.7, 0.9, 1.0])))
+
+
+@pytest.mark.parametrize("seeds", [range(200), [2378]], ids=["0-199", "2378"])
+def test_irl1_on_degenerate_atoms_converges_to_a_feasible_point(seeds):
+    # zero, duplicated and repeated atoms leave every vertex system nonsingular
+    for seed in seeds:
+        problem = _degenerate_atoms_problem(seed)
+        if problem is None:
+            continue
+        res = irl1_analysis(problem)
+        assert np.all(np.isfinite(res.f_hat)), seed
+        assert np.linalg.norm(problem.A @ res.f_hat - problem.y) <= 1e-8 * np.linalg.norm(problem.y), seed
+        assert res.converged, seed
+
+
+def _lp_reference_problem(seed, family):
+    # a q = 1 problem with m < n whose D is Gaussian (family 0) or has one zero
+    # atom (family 1); None where the recipe draws none
+    rng = np.random.default_rng(seed)
+    n = rng.integers(3, 9)
+    d, m = n + rng.integers(0, 6), rng.integers(1, n + 1)
+    D = rng.standard_normal((n, d))
+    if family == 1:
+        D[:, rng.integers(d)] = 0.0
+    try:
+        frame = Frame.from_matrix(D)
+    except lqframes.LqframesError:
+        return None
+    A = rng.standard_normal((m, n))
+    return LqProblem(A=A, y=A @ rng.standard_normal(n), D=frame, q=1.0) if m < n else None
+
+
+def _l1_analysis_lp_minimum(problem):
+    # min sum_i t_i over (f, t) with -t <= D^T f <= t and A f = y
+    from scipy.optimize import linprog
+
+    (m, n), d = problem.A.shape, problem.D.matrix.shape[1]
+    Dt, eye = problem.D.matrix.T, np.eye(d)
+    res = linprog(
+        np.concatenate([np.zeros(n), np.ones(d)]),
+        A_ub=np.block([[Dt, -eye], [-Dt, -eye]]),
+        b_ub=np.zeros(2 * d),
+        A_eq=np.hstack([problem.A, np.zeros((m, d))]),
+        b_eq=problem.y,
+        bounds=[(None, None)] * (n + d),
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("family", [0, 1], ids=["general-position", "zero-atom"])
+def test_irl1_at_q1_reaches_the_l1_analysis_lp_minimum(family):
+    checked = 0
+    for seed in range(family, 1500, 3):
+        problem = _lp_reference_problem(seed, family)
+        if problem is None or seed % 7:
+            continue
+        best = _l1_analysis_lp_minimum(problem)
+        assert irl1_analysis(problem).objective_trace[-1] <= best * (1.0 + 1e-7), seed
+        checked += 1
+    assert checked == 51
 
 
 # ---------------------------------------------------------------------------
