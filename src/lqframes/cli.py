@@ -85,7 +85,7 @@ def _estimate_sparsity(coeffs):
 def _cmd_separate(args):
     paths = [tok for tok in args.dicts.split(",") if tok.strip()]
     if len(paths) < 2:
-        raise LqframesError("separate needs at least two dictionaries")
+        raise InvalidParametersError("separate needs at least two dictionaries")
     sparsities = None
     if args.sparsities is not None:
         sparsities = [int(tok) for tok in args.sparsities.split(",")]

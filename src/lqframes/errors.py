@@ -1,9 +1,8 @@
 """Exception types raised by lqframes."""
 
 __all__ = [
-    "LqframesError", "NotAFrameError", "IllConditionedError", "GenerationFailedError",
-    "DegenerateDictionaryError", "ConditionUnevaluableError", "InvalidParametersError",
-    "InfeasibleOrDegenerateError", "EmptyKernelError",
+    "LqframesError", "InvalidParametersError", "IllConditionedError", "GenerationFailedError",
+    "DegenerateDictionaryError", "ConditionUnevaluableError",
 ]
 
 
@@ -11,12 +10,14 @@ class LqframesError(Exception):
     """Base class for all lqframes errors."""
 
 
-class NotAFrameError(LqframesError):
-    """Matrix rows do not span the ambient space (rank deficient)."""
+class InvalidParametersError(LqframesError):
+    """Input refused before any work: a value of the wrong type, a number outside its range,
+    an array of the wrong shape, a matrix of a rank the problem cannot use, or a spec or
+    matrix file that breaks its schema."""
 
 
 class IllConditionedError(LqframesError):
-    """Gram matrix too ill-conditioned to invert reliably."""
+    """A weighted Gram matrix is not numerically positive definite during a solve."""
 
 
 class GenerationFailedError(LqframesError):
@@ -29,16 +30,3 @@ class DegenerateDictionaryError(LqframesError):
 
 class ConditionUnevaluableError(LqframesError):
     """Recovery-condition quantities are undefined for these inputs."""
-
-
-class InvalidParametersError(LqframesError):
-    """Input refused before any work: a value of the wrong type, a number outside its range,
-    an array of the wrong shape, or a spec or matrix file that breaks its schema."""
-
-
-class InfeasibleOrDegenerateError(LqframesError):
-    """Measurement matrix is row-rank deficient; constraint set may be empty."""
-
-
-class EmptyKernelError(LqframesError):
-    """Measurement matrix has a trivial null space."""

@@ -236,27 +236,30 @@ def run_phase_transition(spec: ExperimentSpec) -> list:
 
 
 def run_bounds_table(q_list, s: int, d: int, kappa: float = 1.0) -> list:
-    """Tabulate the measurement lower bounds across q values, each q in (0, 1] and ``kappa`` in [1, inf)."""
+    """Tabulate the measurement lower bounds across one or more q values, each in (0, 1], and ``kappa`` in [1, inf)."""
     rows = []
     for q in q_list:
         _check_q(q)
         rows.append(dict(q=float(q), m_min=measurement_bound(q, s, d, kappa),
                          m_min_separation=separation_measurement_bound(q, s, d)))
+    if not rows:
+        raise InvalidParametersError("the bounds table needs at least one q value")
     return rows
 
 
-def _hadamard(n: int) -> np.ndarray:
-    """The n x n Sylvester Hadamard matrix, for n a power of two."""
+def _spikes_and_waves(n: int) -> tuple:
+    """The separation sweep's two tight frames of R^n: spikes (the identity) and the normalized n x n Sylvester
+    Hadamard matrix, for n a power of two."""
     h = np.ones((1, 1))
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
-    return h
+    return (Frame(matrix=np.eye(n), lower_bound=1.0, upper_bound=1.0),
+            Frame(matrix=h / math.sqrt(n), lower_bound=1.0, upper_bound=1.0))
 
 
 def _separation_trial(n, s1, s2, m, q, seed_seq) -> tuple:
     ss_a, ss_f1, ss_f2 = seed_seq.spawn(3)
-    spikes = Frame(matrix=np.eye(n), lower_bound=1.0, upper_bound=1.0)
-    waves = Frame(matrix=_hadamard(n) / math.sqrt(n), lower_bound=1.0, upper_bound=1.0)
+    spikes, waves = _spikes_and_waves(n)
     A = np.random.default_rng(ss_a).standard_normal((m, n))
     f1, _ = cosparse_signal(spikes, s1, ss_f1)
     f2, _ = cosparse_signal(waves, s2, ss_f2)
@@ -278,8 +281,7 @@ def run_separation_sweep(spec: ExperimentSpec) -> list:
     """
     results = []
     for r in _run_sweep(spec, "separation_sweep", _separation_trial):
-        n = r.params["n"]
-        mu1 = mutual_coherence([np.eye(n), _hadamard(n) / math.sqrt(n)])
+        mu1 = mutual_coherence(_spikes_and_waves(r.params["n"]))
         results.append(replace(r, params={**r.params, "mu1": mu1}))
     return results
 

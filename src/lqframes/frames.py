@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GenerationFailedError,
-    IllConditionedError,
-    InvalidParametersError,
-    NotAFrameError,
-)
+from .errors import GenerationFailedError, InvalidParametersError
 
 __all__ = [
     "Frame",
@@ -184,10 +179,9 @@ def frame_bounds(matrix: np.ndarray) -> tuple[float, float]:
 
     Raises
     ------
-    NotAFrameError
-        If the rows fail to span R^n (rank-deficient matrix).
     InvalidParametersError
-        If the matrix is not 2-D, has more rows than columns, or holds NaN or inf.
+        If the matrix is not 2-D, has more rows than columns, holds NaN or inf,
+        or its rows fail to span R^n (rank-deficient matrix).
     """
     matrix = _matrix("matrix", matrix)
     n, d = matrix.shape
@@ -196,7 +190,7 @@ def frame_bounds(matrix: np.ndarray) -> tuple[float, float]:
     evals = np.linalg.eigvalsh(matrix @ matrix.T)
     lo, hi = float(evals[0]), float(evals[-1])
     if hi <= 0.0 or lo <= hi * _RANK_RTOL:
-        raise NotAFrameError("matrix rows do not span the ambient space")
+        raise InvalidParametersError("matrix rows do not span the ambient space")
     return lo, hi
 
 
@@ -240,7 +234,7 @@ class Frame:
 def canonical_dual(frame: Frame) -> Frame:
     """Canonical dual of a frame: (D D.T)^{-1} D, with bounds (1/upper, 1/lower).
 
-    Raises IllConditionedError unless upper <= ``DEFAULT_CONDITION_CAP`` *
+    Raises InvalidParametersError unless upper <= ``DEFAULT_CONDITION_CAP`` *
     lower, so a zero or NaN lower bound is refused too.  ``Frame.from_matrix``
     never builds such a frame, because ``frame_bounds`` refuses a spread of
     1/``_RANK_RTOL`` = 1e12 or more; the cap guards frames built from given bounds.
@@ -248,7 +242,9 @@ def canonical_dual(frame: Frame) -> Frame:
     _require_frame("frame", frame)
     lower, upper = frame.lower_bound, frame.upper_bound
     if not upper <= DEFAULT_CONDITION_CAP * lower:
-        raise IllConditionedError(f"Gram bounds ({lower:.3e}, {upper:.3e}) spread beyond {DEFAULT_CONDITION_CAP:.3e}")
+        raise InvalidParametersError(
+            f"Gram bounds ({lower:.3e}, {upper:.3e}) spread beyond {DEFAULT_CONDITION_CAP:.3e}"
+        )
     gram = frame.matrix @ frame.matrix.T
     dual = np.linalg.solve(gram, frame.matrix)
     return Frame(matrix=dual, lower_bound=1.0 / upper, upper_bound=1.0 / lower)

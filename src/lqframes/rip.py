@@ -18,12 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    ConditionUnevaluableError,
-    DegenerateDictionaryError,
-    EmptyKernelError,
-    InvalidParametersError,
-)
+from .errors import ConditionUnevaluableError, DegenerateDictionaryError, InvalidParametersError
 from .frames import _atoms, _check_int, _check_q, _check_real, _matrix, _one_blas_thread, _svd
 
 __all__ = [
@@ -373,7 +368,7 @@ def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed: int = 0) 
     null_basis = vt[rank:]
     k = null_basis.shape[0]
     if k == 0:
-        raise EmptyKernelError("measurement matrix has a trivial null space")
+        raise InvalidParametersError("measurement matrix has a trivial null space")
 
     draws = np.random.default_rng(entropy).standard_normal((budget, k))
     powers = np.abs(Dm.T @ np.vstack([null_basis, draws @ null_basis]).T) ** q

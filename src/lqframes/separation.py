@@ -34,7 +34,7 @@ class SeparationProblem:
 
     ``dicts`` share the ambient dimension n of the columns of ``A``;
     ``y`` observes the sum of one component per dictionary, within
-    ``epsilon`` in the ``norm_index`` norm.  Sparsity budgets belong to the
+    ``epsilon`` in the l2 norm.  Sparsity budgets belong to the
     condition check, ``check_separation_conditions``, not to the instance.
     ``stacked`` is the equivalent l_q-analysis instance, built and checked
     once here: the block diagonal of the dictionaries as its unit tight
@@ -48,7 +48,6 @@ class SeparationProblem:
     y: np.ndarray
     q: float
     epsilon: float = 0.0
-    norm_index: float = 2.0
     stacked: LqProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,8 +62,7 @@ class SeparationProblem:
                     f"dictionary {i} is not tight with bound 1 (bounds {fr.lower_bound:.6g}, {fr.upper_bound:.6g})"
                 )
         psi_frame = Frame(matrix=psi, lower_bound=1.0, upper_bound=1.0)
-        stacked = LqProblem(A=a_stacked, y=self.y, D=psi_frame, q=self.q, epsilon=self.epsilon,
-                            norm_index=self.norm_index)
+        stacked = LqProblem(A=a_stacked, y=self.y, D=psi_frame, q=self.q, epsilon=self.epsilon)
         object.__setattr__(self, "y", stacked.y)
         object.__setattr__(self, "stacked", stacked)
 

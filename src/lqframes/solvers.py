@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError, InfeasibleOrDegenerateError, InvalidParametersError
+from .errors import IllConditionedError, InvalidParametersError
 from .frames import (
     _RANK_RTOL, Frame, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _one_blas_thread,
     _require_finite, _require_frame, _svd,
@@ -230,13 +230,13 @@ def _wls_steps(problem: LqProblem):
     or the box of radius eps, started from the previous step's mu or v,
     and then z solves R[:k, :k] z = -(R[:k, k:-1] v + R[:k, -1]).  ``ok``
     is False when the box step hit its cap.  An A of numerical rank below
-    its row count raises InfeasibleOrDegenerateError.
+    its row count raises InvalidParametersError.
     """
     A, y, Dm, eps = problem.A, problem.y, problem.D.matrix, problem.epsilon
     m = A.shape[0]
     U, s, Vt, rank = _svd(A)
     if rank < m:
-        raise InfeasibleOrDegenerateError("measurement matrix is row-rank deficient")
+        raise InvalidParametersError("measurement matrix is row-rank deficient")
     pinv = (Vt[:m].T / s) @ U.T
     f0, N = pinv @ y, Vt[m:].T
     B, c0 = Dm.T @ N, Dm.T @ f0

@@ -12,7 +12,7 @@ import lqframes.experiments as experiments
 import lqframes.frames as frames
 import lqframes.rip as rip
 import lqframes.solvers as solvers
-from lqframes import InfeasibleOrDegenerateError, LqProblem, cosparse_signal, random_tight_frame
+from lqframes import InvalidParametersError, LqProblem, cosparse_signal, random_tight_frame
 
 pytestmark = pytest.mark.skipif(frames._OPENBLAS is None, reason="numpy's BLAS is not OpenBLAS")
 
@@ -87,7 +87,7 @@ def test_each_entry_point_works_at_one_thread_and_restores_the_callers_count(mon
 def test_the_callers_count_is_restored_when_a_solve_raises():
     problem = _problem()
     A = np.vstack([problem.A[:-1], problem.A[:1]])  # a repeated row: rank below the row count
-    with pytest.raises(InfeasibleOrDegenerateError):
+    with pytest.raises(InvalidParametersError, match="^measurement matrix is row-rank deficient$"):
         lqframes.irls_analysis(LqProblem(A=A, y=A @ np.ones(20), D=problem.D, q=0.7))
     assert GET_THREADS() == CALLER
 

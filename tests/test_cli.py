@@ -347,11 +347,14 @@ def test_cli_rejects_non_finite_csv_in_one_line(instance, capsys):
         ["bounds", "--q", "1", "--s", "5", "--d", "20", "--kappa", "inf"],
         ["bounds", "--q", "0.5", "--s", "5", "--d", "1" + "0" * 400],
         ["figure1", "--trials", "1", "--threshold", "inf"],
+        ["bounds", "--q", ",", "--s", "5", "--d", "20"],
+        ["separate", "--dicts", "{tmp}/D.csv", "--matrix", "{tmp}/A.csv", "--obs", "{tmp}/y.csv", "--q", "0.7"],
     ],
     ids=["missing-input-file", "non-numeric-q", "missing-output-dir", "zero-max-iters", "spec-not-an-object",
          "sparsity-count-mismatch", "figure1-negative-seed", "figure1-no-trials", "negative-tol",
          "phase-cell-q-above-one", "figure1-negative-threshold", "phase-cell-n-zero", "bounds-kappa-overflow",
-         "bounds-kappa-inf", "bounds-d-overflow", "figure1-infinite-threshold"],
+         "bounds-kappa-inf", "bounds-d-overflow", "figure1-infinite-threshold", "bounds-no-q",
+         "separate-one-dictionary"],
 )
 def test_cli_user_errors_exit_2_in_one_line(instance, capsys, argv):
     tmp, _, _, _ = instance

@@ -384,7 +384,10 @@ def test_hadamard_matches_scipy():
     import lqframes.experiments as ex
 
     for n in (2**k for k in range(8)):
-        np.testing.assert_array_equal(ex._hadamard(n), hadamard(n))
+        spikes, waves = ex._spikes_and_waves(n)
+        np.testing.assert_array_equal(spikes.matrix, np.eye(n))
+        np.testing.assert_array_equal(waves.matrix, hadamard(n) / math.sqrt(n))
+        assert (spikes.lower_bound, spikes.upper_bound, waves.lower_bound, waves.upper_bound) == (1.0,) * 4
 
 
 def test_separation_sweep_reports_coherence_and_is_deterministic():

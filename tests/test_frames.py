@@ -1,12 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from lqframes import (
     Frame,
     GenerationFailedError,
-    IllConditionedError,
     InvalidParametersError,
-    NotAFrameError,
     canonical_dual,
     cosparse_signal,
     frame_bounds,
@@ -37,7 +37,7 @@ def test_frame_bounds_random_tight():
 
 
 def test_frame_bounds_rejects_rank_deficient():
-    with pytest.raises(NotAFrameError):
+    with pytest.raises(InvalidParametersError, match="^matrix rows do not span the ambient space$"):
         frame_bounds(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
@@ -91,19 +91,22 @@ def test_canonical_dual_involution():
 
 def test_canonical_dual_condition_cap():
     fr = Frame(np.diag([1.0, 1e-7]), lower_bound=1e-14, upper_bound=1.0)
-    with pytest.raises(IllConditionedError):
+    message = re.escape("Gram bounds (1.000e-14, 1.000e+00) spread beyond 1.000e+12")
+    with pytest.raises(InvalidParametersError, match=f"^{message}$"):
         canonical_dual(fr)
 
 
 def test_canonical_dual_refuses_a_zero_lower_bound():
     fr = Frame(np.diag([1.0, 0.0]), lower_bound=0.0, upper_bound=1.0)
-    with pytest.raises(IllConditionedError):
+    message = re.escape("Gram bounds (0.000e+00, 1.000e+00) spread beyond 1.000e+12")
+    with pytest.raises(InvalidParametersError, match=f"^{message}$"):
         canonical_dual(fr)
 
 
 def test_canonical_dual_refuses_a_nan_lower_bound():
     fr = Frame(np.eye(2), lower_bound=float("nan"), upper_bound=1.0)
-    with pytest.raises(IllConditionedError):
+    message = re.escape("Gram bounds (nan, 1.000e+00) spread beyond 1.000e+12")
+    with pytest.raises(InvalidParametersError, match=f"^{message}$"):
         canonical_dual(fr)
 
 

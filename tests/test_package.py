@@ -94,6 +94,21 @@ def test_every_public_name_has_a_caller():
     assert uncalled == sorted(_UNCALLED)
 
 
+def test_each_error_class_is_raised_somewhere():
+    # one class per kind of failure, and each but the base class has a raise site in the package
+    assert lqframes.errors.__all__ == [
+        "LqframesError", "InvalidParametersError", "IllConditionedError", "GenerationFailedError",
+        "DegenerateDictionaryError", "ConditionUnevaluableError",
+    ]
+    raised = {
+        node.exc.func.id
+        for path in (_ROOT / "src" / "lqframes").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+    }
+    assert set(lqframes.errors.__all__) - raised == {"LqframesError"}
+
+
 def test_importing_the_package_loads_no_scipy():
     # the runtime needs numpy alone; scipy is a reference for the tests only
     script = """

@@ -7,7 +7,6 @@ import pytest
 from lqframes import (
     ConditionUnevaluableError,
     DegenerateDictionaryError,
-    EmptyKernelError,
     InvalidParametersError,
     check_recovery_condition,
     error_constants,
@@ -574,7 +573,7 @@ def test_measurement_bound_is_nonnegative_and_nondecreasing_where_k_crosses_d():
 # ---------------------------------------------------------------------------
 
 def test_nsp_rejects_trivial_kernel():
-    with pytest.raises(EmptyKernelError):
+    with pytest.raises(InvalidParametersError, match="^measurement matrix has a trivial null space$"):
         estimate_nsp_theta(np.eye(3), np.eye(3), 1.0, 1)
 
 

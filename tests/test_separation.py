@@ -131,8 +131,7 @@ def test_problem_rejects_non_finite_input(field):
         ({"q": 0.0}, "q must lie in"),
         ({"q": 0.7, "epsilon": -1.0}, "epsilon must be >= 0"),
         ({"q": 0.7, "epsilon": math.nan}, "epsilon must be >= 0"),
-        ({"q": 0.7, "norm_index": 3}, "norm_index must be 2 or inf"),
-        ({"q": 1.5, "epsilon": -1.0, "norm_index": 3}, "q must lie in"),
+        ({"q": 1.5, "epsilon": -1.0}, "q must lie in"),
     ],
 )
 def test_problem_checks_q_epsilon_and_norm_at_construction(kwargs, message):
@@ -148,7 +147,7 @@ def test_replace_rebuilds_the_stacked_instance(change):
     stacked = problem.stacked
     for name, value in change.items():
         np.testing.assert_array_equal(getattr(stacked, name), value)
-    assert (stacked.q, stacked.epsilon, stacked.norm_index) == (problem.q, problem.epsilon, problem.norm_index)
+    assert (stacked.q, stacked.epsilon) == (problem.q, problem.epsilon)
     np.testing.assert_array_equal(stacked.y, problem.y)
     np.testing.assert_array_equal(stacked.A, a_stacked)
     np.testing.assert_array_equal(stacked.D.matrix, psi)

@@ -12,7 +12,6 @@ import lqframes
 from lqframes import (
     Frame,
     IllConditionedError,
-    InfeasibleOrDegenerateError,
     InvalidParametersError,
     LqProblem,
     SolverConfig,
@@ -156,7 +155,7 @@ def test_spd_factor_failure_is_an_lqframes_error():
 def test_solver_rejects_row_rank_deficient():
     D = Frame.from_matrix(np.eye(3))
     A = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    with pytest.raises(InfeasibleOrDegenerateError):
+    with pytest.raises(InvalidParametersError, match="^measurement matrix is row-rank deficient$"):
         irls_analysis(LqProblem(A=A, y=np.zeros(2), D=D, q=0.5))
 
 
