@@ -58,7 +58,7 @@ def _cmd_rip_estimate(args):
     if args.a is not None:
         _check_int("a", args.a, args.s + 1)
     rip = functools.partial(estimate_rip, A, target, args.q, mode=args.mode, budget=args.budget, seed=args.seed)
-    payload = {**rip(args.s).to_dict(), "condition": None}
+    payload = {**dataclasses.asdict(rip(args.s)), "condition": None}
     if args.a is not None:
         rep_a, rep_sa = rip(args.a), rip(args.s + args.a)
         verdict = check_recovery_condition(rep_a.delta, rep_sa.delta, args.s, args.a, frame.condition, args.q)

@@ -206,9 +206,6 @@ class RipReport:
     trials: int
     degenerate: int = 0
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("order", "q", "delta", "method", "trials")}
-
 
 def rip_scan(ad_s, d_s, dirs, q):
     """Worst q-isometry deviation over a stack of supports and their directions.
@@ -360,10 +357,13 @@ def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed: int = 0) 
     largest |coefficient|^q mass of D^T h to the rest, which maximizes
     |D_T^* h|_q^q / |D_{T^c}^* h|_q^q over all |T| <= s; the ratio does not
     depend on the scale of h.  Returns inf when some kernel vector with
-    D^T h != 0 has all its mass on s entries.
+    D^T h != 0 has all its mass on s entries.  An order s above the d atoms
+    of D is evaluated at d, as ``estimate_rip`` does; the rest-mass is then
+    zero, so the bound is inf whenever some D^T h != 0.
     """
     A, Dm, entropy = _operands(A, D, q, budget, seed)
-    _check_int("s", s, 1, Dm.shape[1])
+    _check_int("s", s, 1)
+    s = min(s, Dm.shape[1])
     _, _, vt, rank = _svd(A)
     null_basis = vt[rank:]
     k = null_basis.shape[0]

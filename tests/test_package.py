@@ -122,6 +122,22 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
     assert out.stdout.strip() == "[]"
 
 
+def _is_scipy(module):
+    return module == "scipy" or module.startswith("scipy.")
+
+
+def test_no_source_file_imports_scipy():
+    # an import inside a function escapes the check above until it runs
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in (_ROOT / "src" / "lqframes").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(_is_scipy(alias.name) for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and _is_scipy(node.module))
+    ]
+    assert imports == []
+
+
 @pytest.mark.parametrize(
     "call",
     [

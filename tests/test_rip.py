@@ -379,10 +379,9 @@ def test_rip_rejects_negative_seed_and_budget(call):
         lambda A, D: estimate_nsp_theta(A[:0], D, 0.7, 2),
         lambda A, D: estimate_rip(A, D, 0.7, 2, mode="greedy"),
         lambda A, D: estimate_rip(A, D, 0.7, 0, mode="sampled", budget=4),
-        lambda A, D: estimate_nsp_theta(A, D, 0.7, 9),
     ],
     ids=["rip-1d-A", "nsp-1d-A", "rip-float-order", "exhaustive-float-order", "nsp-float-order", "nsp-A-D-mismatch",
-         "rip-0-row-A", "nsp-0-row-A", "rip-unknown-mode", "rip-order-0", "nsp-order-above-d"],
+         "rip-0-row-A", "nsp-0-row-A", "rip-unknown-mode", "rip-order-0"],
 )
 def test_rip_rejects_malformed_operands(call):
     rng = np.random.default_rng(4)
@@ -405,6 +404,13 @@ def test_estimate_rip_evaluates_an_order_above_d_at_d(mode):
     rep = estimate_rip(A, D, 0.7, 11, mode=mode, budget=4)
     assert rep == estimate_rip(A, D, 0.7, 8, mode=mode, budget=4)
     assert rep.order == 8
+
+
+def test_estimate_nsp_theta_is_inf_at_an_order_above_d():
+    # an order above the d = 8 atoms is evaluated at d, where every kernel vector has zero rest-mass
+    rng = np.random.default_rng(4)
+    A, D = rng.standard_normal((4, 6)), rng.standard_normal((6, 8))
+    assert estimate_nsp_theta(A, D, 0.7, 9) == math.inf
 
 
 # ---------------------------------------------------------------------------
