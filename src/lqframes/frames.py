@@ -107,9 +107,16 @@ def _svd(M: np.ndarray):
     return U, s, Vt, int(np.sum(s > s.max(initial=0.0) * _RANK_RTOL))
 
 
-def _openblas_threads():
-    """``(set, get)`` of numpy's OpenBLAS thread count, or None on any other BLAS;
-    looked up through numpy's extension module, which links the library."""
+def _openblas():
+    """``(threads, dposv)`` from numpy's OpenBLAS, looked up through numpy's
+    extension module, which links the library.
+
+    ``threads`` is ``(set, get)`` of its thread count; ``dposv`` is LAPACKE's
+    SPD solver (Cholesky factorisation and solve in one call), taken only
+    under a ``64_``-suffixed name so that its integers are known to be
+    64-bit.  Each is None where the library does not export it (another
+    BLAS).
+    """
     for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
         try:
             lib = ctypes.CDLL(importlib.import_module(module).__file__)
@@ -117,17 +124,26 @@ def _openblas_threads():
         except (ImportError, OSError):
             continue
     else:
-        return None
+        return None, None
+    threads = dposv = None
     for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
                  "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
         setter, getter = (getattr(lib, name.format(verb), None) for verb in ("set", "get"))
         if setter is not None and getter is not None:
             setter.argtypes, setter.restype, getter.restype = [ctypes.c_int], None, ctypes.c_int
-            return setter, getter
-    return None
+            threads = setter, getter
+            break
+    for name in ("scipy_LAPACKE_dposv64_", "LAPACKE_dposv64_"):
+        dposv = getattr(lib, name, None)
+        if dposv is not None:
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            dposv.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, ptr, i64, ptr, i64]
+            dposv.restype = i64
+            break
+    return threads, dposv
 
 
-_OPENBLAS = _openblas_threads()
+_OPENBLAS, _DPOSV = _openblas()
 _blas_lock = threading.Lock()
 _blas_depth = _blas_saved = 0
 

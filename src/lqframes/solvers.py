@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import IllConditionedError, InvalidParametersError
 from .frames import (
-    _RANK_RTOL, Frame, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _one_blas_thread,
+    _DPOSV, _RANK_RTOL, Frame, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _one_blas_thread,
     _require_finite, _require_frame, _svd,
 )
 
@@ -132,20 +132,31 @@ class SolverResult:
 
 
 def _residual_norm(r: np.ndarray, norm_index: float) -> float:
-    return float(np.max(np.abs(r)) if norm_index == math.inf else np.linalg.norm(r))
+    return float(np.max(np.abs(r))) if norm_index == math.inf else math.sqrt(r.dot(r))
 
 
 def _spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # The Cholesky factor is only the positive-definiteness check: numpy has
-    # no triangular solve, and two general solves on the factor cost more
-    # than one on M.
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(
-            f"{M.shape[0]}x{M.shape[0]} weighted Gram matrix is not numerically positive definite"
-        ) from exc
-    return np.linalg.solve(M, b)
+    """Solve M z = b for a symmetric positive definite n x n M and a vector b.
+
+    One LAPACK ``dposv`` call (Cholesky factorisation and solve) where numpy's
+    OpenBLAS exports it; elsewhere numpy's Cholesky as the check and an LU
+    solve.  M and b are left unchanged.  An M whose Cholesky factorisation
+    fails raises IllConditionedError.
+    """
+    n = M.shape[0]
+    message = f"{n}x{n} weighted Gram matrix is not numerically positive definite"
+    if _DPOSV is None:
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditionedError(message) from exc
+        return np.linalg.solve(M, b)
+    if n == 0:  # LAPACK refuses a leading dimension of 0
+        return np.zeros(0)
+    a, z = np.array(M, dtype=float, order="F"), np.array(b, dtype=float)
+    if _DPOSV(102, b"L", n, 1, a.ctypes.data, n, z.ctypes.data, n) != 0:  # 102: column-major
+        raise IllConditionedError(message)
+    return z
 
 
 def _ball_step(H: np.ndarray, h: np.ndarray, radius: float, mu: float = 0.0):
@@ -287,9 +298,10 @@ def _reweight(problem: LqProblem, config: SolverConfig | None, f, coeffs, step) 
     for j in range(config.max_outer_iters):
         sigma = _sigma_at(j)
         f_new, coeffs, ok, final = step(coeffs, sigma)
-        objective_trace.append(float(np.sum(np.abs(coeffs) ** problem.q)))
+        objective_trace.append(float((np.abs(coeffs) ** problem.q).sum()))
         residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
-        rel_change = np.linalg.norm(f_new - f) / max(np.linalg.norm(f), 1.0)
+        change = f_new - f
+        rel_change = math.sqrt(change.dot(change)) / max(math.sqrt(f.dot(f)), 1.0)
         f = f_new
         if rel_change < config.tol and (sigma <= _SIGMA_MIN or (j == 0 and rel_change == 0.0) or final):
             converged = True

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -150,6 +151,126 @@ def test_spd_factor_failure_is_an_lqframes_error():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(IllConditionedError, match="not numerically positive definite"):
         _spd_solve(indefinite, np.ones(2))
+
+
+# _spd_solve has two paths: one LAPACK dposv call where numpy's OpenBLAS
+# exports it, and numpy's Cholesky check plus an LU solve elsewhere, which
+# the tests force by hiding the looked-up function.
+needs_dposv = pytest.mark.skipif(solvers._DPOSV is None, reason="numpy's BLAS exports no LAPACKE dposv")
+
+
+def _numpy_spd_solve(monkeypatch, M, b):
+    with monkeypatch.context() as patched:
+        patched.setattr(solvers, "_DPOSV", None)
+        return _spd_solve(M, b)
+
+
+def _spd_system(n, seed):
+    X = np.random.default_rng(seed).standard_normal((n, n + 1))
+    return X @ X.T + n * np.eye(n), X[:, -1]
+
+
+def _laid_out(M, b, layout):
+    if layout == "C":
+        return np.ascontiguousarray(M), b.copy()
+    if layout == "F":
+        return np.asfortranarray(M), b.copy()
+    n = b.size  # every other entry of arrays twice as large: neither C- nor F-contiguous
+    M2, b2 = np.zeros((2 * n, 2 * n)), np.zeros(2 * n)
+    M2[::2, ::2], b2[::2] = M, b
+    return M2[::2, ::2], b2[::2]
+
+
+@needs_dposv
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 50])
+def test_spd_solve_paths_agree_and_leave_their_inputs_unchanged(monkeypatch, n, layout):
+    M, b = _laid_out(*_spd_system(n, n), layout)
+    M_before, b_before = M.copy(), b.copy()
+    z_fast = _spd_solve(M, b)
+    z_numpy = _numpy_spd_solve(monkeypatch, M, b)
+    assert z_fast.shape == z_numpy.shape == (n,)
+    assert np.linalg.norm(z_fast - z_numpy) <= 1e-12 * np.linalg.norm(z_numpy)
+    np.testing.assert_array_equal(M, M_before)
+    np.testing.assert_array_equal(b, b_before)
+
+
+def _third_leading_minor_fails():
+    M = np.eye(5)
+    M[0, 2] = M[2, 0] = 2.0  # the leading 3 x 3 block has determinant -3
+    return M
+
+
+@needs_dposv
+@pytest.mark.parametrize(
+    "M",
+    # the last is positive definite in its upper triangle: like numpy's check, dposv reads the lower one
+    [np.array([[1.0, 2.0], [2.0, 1.0]]), _third_leading_minor_fails(), np.array([[1.0, 0.0], [2.0, 1.0]])],
+    ids=["indefinite-2x2", "third-minor-5x5", "indefinite-lower-triangle"],
+)
+def test_spd_solve_paths_refuse_a_failed_cholesky_with_one_message(monkeypatch, M):
+    n = M.shape[0]
+    message = f"^{n}x{n} weighted Gram matrix is not numerically positive definite$"
+    with pytest.raises(IllConditionedError, match=message):
+        _spd_solve(M, np.ones(n))
+    with pytest.raises(IllConditionedError, match=message):
+        _numpy_spd_solve(monkeypatch, M, np.ones(n))
+
+
+@needs_dposv
+def test_irls_takes_the_same_steps_on_both_spd_paths(monkeypatch):
+    A, D, f = _reference_instance(0)
+    problem = LqProblem(A=A, y=A @ f, D=D, q=0.7)
+    fast = irls_analysis(problem)
+    monkeypatch.setattr(solvers, "_DPOSV", None)
+    slow = irls_analysis(problem)
+    assert fast.iterations == slow.iterations
+    assert fast.converged and slow.converged
+    assert np.linalg.norm(fast.f_hat - slow.f_hat) <= 1e-12 * np.linalg.norm(slow.f_hat)
+
+
+@needs_dposv
+def test_the_dposv_path_calls_no_numpy_factorisation(monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    M, b = _spd_system(17, 0)
+    for name in ("cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    _spd_solve(M, b)
+    assert calls == []
+    _numpy_spd_solve(monkeypatch, M, b)  # the spies do see the other path
+    assert calls == ["cholesky", "solve"]
+
+
+@needs_dposv
+def test_concurrent_spd_solves_match_their_serial_answers():
+    systems = [_spd_system(50, seed) for seed in (1, 2)]
+    serial = [_spd_solve(M, b) for M, b in systems]
+    answers = [[], []]
+
+    def solve(k):
+        M, b = systems[k]
+        answers[k] = [_spd_solve(M, b) for _ in range(200)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=solve, args=(k,)) for k in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for expected, got in zip(serial, answers):
+        assert len(got) == 200
+        for z in got:
+            np.testing.assert_array_equal(z, expected)
 
 
 def test_solver_rejects_row_rank_deficient():
