@@ -100,11 +100,15 @@ def _matrix(name: str, x) -> np.ndarray:
     return x
 
 
+def _rank(s: np.ndarray) -> int:
+    """The numerical rank from singular values s: how many exceed s.max() * ``_RANK_RTOL`` (0 for none)."""
+    return int(np.sum(s > s.max(initial=0.0) * _RANK_RTOL))
+
+
 def _svd(M: np.ndarray):
-    """Full SVD ``(U, s, Vt, rank)`` of M: rank counts s > s[0] * ``_RANK_RTOL``
-    (0 without rows), and ``Vt[rank:]`` is an orthonormal basis of ker M."""
+    """Full SVD ``(U, s, Vt, rank)`` of M, with ``_rank(s)``: ``Vt[rank:]`` is an orthonormal basis of ker M."""
     U, s, Vt = np.linalg.svd(M)
-    return U, s, Vt, int(np.sum(s > s.max(initial=0.0) * _RANK_RTOL))
+    return U, s, Vt, _rank(s)
 
 
 def _openblas():
@@ -346,10 +350,12 @@ def hard_threshold(x: np.ndarray, s: int, q: float = 1.0) -> SparseApproximation
 def cosparse_signal(frame: Frame, s: int, seed):
     """Unit-norm signal whose analysis coefficients are exactly s-sparse.
 
-    Draws a random cosupport of size d - s, projects a Gaussian vector onto
-    the null space of the corresponding analysis rows, and normalizes.
-    Returns ``(f, coeffs)`` with ``coeffs = D.T f``.  Retries with a fresh
-    cosupport when the null space is trivial and raises
+    Draws a random cosupport Λ of size d - s and a Gaussian g, and
+    normalizes f = g - D_Λ x, x from one least-squares call at the cut-off
+    ``_RANK_RTOL``: g projected onto ker D_Λ^T.  Returns ``(f, coeffs)``
+    with ``coeffs = D.T f``.  Retries with a fresh cosupport when the null
+    space is trivial, which needs d - s >= n atoms (``_rank`` of their
+    singular values decides, before g is drawn), and raises
     GenerationFailedError after ``_MAX_RETRIES`` draws.
 
     Feasibility: for a frame in general position (every n columns linearly
@@ -365,11 +371,11 @@ def cosparse_signal(frame: Frame, s: int, seed):
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_RETRIES):
         cosupport = rng.choice(d, size=d - s, replace=False)
-        _, _, vt, rank = _svd(frame.matrix[:, cosupport].T)  # ker of the rows to annihilate
-        if rank >= n:
+        atoms = frame.matrix[:, cosupport]
+        if d - s >= n and _rank(np.linalg.svd(atoms, compute_uv=False)) >= n:
             continue
         g = rng.standard_normal(n)
-        f = vt[rank:].T @ (vt[rank:] @ g)
+        f = g - atoms @ np.linalg.lstsq(atoms, g, rcond=_RANK_RTOL)[0]
         norm = np.linalg.norm(f)
         if norm <= 1e-12:
             continue

@@ -10,7 +10,7 @@ that decays geometrically to a floor (Chartrand and Yin, ICASSP 2008).
 One driver, ``_reweight``, owns that outer loop, the traces and the
 stopping rule; a path supplies only its step ``step(D^T f, sigma) ->
 (f_new, D^T f_new, ok, final)``, where ``final`` says that the step did
-not depend on sigma.  One SVD of A writes the feasible set as
+not depend on sigma.  One QR of A^T writes the feasible set as
 f = f0 + A^+ v + N z with v = A f - y, and both inner solvers work there.
 The weighted least-squares step of IRLS (``_wls_steps``) is exact: at
 eps = 0 one SPD solve in z; for eps > 0 the R factor of one QR holds the
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import IllConditionedError, InvalidParametersError
 from .frames import (
     _DPOSV, _RANK_RTOL, Frame, _atoms, _check_int, _check_q, _check_real, _floats, _matrix, _one_blas_thread,
-    _require_finite, _require_frame, _svd,
+    _rank, _require_finite, _require_frame,
 )
 
 __all__ = ["LqProblem", "SolverConfig", "SolverResult", "irls_analysis", "irl1_analysis", "objective"]
@@ -229,8 +229,8 @@ def _box_step(H: np.ndarray, h: np.ndarray, radius: float, v: np.ndarray):
 def _wls_steps(problem: LqProblem):
     """The feasible set in kernel coordinates, and the weighted least-squares step on it.
 
-    One SVD A = U [S 0] [V1 V2]^T gives A^+ = V1 S^-1 U^T, f0 = A^+ y and
-    N = V2, so f = f0 + A^+ v + N z with v = A f - y, and D^T f = c0 + P v
+    One complete QR A^T = [Q1 Q2] [R1; 0] gives A^+ = Q1 R1^-T, f0 = A^+ y
+    and N = Q2, so f = f0 + A^+ v + N z with v = A f - y, and D^T f = c0 + P v
     + B z (c0 = D^T f0, P = D^T A^+, B = D^T N).  Returns ``(f0, c0, N, B,
     step)``; ``step(weights) -> (f, D^T f, ok, False)`` minimises sum_i
     weights_i <d_i, f>^2 subject to |A f - y|_r <= eps (weights > 0).  At
@@ -241,15 +241,15 @@ def _wls_steps(problem: LqProblem):
     or the box of radius eps, started from the previous step's mu or v,
     and then z solves R[:k, :k] z = -(R[:k, k:-1] v + R[:k, -1]).  ``ok``
     is False when the box step hit its cap.  An A of numerical rank below
-    its row count raises InvalidParametersError.
+    its row count (``_rank`` of its singular values, taken first) raises
+    InvalidParametersError, so R1 is nonsingular.
     """
     A, y, Dm, eps = problem.A, problem.y, problem.D.matrix, problem.epsilon
     m = A.shape[0]
-    U, s, Vt, rank = _svd(A)
-    if rank < m:
+    if _rank(np.linalg.svd(A, compute_uv=False)) < m:
         raise InvalidParametersError("measurement matrix is row-rank deficient")
-    pinv = (Vt[:m].T / s) @ U.T
-    f0, N = pinv @ y, Vt[m:].T
+    Q, R = np.linalg.qr(A.T, mode="complete")
+    f0, N = Q[:, :m] @ np.linalg.solve(R[:m].T, y), Q[:, m:]
     B, c0 = Dm.T @ N, Dm.T @ f0
 
     if eps == 0.0:
@@ -260,6 +260,7 @@ def _wls_steps(problem: LqProblem):
 
         return f0, c0, N, B, step
 
+    pinv = np.linalg.solve(R[:m], Q[:, :m].T).T
     BPc, k = np.column_stack([B, Dm.T @ pinv, c0]), N.shape[1]
     v, mu = np.zeros(m), 0.0
 

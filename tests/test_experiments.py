@@ -24,7 +24,7 @@ from lqframes import (
     separation_measurement_bound,
     trial_seed,
 )
-from lqframes.experiments import _check_cell
+from lqframes.experiments import _check_cell, _recovery_trial, _separation_trial
 
 # feasible desk-scale cell: exact analysis sparsity requires s > d - n
 _SMALL = {"n": 20, "d": 24, "m": 14, "q": 0.7, "s": 6}
@@ -497,3 +497,17 @@ def test_cells_json_keeps_numpy_integers_and_bools():
     assert back == {"n": 12, "q": 0.5, "tight": True, "success_rate": 1.0, "median_relative_error": None,
                     "median_iterations": 7, "wall_time_ms": 1.0}
     assert [type(back[k]) for k in ("n", "q", "tight", "median_iterations")] == [int, float, bool, int]
+
+
+def test_trial_set_up_computes_no_singular_vectors(monkeypatch):
+    # signal generation and the kernel coordinates need singular values only, for rank tests
+    svd, compute_uv = np.linalg.svd, []
+
+    def spy(*args, **kwargs):
+        compute_uv.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    _recovery_trial(100, 110, 50, 0.7, 25, np.random.SeedSequence(0))
+    _separation_trial(32, 2, 2, 24, 0.7, np.random.SeedSequence(0))
+    assert compute_uv == [False, False]  # one rank test of A per solve

@@ -15,6 +15,7 @@ from lqframes import (
     mutual_coherence,
     random_tight_frame,
 )
+from lqframes.experiments import _spikes_and_waves
 
 
 def test_frame_bounds_identity():
@@ -279,6 +280,45 @@ def test_cosparse_duplicated_atoms_succeed_below_the_general_position_rule():
     f, coeffs = cosparse_signal(fr, 2, 5)
     assert np.linalg.norm(f) == pytest.approx(1.0)
     assert np.sum(np.abs(coeffs) > 1e-10) == 2
+
+
+def _svd_projection_signal(frame, s, seed):
+    """The projection through the full SVD of the cosupport rows, the reference for the least-squares projection:
+    ``(f, cosupport, draws)``, drawing from one generator in the order cosparse_signal does."""
+    d, n = frame.num_atoms, frame.ambient_dim
+    rng = np.random.default_rng(seed)
+    for draws in range(1, 51):
+        cosupport = rng.choice(d, size=d - s, replace=False)
+        _, sv, vt = np.linalg.svd(frame.matrix[:, cosupport].T)
+        rank = int(np.sum(sv > sv.max() * 1e-12))
+        if rank >= n:
+            continue
+        g = rng.standard_normal(n)
+        f = vt[rank:].T @ (vt[rank:] @ g)
+        if np.linalg.norm(f) > 1e-12:
+            return f / np.linalg.norm(f), cosupport, draws
+    raise AssertionError("the reference found no cosupport")
+
+
+_SPIKES, _HADAMARD = _spikes_and_waves(32)
+_DOUBLED = Frame(matrix=np.hstack([np.eye(4), np.eye(4)]) / np.sqrt(2.0), lower_bound=1.0, upper_bound=1.0)
+
+
+@pytest.mark.parametrize("frame, s", [
+    (random_tight_frame(100, 110, 0), 25),
+    (_SPIKES, 2),
+    (_HADAMARD, 2),
+    (random_tight_frame(12, 16, 0), 6),
+    (_DOUBLED, 2),  # d - s = 6 >= n = 4: a cosupport leaves a kernel only if it holds both copies of 3 atoms
+], ids=["reference", "spikes", "hadamard", "desk", "doubled-identity"])
+@pytest.mark.parametrize("seed", range(4))
+def test_cosparse_signal_is_the_svd_projection_of_the_same_draws(frame, s, seed):
+    f, coeffs = cosparse_signal(frame, s, seed)
+    f_ref, cosupport, draws = _svd_projection_signal(frame, s, seed)
+    assert np.max(np.abs(f - f_ref)) <= 1e-12
+    assert np.max(np.abs(coeffs[cosupport])) <= 1e-13  # the same cosupport, annihilated
+    if frame is _DOUBLED:
+        assert draws > 1  # a retry redraws as before: the same seed gives the same signal
 
 
 def test_frame_energy_sampling_within_bounds():

@@ -280,6 +280,34 @@ def test_solver_rejects_row_rank_deficient():
         irls_analysis(LqProblem(A=A, y=np.zeros(2), D=D, q=0.5))
 
 
+def test_solver_rejects_more_measurements_than_unknowns():
+    # 4 rows of rank 3: refused by the rank test before any factorisation
+    A = np.ones((4, 3)) + np.eye(4, 3)
+    with pytest.raises(InvalidParametersError, match="^measurement matrix is row-rank deficient$"):
+        irls_analysis(LqProblem(A=A, y=np.zeros(4), D=Frame.from_matrix(np.eye(3)), q=0.5))
+
+
+def _closure(fn):
+    """The variables a nested function closes over, by name."""
+    return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
+
+
+@pytest.mark.parametrize("shape", [(50, 100), (6, 12), (6, 6)], ids=["reference", "desk", "square"])
+def test_kernel_coordinates_are_an_orthonormal_kernel_basis_and_the_pseudoinverse(shape):
+    m, n = shape
+    rng = np.random.default_rng(m + n)
+    A, y = rng.standard_normal(shape), rng.standard_normal(m)
+    D = random_tight_frame(n, n + 10, 0)
+    f0, _, N, _, _ = solvers._wls_steps(LqProblem(A=A, y=y, D=D, q=0.7))
+    assert N.shape == (n, n - m)
+    assert np.max(np.abs(N.T @ N - np.eye(n - m)), initial=0.0) <= 1e-13
+    assert np.max(np.abs(A @ N), initial=0.0) <= 1e-13
+    pinv = np.linalg.pinv(A)
+    assert np.max(np.abs(f0 - pinv @ y)) <= 1e-12
+    *_, step = solvers._wls_steps(LqProblem(A=A, y=y, D=D, q=0.7, epsilon=0.1))
+    assert np.max(np.abs(_closure(step)["pinv"] - pinv)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # IRLS
 # ---------------------------------------------------------------------------
