@@ -62,7 +62,7 @@ def _cmd_rip_estimate(args):
     if args.a is not None:
         rep_a, rep_sa = rip(args.a), rip(args.s + args.a)
         verdict = check_recovery_condition(rep_a.delta, rep_sa.delta, args.s, args.a, frame.condition, args.q)
-        payload["condition"] = verdict.to_dict()
+        payload["condition"] = dataclasses.asdict(verdict)
     return _json_text(payload)
 
 

@@ -105,12 +105,6 @@ def _rank(s: np.ndarray) -> int:
     return int(np.sum(s > s.max(initial=0.0) * _RANK_RTOL))
 
 
-def _svd(M: np.ndarray):
-    """Full SVD ``(U, s, Vt, rank)`` of M, with ``_rank(s)``: ``Vt[rank:]`` is an orthonormal basis of ker M."""
-    U, s, Vt = np.linalg.svd(M)
-    return U, s, Vt, _rank(s)
-
-
 def _openblas():
     """``(threads, dposv)`` from numpy's OpenBLAS, looked up through numpy's
     extension module, which links the library.

@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConditionUnevaluableError, DegenerateDictionaryError, InvalidParametersError
-from .frames import _atoms, _check_int, _check_q, _check_real, _matrix, _one_blas_thread, _svd
+from .frames import _atoms, _check_int, _check_q, _check_real, _matrix, _one_blas_thread, _rank
 
 __all__ = [
     "RipReport",
@@ -100,22 +100,19 @@ def measurement_bound(q: float, s: int, d: int, kappa: float = 1.0) -> float:
 class RecoveryConditionVerdict:
     """Recovery-condition check with all intermediate quantities.
 
-    ``holds`` is True when lhs < rhs for
+    ``holds`` is True when lhs < rhs for rho = s/a,
     lhs = rho^(1-q/2) (rho^(2/q-1) + 1)^(q/2) kappa^q (1 + delta_a) and
     rhs = 1 - delta_{s+a}.  ``theta`` is the induced null-space constant;
     theta < 1 exactly when the condition holds.  ``Delta`` and ``theta``
-    are None when delta_{s+a} >= 1 rules the condition out.
+    are None when delta_{s+a} >= 1 rules the condition out.  The fields
+    are declared in the order ``lqframes rip-estimate`` prints them.
     """
 
-    rho: float
-    Delta: float | None
-    theta: float | None
     lhs: float
     rhs: float
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("lhs", "rhs", "holds", "theta", "Delta")}
+    theta: float | None
+    Delta: float | None
 
 
 def check_recovery_condition(
@@ -142,7 +139,7 @@ def check_recovery_condition(
     if delta_sa < 1.0:
         delta_ratio = (1.0 + delta_a) / (1.0 - delta_sa)
         theta = split_nsp_constant(rho, kappa**q * delta_ratio, 0.0, q, 1)
-    return RecoveryConditionVerdict(rho=rho, Delta=delta_ratio, theta=theta, lhs=lhs, rhs=rhs, holds=lhs < rhs)
+    return RecoveryConditionVerdict(lhs=lhs, rhs=rhs, holds=lhs < rhs, theta=theta, Delta=delta_ratio)
 
 
 def split_nsp_constant(rho: float, delta_ratio: float, U: float, q: float, iota: int) -> float:
@@ -364,8 +361,8 @@ def estimate_nsp_theta(A, D, q: float, s: int, budget: int = 64, seed: int = 0) 
     A, Dm, entropy = _operands(A, D, q, budget, seed)
     _check_int("s", s, 1)
     s = min(s, Dm.shape[1])
-    _, _, vt, rank = _svd(A)
-    null_basis = vt[rank:]
+    _, sv, vt = np.linalg.svd(A)
+    null_basis = vt[_rank(sv):]
     k = null_basis.shape[0]
     if k == 0:
         raise InvalidParametersError("measurement matrix has a trivial null space")

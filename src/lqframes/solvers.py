@@ -11,7 +11,9 @@ One driver, ``_reweight``, owns that outer loop, the traces and the
 stopping rule; a path supplies only its step ``step(D^T f, sigma) ->
 (f_new, D^T f_new, ok, final)``, where ``final`` says that the step did
 not depend on sigma.  One QR of A^T writes the feasible set as
-f = f0 + A^+ v + N z with v = A f - y, and both inner solvers work there.
+f = f0 + A^+ v + N z with v = A f - y, and both inner solvers work there;
+its R1, which has the singular values of A, also refuses an A of
+numerical rank below its row count.
 The weighted least-squares step of IRLS (``_wls_steps``) is exact: at
 eps = 0 one SPD solve in z; for eps > 0 the R factor of one QR holds the
 reduced problem in v, solved by a trust-region step (l2, ``_ball_step``)
@@ -240,15 +242,16 @@ def _wls_steps(problem: LqProblem):
     its trailing block R[k:, k:] = [H h] leaves min |H v + h| over the ball
     or the box of radius eps, started from the previous step's mu or v,
     and then z solves R[:k, :k] z = -(R[:k, k:-1] v + R[:k, -1]).  ``ok``
-    is False when the box step hit its cap.  An A of numerical rank below
-    its row count (``_rank`` of its singular values, taken first) raises
-    InvalidParametersError, so R1 is nonsingular.
+    is False when the box step hit its cap.  R1 has the singular values of
+    A, so an A of numerical rank below its row count (``_rank`` of R1's
+    singular values; for m > n, R has fewer than m rows) raises
+    InvalidParametersError, and R1 is nonsingular.
     """
     A, y, Dm, eps = problem.A, problem.y, problem.D.matrix, problem.epsilon
     m = A.shape[0]
-    if _rank(np.linalg.svd(A, compute_uv=False)) < m:
-        raise InvalidParametersError("measurement matrix is row-rank deficient")
     Q, R = np.linalg.qr(A.T, mode="complete")
+    if _rank(np.linalg.svd(R[:m], compute_uv=False)) < m:
+        raise InvalidParametersError("measurement matrix is row-rank deficient")
     f0, N = Q[:, :m] @ np.linalg.solve(R[:m].T, y), Q[:, m:]
     B, c0 = Dm.T @ N, Dm.T @ f0
 

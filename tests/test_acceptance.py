@@ -262,14 +262,14 @@ def test_recovery_error_bound_tiny_instance():
         if not verdict.holds:
             # vacuous branch: the right-hand side must still be well defined
             if verdict.theta < 1.0:
-                c1, _ = lq.error_constants(verdict.theta, verdict.rho, q, 1.0, rep_a.delta)
+                c1, _ = lq.error_constants(verdict.theta, s / a, q, 1.0, rep_a.delta)
                 bound_ok = bound_ok and c1 >= 0.0
             continue
         held += 1
         f = rng.standard_normal(n)
         f /= np.linalg.norm(f)
         res = lq.irls_analysis(lq.LqProblem(A=A, y=A @ f, D=D, q=q))
-        c1, _ = lq.error_constants(verdict.theta, verdict.rho, q, 1.0, rep_a.delta)
+        c1, _ = lq.error_constants(verdict.theta, s / a, q, 1.0, rep_a.delta)
         residual = lq.hard_threshold(D.matrix.T @ f, s, q).residual_q_norm
         rhs = c1 * residual / s ** (1.0 / q - 0.5)
         bound_ok = bound_ok and np.linalg.norm(res.f_hat - f) <= rhs

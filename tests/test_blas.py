@@ -70,7 +70,7 @@ ENTRIES = [
     ("solve_split_analysis", (solvers, "_wls_steps"), lambda tmp: lqframes.solve_split_analysis(_split())),
     ("estimate_rip", (rip, "rip_scan"),
      lambda tmp: lqframes.estimate_rip(_problem().A, _problem().D, 0.7, 3, mode="sampled", budget=4)),
-    ("estimate_nsp_theta", (rip, "_svd"), lambda tmp: lqframes.estimate_nsp_theta(_problem().A, _problem().D, 0.7, 3)),
+    ("estimate_nsp_theta", (rip, "_operands"), lambda tmp: lqframes.estimate_nsp_theta(_problem().A, _problem().D, 0.7, 3)),
     ("cli_main", (cli, "load_matrix"), lambda tmp: cli.main(_cli_solve_argv(tmp))),
 ]
 

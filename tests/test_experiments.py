@@ -501,13 +501,15 @@ def test_cells_json_keeps_numpy_integers_and_bools():
 
 def test_trial_set_up_computes_no_singular_vectors(monkeypatch):
     # signal generation and the kernel coordinates need singular values only, for rank tests
-    svd, compute_uv = np.linalg.svd, []
+    svd, compute_uv, shapes = np.linalg.svd, [], []
 
-    def spy(*args, **kwargs):
+    def spy(a, *args, **kwargs):
         compute_uv.append(kwargs.get("compute_uv", True))
-        return svd(*args, **kwargs)
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     _recovery_trial(100, 110, 50, 0.7, 25, np.random.SeedSequence(0))
     _separation_trial(32, 2, 2, 24, 0.7, np.random.SeedSequence(0))
-    assert compute_uv == [False, False]  # one rank test of A per solve
+    assert compute_uv == [False, False]  # one rank test per solve
+    assert shapes == [(50, 50), (24, 24)]  # on R1 of the QR of A^T, not on A

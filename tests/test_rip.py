@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -455,7 +456,7 @@ def test_condition_theta_equivalence_on_grid():
 def test_condition_delta_field():
     v = check_recovery_condition(0.2, 0.4, 1, 4, 1.5, 0.7)
     assert v.Delta == pytest.approx(1.2 / 0.6, abs=1e-12)
-    assert set(v.to_dict()) == {"lhs", "rhs", "holds", "theta", "Delta"}
+    assert set(dataclasses.asdict(v)) == {"lhs", "rhs", "holds", "theta", "Delta"}
 
 
 def _closed_form_theta(delta_a, delta_sa, s, a, kappa, q):

@@ -91,6 +91,19 @@ def test_build_stacked_names_the_bad_dictionary(second, message):
         build_stacked([np.eye(3), second], np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_stacked([], np.eye(3)),
+        lambda: SeparationProblem(dicts=[], A=np.eye(3), y=np.zeros(3), q=0.7),
+    ],
+    ids=["build_stacked", "SeparationProblem"],
+)
+def test_an_empty_dictionary_list_is_refused(build):
+    with pytest.raises(InvalidParametersError, match="^need at least one dictionary$"):
+        build()
+
+
 def test_psi_isometry_for_tight_blocks():
     frames = [random_tight_frame(16, 20, k) for k in range(2)]
     psi, _ = build_stacked(frames, np.eye(16))

@@ -281,7 +281,7 @@ def test_solver_rejects_row_rank_deficient():
 
 
 def test_solver_rejects_more_measurements_than_unknowns():
-    # 4 rows of rank 3: refused by the rank test before any factorisation
+    # 4 rows of rank 3: the complete QR of A^T leaves R1 only 3 rows, so its rank test refuses A
     A = np.ones((4, 3)) + np.eye(4, 3)
     with pytest.raises(InvalidParametersError, match="^measurement matrix is row-rank deficient$"):
         irls_analysis(LqProblem(A=A, y=np.zeros(4), D=Frame.from_matrix(np.eye(3)), q=0.5))
