@@ -5,11 +5,11 @@ Both solvers attack
     min |D^T f|_q^q   subject to   |A f - y|_r <= eps
 
 by solving a sequence of convex surrogates, with weights refreshed from
-the current iterate and a smoothing level sigma_j = max(0.7^j, 1e-10)
-that decays geometrically to a floor (Chartrand and Yin, ICASSP 2008).
-One driver, ``_reweight``, owns that outer loop, the traces and the
-stopping rule; a path supplies only its step ``step(D^T f, sigma) ->
-(f_new, D^T f_new, ok, final)``, where ``final`` says that the step did
+the current iterate and a smoothing level sigma_j = max(0.7^j, 1e-10),
+this package's fixed geometric schedule down to a floor.
+One driver, ``_reweight``, owns that schedule, the outer loop, the traces
+and the stopping rule; a path supplies only its step ``step(D^T f, sigma)
+-> (f_new, D^T f_new, ok, final)``, where ``final`` says that the step did
 not depend on sigma.  One QR of A^T writes the feasible set as
 f = f0 + A^+ v + N z with v = A f - y, and both inner solvers work there;
 its R1, which has the singular values of A, also refuses an A of
@@ -96,22 +96,18 @@ class LqProblem:
 _SIGMA_MIN = 1e-10  # the smoothing floor
 
 
-def _sigma_at(j: int) -> float:
-    """Smoothing level at outer step j."""
-    return max(0.7**j, _SIGMA_MIN)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by IRLS and IRL1.
 
     ``max_outer_iters`` caps the outer loop, which stops once the relative
     change of f is below ``tol`` and the smoothing sigma_j = max(0.7^j,
-    1e-10) has reached its floor (IRL1 at q = 1 and eps = 0 need not wait
-    for the floor).  Each outer step is one weighted
-    least-squares step or, for IRL1 at eps = 0, one vertex descent, which
-    ends when no pivot lowers its objective.  ``converged`` is False at the
-    cap, or when the last box step hit its cap.
+    1e-10) has reached its floor, or the step did not depend on sigma:
+    IRL1's vertex step at q = 1, and any step at eps = 0 when A is square.
+    Each outer step is one weighted least-squares step or, for IRL1 at
+    eps = 0, one vertex descent, which ends when no pivot lowers its
+    objective.  ``converged`` is False at the cap, or when the last box
+    step hit its cap.
     """
 
     max_outer_iters: int = 300
@@ -138,7 +134,7 @@ def _residual_norm(r: np.ndarray, norm_index: float) -> float:
 
 
 def _spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M z = b for a symmetric positive definite n x n M and a vector b.
+    """Solve M z = b for a symmetric positive definite n x n M, n >= 1, and a vector b.
 
     One LAPACK ``dposv`` call (Cholesky factorisation and solve) where numpy's
     OpenBLAS exports it; elsewhere numpy's Cholesky as the check and an LU
@@ -153,8 +149,6 @@ def _spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise IllConditionedError(message) from exc
         return np.linalg.solve(M, b)
-    if n == 0:  # LAPACK refuses a leading dimension of 0
-        return np.zeros(0)
     a, z = np.array(M, dtype=float, order="F"), np.array(b, dtype=float)
     if _DPOSV(102, b"L", n, 1, a.ctypes.data, n, z.ctypes.data, n) != 0:  # 102: column-major
         raise IllConditionedError(message)
@@ -234,9 +228,10 @@ def _wls_steps(problem: LqProblem):
     One complete QR A^T = [Q1 Q2] [R1; 0] gives A^+ = Q1 R1^-T, f0 = A^+ y
     and N = Q2, so f = f0 + A^+ v + N z with v = A f - y, and D^T f = c0 + P v
     + B z (c0 = D^T f0, P = D^T A^+, B = D^T N).  Returns ``(f0, c0, N, B,
-    step)``; ``step(weights) -> (f, D^T f, ok, False)`` minimises sum_i
+    step)``; ``step(weights) -> (f, D^T f, ok, final)`` minimises sum_i
     weights_i <d_i, f>^2 subject to |A f - y|_r <= eps (weights > 0).  At
-    eps = 0, v = 0 and (B^T W B) z = -B^T W c0.  For eps > 0 the objective
+    eps = 0, v = 0 and (B^T W B) z = -B^T W c0, or for a square A the step
+    returns f0, the one feasible point, as final.  For eps > 0 the objective
     is |R [z; v; 1]|^2, with R the R factor of W^(1/2) [B P c0] (Golub and
     Van Loan, Matrix Computations, ch. 5) and k = n - m columns of B:
     its trailing block R[k:, k:] = [H h] leaves min |H v + h| over the ball
@@ -257,6 +252,8 @@ def _wls_steps(problem: LqProblem):
 
     if eps == 0.0:
         def step(weights):
+            if not N.size:  # the feasible set is the point f0, whatever the weights
+                return f0, c0, True, True
             bw = B.T * weights
             z = _spd_solve(bw @ B, -(bw @ c0))
             return f0 + N @ z, c0 + B @ z, True, False
@@ -286,28 +283,28 @@ def _reweight(problem: LqProblem, config: SolverConfig | None, f, coeffs, step) 
     """The outer reweighting loop shared by every solver path.
 
     ``step(coeffs, sigma)`` maps D^T f of the current iterate to
-    ``(f_new, D^T f_new, ok, final)``, with sigma = ``_sigma_at(j)``;
-    ``ok`` is False when the box step hit its cap, and ``final`` says that
-    the step did not depend on sigma.  Stops once the relative change of f
-    is below ``config.tol`` and sigma has reached its floor, or the step
-    was final (a step that left f unchanged would leave it so at every
-    later sigma), or it was the first and left f exactly unchanged (the
-    feasible set is one point); ``converged`` means that rule stopped the
-    loop, and is False when the last box step hit its cap.  ``config=None``
-    means ``SolverConfig()``.
+    ``(f_new, D^T f_new, ok, final)``, with sigma = max(0.7^j, 1e-10) at
+    outer step j; ``ok`` is False when the box step hit its cap, and
+    ``final`` says that the step did not depend on sigma: IRL1's vertex
+    step at q = 1, and any step at eps = 0 when A is square.  Stops once
+    the relative change of f is below ``config.tol`` and sigma has reached
+    its floor or the step was final (a final step that left f unchanged
+    would leave it so at every later sigma); ``converged`` means that rule
+    stopped the loop, and is False when the last box step hit its cap.
+    ``config=None`` means ``SolverConfig()``.
     """
     config = config or SolverConfig()
     objective_trace, residual_trace = [], []
     converged = False
     for j in range(config.max_outer_iters):
-        sigma = _sigma_at(j)
+        sigma = max(0.7**j, _SIGMA_MIN)
         f_new, coeffs, ok, final = step(coeffs, sigma)
         objective_trace.append(float((np.abs(coeffs) ** problem.q).sum()))
         residual_trace.append(_residual_norm(problem.A @ f_new - problem.y, problem.norm_index))
         change = f_new - f
         rel_change = math.sqrt(change.dot(change)) / max(math.sqrt(f.dot(f)), 1.0)
         f = f_new
-        if rel_change < config.tol and (sigma <= _SIGMA_MIN or (j == 0 and rel_change == 0.0) or final):
+        if rel_change < config.tol and (sigma <= _SIGMA_MIN or final):
             converged = True
             break
     return SolverResult(

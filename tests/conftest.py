@@ -5,17 +5,18 @@ import lqframes.solvers as solvers
 
 @pytest.fixture
 def record_iterates(monkeypatch):
-    """The iterates of every solve in the test, one list per solve: the start point, then each step's f."""
+    """One ``(iterates, sigmas)`` pair per solve in the test: the start point, then each step's f, and each step's sigma."""
     solves = []
     reweight = solvers._reweight
 
     def recording(problem, config, f, coeffs, step):
-        iterates = [f.copy()]
-        solves.append(iterates)
+        iterates, sigmas = [f.copy()], []
+        solves.append((iterates, sigmas))
 
         def recorded(coeffs, sigma):
             out = step(coeffs, sigma)
             iterates.append(out[0].copy())
+            sigmas.append(sigma)
             return out
 
         return reweight(problem, config, f, coeffs, recorded)

@@ -224,11 +224,10 @@ def test_invariant_suites_over_seeds(record_iterates):
         f, _ = lq.cosparse_signal(D, 6, seed + 1000)
         y = A @ f
         res = lq.irls_analysis(lq.LqProblem(A=A, y=y, D=D, q=0.7))
-        iterates = record_iterates[-1]
-        for j in range(res.iterations):
-            sj = lq.solvers._sigma_at(j)
-            before = _surrogate(D.matrix.T @ iterates[j], sj, 0.7)
-            after = _surrogate(D.matrix.T @ iterates[j + 1], sj, 0.7)
+        iterates, sigmas = record_iterates[-1]
+        for j, sigma in enumerate(sigmas):
+            before = _surrogate(D.matrix.T @ iterates[j], sigma, 0.7)
+            after = _surrogate(D.matrix.T @ iterates[j + 1], sigma, 0.7)
             worst_descent = max(worst_descent, after - before)
         worst_feasibility = max(worst_feasibility, max(res.residual_trace) / np.linalg.norm(y))
     ok = (

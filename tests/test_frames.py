@@ -132,7 +132,7 @@ def test_mutual_coherence_identity_pair():
 
 
 def test_mutual_coherence_hadamard():
-    from scipy.linalg import hadamard
+    hadamard = pytest.importorskip("scipy.linalg").hadamard
 
     n = 16
     mu = mutual_coherence([np.eye(n), hadamard(n) / np.sqrt(n)])

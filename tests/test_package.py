@@ -13,7 +13,6 @@ import pytest
 import lqframes
 from lqframes import InvalidParametersError
 
-_NAN = math.nan
 _CELL = {"n": 20, "d": 24, "m": 14, "q": 0.7, "s": 6}
 
 
@@ -138,54 +137,6 @@ def test_no_source_file_imports_scipy():
     assert imports == []
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: lqframes.LqProblem(A=np.eye(2), y=np.ones(2), D=lqframes.Frame.from_matrix(np.eye(2)), q=0.7,
-                                   epsilon=_NAN),
-        lambda: lqframes.measurement_bound(0.7, 2, 8, kappa=_NAN),
-        lambda: lqframes.check_recovery_condition(_NAN, 0.1, 1, 4, 1.0, 0.7),
-        lambda: lqframes.check_recovery_condition(0.1, _NAN, 1, 4, 1.0, 0.7),
-        lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, _NAN, 0.7),
-        lambda: lqframes.check_separation_conditions(_NAN, [1, 1], 5, 0.1, 0.1, 0.7),
-        lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, _NAN, 0.1, 0.7),
-        lambda: lqframes.error_constants(_NAN, 0.25, 0.7, 1.0, 0.1),
-        lambda: lqframes.split_nsp_constant(0.5, 1.1, _NAN, 0.7, 2),
-        lambda: lqframes.ExperimentSpec(kind="phase_transition", grid=[_CELL], success_threshold=_NAN),
-        lambda: lqframes.SolverConfig(tol=_NAN),
-        lambda: lqframes.run_figure1(trials=1, threshold=_NAN),
-        lambda: lqframes.error_constants(0.5, _NAN, 0.7, 1.0, 0.1),
-        lambda: lqframes.error_constants(0.5, 0.25, 0.7, _NAN, 0.1),
-        lambda: lqframes.error_constants(0.5, 0.25, 0.7, 1.0, _NAN),
-        lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, 0.1, _NAN, 0.7),
-        lambda: lqframes.split_nsp_constant(_NAN, 1.1, 0.1, 0.7, 2),
-        lambda: lqframes.split_nsp_constant(0.5, _NAN, 0.1, 0.7, 2),
-        lambda: lqframes.objective(np.ones(2), np.eye(2), _NAN),
-        lambda: lqframes.tail_constant(_NAN),
-        lambda: lqframes.measurement_bound(_NAN, 2, 8),
-        lambda: lqframes.separation_measurement_bound(_NAN, 2, 8),
-        lambda: lqframes.run_bounds_table([_NAN], 2, 8),
-        lambda: lqframes.check_recovery_condition(0.1, 0.1, 1, 4, 1.0, _NAN),
-        lambda: lqframes.error_constants(0.5, 0.25, _NAN, 1.0, 0.1),
-        lambda: lqframes.check_separation_conditions(0.01, [1, 1], 5, 0.1, 0.1, _NAN),
-        lambda: lqframes.split_nsp_constant(0.5, 1.1, 0.1, _NAN, 2),
-        lambda: lqframes.estimate_nsp_theta(np.ones((1, 2)), np.eye(2), _NAN, 1),
-        lambda: lqframes.ExperimentSpec(kind="phase_transition", grid=[dict(_CELL, q=_NAN)]),
-    ],
-    ids=[
-        "problem-epsilon", "bound-kappa", "condition-delta-a", "condition-delta-sa", "condition-kappa",
-        "separation-mu1", "separation-delta-a", "error-theta", "split-U", "spec-threshold", "config-tol",
-        "figure1-threshold", "error-rho", "error-lower-bound", "error-delta-a", "separation-delta-sa", "split-rho",
-        "split-delta-ratio", "objective-q", "tail-q", "bound-q", "separation-bound-q", "bounds-table-q",
-        "condition-q", "error-q", "separation-q", "split-q", "nsp-q", "spec-cell-q",
-    ],
-)
-def test_nan_parameters_are_refused(call):
-    # every range check is written as the negation of the admissible range, which NaN never meets
-    with pytest.raises(InvalidParametersError):
-        call()
-
-
 def _spec_json(**fields):
     return json.dumps({"kind": "phase_transition", "grid": [_CELL], **fields})
 
@@ -267,6 +218,13 @@ _INTERVALS = {
     "error-q": "(0, 1]", "separation-q": "(0, 1]", "split-q": "(0, 1]", "nsp-q": "(0, 1]", "spec-cell-q": "(0, 1]",
 }
 _UNEVALUABLE_FROM_ONE = {"error-theta"}
+
+
+@pytest.mark.parametrize("entry", list(_NUMBER_PARAMETERS))
+def test_nan_parameters_are_refused(entry):
+    # every range check is written as the negation of the admissible range, which NaN never meets
+    with pytest.raises(InvalidParametersError):
+        _NUMBER_PARAMETERS[entry](math.nan)
 
 
 @pytest.mark.parametrize("value", ["0.7", None, True], ids=["string", "none", "bool"])

@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, hadamard
 
 from lqframes import (
     Frame,
@@ -19,6 +18,7 @@ from lqframes import (
     solve_split_analysis,
     split_nsp_constant,
 )
+from lqframes.experiments import _spikes_and_waves
 from lqframes.rip import _comparison_order
 from lqframes.solvers import LqProblem
 
@@ -28,7 +28,7 @@ def _spikes(n):
 
 
 def _waves(n):
-    return Frame(matrix=hadamard(n) / math.sqrt(n), lower_bound=1.0, upper_bound=1.0)
+    return _spikes_and_waves(n)[1]  # the normalized Sylvester Hadamard matrix, checked against scipy's
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +51,7 @@ def test_build_stacked_shapes():
 
 
 def test_build_stacked_psi_is_the_block_diagonal():
+    block_diag = pytest.importorskip("scipy.linalg").block_diag
     rng = np.random.default_rng(2)
     mats = [rng.standard_normal((4, d)) for d in (4, 6, 5)]
     psi, _ = build_stacked(mats, np.eye(4))
